@@ -17,6 +17,7 @@ arbitrary constant in favour of structure is rewarded.
 """
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,6 +39,7 @@ __all__ = [
     "serialize",
     "parse",
     "evaluate",
+    "compile_shape",
     "substitute",
     "assign_slots",
     "canonical_simplify",
@@ -242,6 +244,22 @@ def parse(text):
     return canonical_simplify(_Parser(text).parse())
 
 
+# One table for every evaluator, so that evaluate and compile_shape apply
+# the same numpy operation to each node (pow2 is a*a, not np.square).
+_OPS = {
+    "add": operator.add,
+    "sub": operator.sub,
+    "mul": operator.mul,
+    "div": operator.truediv,
+    "pow2": lambda a: a * a,
+    "sqrt": np.sqrt,
+    "sin": np.sin,
+    "cos": np.cos,
+    "exp": np.exp,
+    "abs": np.abs,
+}
+
+
 def evaluate(e, env, slot_values=None):
     """Evaluate over numpy arrays; domain errors surface as nan/inf.
 
@@ -260,31 +278,84 @@ def evaluate(e, env, slot_values=None):
             idx = counter[0]
             counter[0] += 1
             return slot_values[idx]
-        if op == "add":
-            return rec(node[1]) + rec(node[2])
-        if op == "sub":
-            return rec(node[1]) - rec(node[2])
-        if op == "mul":
-            return rec(node[1]) * rec(node[2])
-        if op == "div":
-            return rec(node[1]) / rec(node[2])
-        child = rec(node[1])
-        if op == "pow2":
-            return child * child
-        if op == "sqrt":
-            return np.sqrt(child)
-        if op == "sin":
-            return np.sin(child)
-        if op == "cos":
-            return np.cos(child)
-        if op == "exp":
-            return np.exp(child)
-        if op == "abs":
-            return np.abs(child)
-        raise InvalidInputError(f"unknown operator {op!r}")
+        fn = _OPS.get(op)
+        if fn is None:
+            raise InvalidInputError(f"unknown operator {op!r}")
+        if len(node) == 3:
+            return fn(rec(node[1]), rec(node[2]))
+        return fn(rec(node[1]))
 
     with np.errstate(all="ignore"):
         return rec(e)
+
+
+def compile_shape(e, env):
+    """Compile a shape over fixed variable arrays.
+
+    Returns ``(slots, at, at_grid)``: the slot count and two functions of the
+    slot values (a sequence in depth-first order).  ``at(values)`` equals
+    ``evaluate(e, env, values)`` bit for bit.  ``at_grid(values)`` does the
+    same over ``env`` with every 1-D array as an (m, 1) column, so that a
+    slot given a (G,) vector yields an (m, G) table.  Every slot-free subtree
+    is evaluated once, here; a call recomputes only the nodes on the paths
+    from the slots to the root, with the operations ``evaluate`` uses.
+    Calls run under the caller's numpy error state: unlike ``evaluate``,
+    they do not silence domain warnings themselves.
+    """
+    counter = [0]
+    with np.errstate(all="ignore"):
+        has_slot, part = _compile(e, env, counter)
+    if has_slot:
+        return counter[0], part[0], part[1]
+    value = part
+    return 0, lambda values: value, lambda values: _column(value)
+
+
+def _column(value):
+    return value[:, None] if np.ndim(value) == 1 else value
+
+
+def _compile(node, env, counter):
+    """(False, value) for a slot-free node, else (True, (at, at_grid))."""
+    op = node[0]
+    if op == "var":
+        return False, env[node[1]]
+    if op == "const":
+        return False, node[1]
+    if op == "slot":
+        get = operator.itemgetter(counter[0])
+        counter[0] += 1
+        return True, (get, get)
+    fn = _OPS.get(op)
+    if fn is None:
+        raise InvalidInputError(f"unknown operator {op!r}")
+    slot_a, a = _compile(node[1], env, counter)
+    if len(node) == 2:
+        if not slot_a:
+            return False, fn(a)
+        at, at_grid = a
+        return True, (lambda values: fn(at(values)), lambda values: fn(at_grid(values)))
+    slot_b, b = _compile(node[2], env, counter)
+    if not (slot_a or slot_b):
+        return False, fn(a, b)
+    return True, (_bind(fn, slot_a, a, slot_b, b, 0), _bind(fn, slot_a, a, slot_b, b, 1))
+
+
+def _bind(fn, slot_a, a, slot_b, b, grid):
+    """Binary fn as a function of the slot values (``grid`` picks at_grid)."""
+    a = _operand(slot_a, a, grid)
+    b = _operand(slot_b, b, grid)
+    if slot_a and slot_b:
+        return lambda values: fn(a(values), b(values))
+    if slot_a:
+        return lambda values: fn(a(values), b)
+    return lambda values: fn(a, b(values))
+
+
+def _operand(has_slot, part, grid):
+    if has_slot:
+        return part[grid]
+    return _column(part) if grid else part
 
 
 def substitute(e, mapping):

@@ -36,17 +36,21 @@ from .expressions import (
     DEFAULT_COMPLEXITY,
     Grammar,
     ShapeEnumerator,
+    _rebuild_chain,
     assign_slots,
     canonical_simplify,
+    chain_elements,
+    compile_shape,
     complexity,
     const,
     evaluate,
+    expr_depth,
     is_slot,
     node_count,
     serialize,
-    slot_count,
     substitute,
     var,
+    variables_of,
 )
 
 __all__ = [
@@ -225,36 +229,16 @@ def _linear_split(shape):
     has_add = has_mul = False
     core = shape
     if core[0] == "add":
-        elements = _chain_list(core)
+        elements = chain_elements(core)
         if is_slot(elements[-1]):
             has_add = True
-            core = _rebuild("add", elements[:-1])
+            core = _rebuild_chain("add", elements[:-1])
     if core[0] == "mul":
-        elements = _chain_list(core)
+        elements = chain_elements(core)
         if is_slot(elements[-1]):
             has_mul = True
-            core = _rebuild("mul", elements[:-1])
+            core = _rebuild_chain("mul", elements[:-1])
     return core, has_mul, has_add
-
-
-def _chain_list(e):
-    op = e[0]
-    out = [e[1]]
-    rest = e[2]
-    while rest[0] == op:
-        out.append(rest[1])
-        rest = rest[2]
-    out.append(rest)
-    return out
-
-
-def _rebuild(op, elements):
-    if len(elements) == 1:
-        return elements[0]
-    out = elements[-1]
-    for e in reversed(elements[:-1]):
-        out = (op, e, out)
-    return out
 
 
 def _profiled_sse(u, y, has_mul, has_add):
@@ -297,6 +281,36 @@ def _profiled_sse(u, y, has_mul, has_add):
     return sse, ca, cb
 
 
+def _profiled_sse_1d(u, y, has_mul, has_add):
+    """``_profiled_sse(u, y, has_mul, has_add)[0]`` for an (m,) core vector.
+
+    The same numpy operations in the same order, on (m,) instead of (m, 1):
+    the reductions give bit-equal results either way.  Multiplying by the
+    profiled 1 and adding the profiled 0 are exact and left out.  A
+    non-finite entry of ``u`` always makes the sum non-finite, so the SSE
+    alone decides the infinite result.
+    """
+    if has_mul and has_add:
+        um = u.mean()
+        ym = y.mean()
+        uc = u - um
+        varu = (uc * uc).sum()
+        cov = (uc * (y - ym)).sum()
+        ca = cov / varu if varu > 0 else 0.0
+        resid = u * ca + (ym - ca * um) - y
+    elif has_mul:
+        uu = (u * u).sum()
+        uy = (u * y).sum()
+        ca = uy / uu if uu > 0 else 0.0
+        resid = u * ca - y
+    elif has_add:
+        resid = u + (y - u).mean() - y
+    else:
+        resid = u - y
+    sse = float((resid * resid).sum())
+    return sse if math.isfinite(sse) else math.inf
+
+
 class _ShapeFitter:
     """Fits constant slots of shapes against targets over fixed sample envs."""
 
@@ -305,11 +319,6 @@ class _ShapeFitter:
         self.target = np.asarray(target, dtype=float)
         self.strict_tol = strict_tol
         self.grid = _scale_grid(self.envs, self.target)
-        self._col_envs = {k: v[:, None] for k, v in self.envs.items()}
-
-    def _eval(self, shape, consts=None, grid_env=False):
-        env = self._col_envs if grid_env else self.envs
-        return evaluate(shape, env, consts)
 
     def fit(self, shape):
         """Return (const_vector, sse) or None when no finite fit exists."""
@@ -317,37 +326,36 @@ class _ShapeFitter:
             return self._fit(shape)
 
     def _fit(self, shape):
-        k = slot_count(shape)
-        if k == 0:
-            vals = np.broadcast_to(
-                np.asarray(self._eval(shape), dtype=float), self.target.shape
-            )
+        target = self.target
+        core, has_mul, has_add = _linear_split(shape)
+        k_inner, at, at_grid = compile_shape(core, self.envs)
+        if k_inner == 0 and not (has_mul or has_add):
+            vals = np.broadcast_to(np.asarray(at(()), dtype=float), target.shape)
             if not np.all(np.isfinite(vals)):
                 return None
-            resid = vals - self.target
+            resid = vals - target
             return (), float(resid @ resid)
-        core, has_mul, has_add = _linear_split(shape)
-        k_inner = slot_count(core)
-        if k_inner == 0:
-            u = np.broadcast_to(
-                np.asarray(self._eval(core), dtype=float), self.target.shape
-            )
-            sse, ca, cb = _profiled_sse(u, self.target, has_mul, has_add)
-            if not np.isfinite(sse):
+        if is_slot(core):
+            # the bare constant: no variable gives its values the samples' shape
+            def at(c):
+                return np.broadcast_to(np.asarray(c[0], dtype=float), target.shape)
+
+        inner = ()
+        if k_inner:
+
+            def sse_of(c):
+                return _profiled_sse_1d(at(c), target, has_mul, has_add)
+
+            if k_inner == 1:
+                inner, sse = self._fit_inner1(at_grid, sse_of, has_mul, has_add)
+            elif k_inner == 2:
+                inner, sse = self._fit_inner2(at_grid, sse_of, has_mul, has_add)
+            else:
+                inner, sse = self._fit_inner_many(sse_of, k_inner)
+            if inner is None or not np.isfinite(sse):
                 return None
-            return self._assemble((), ca, cb, has_mul, has_add), sse
-        if k_inner == 1:
-            inner, sse = self._fit_inner1(core, has_mul, has_add)
-        elif k_inner == 2:
-            inner, sse = self._fit_inner2(core, has_mul, has_add)
-        else:
-            inner, sse = self._fit_inner_many(core, k_inner, has_mul, has_add)
-        if inner is None or not np.isfinite(sse):
-            return None
-        u = np.broadcast_to(
-            np.asarray(self._eval(core, list(inner)), dtype=float), self.target.shape
-        )
-        sse, ca, cb = _profiled_sse(u, self.target, has_mul, has_add)
+        u = np.broadcast_to(np.asarray(at(inner), dtype=float), target.shape)
+        sse, ca, cb = _profiled_sse(u, target, has_mul, has_add)
         if not np.isfinite(sse):
             return None
         return self._assemble(inner, ca, cb, has_mul, has_add), sse
@@ -360,17 +368,11 @@ class _ShapeFitter:
             out.append(float(cb))
         return tuple(out)
 
-    def _sse_of(self, core, inner, has_mul, has_add):
-        u = np.broadcast_to(
-            np.asarray(self._eval(core, list(inner)), dtype=float), self.target.shape
-        )
-        sse, _, _ = _profiled_sse(u, self.target, has_mul, has_add)
-        return sse
-
-    def _fit_inner1(self, core, has_mul, has_add):
+    def _fit_inner1(self, at_grid, sse_of, has_mul, has_add):
         grid = self.grid
-        u = self._eval(core, [grid], grid_env=True)
-        u = np.broadcast_to(np.asarray(u, dtype=float), (self.target.size, grid.size))
+        u = np.broadcast_to(
+            np.asarray(at_grid((grid,)), dtype=float), (self.target.size, grid.size)
+        )
         sse, _, _ = _profiled_sse(u, self.target, has_mul, has_add)
         order = np.argsort(sse, kind="stable")[:3]
         best_c, best_sse = None, np.inf
@@ -380,7 +382,7 @@ class _ShapeFitter:
             lo = grid[idx - 1] if idx > 0 else grid[idx] - 1.0
             hi = grid[idx + 1] if idx + 1 < grid.size else grid[idx] + 1.0
             res = minimize_scalar(
-                lambda c: min(self._sse_of(core, (c,), has_mul, has_add), 1e300),
+                lambda c: min(sse_of((c,)), 1e300),
                 bounds=(lo, hi),
                 method="bounded",
                 options={"xatol": 1e-12},
@@ -396,13 +398,13 @@ class _ShapeFitter:
         g = self.grid
         return g[:: max(1, g.size // 28)]
 
-    def _fit_inner2(self, core, has_mul, has_add):
+    def _fit_inner2(self, at_grid, sse_of, has_mul, has_add):
         coarse = self._coarse()
         best = []
         for c1 in coarse:
-            u = self._eval(core, [c1, coarse], grid_env=True)
             u = np.broadcast_to(
-                np.asarray(u, dtype=float), (self.target.size, coarse.size)
+                np.asarray(at_grid((c1, coarse)), dtype=float),
+                (self.target.size, coarse.size),
             )
             sse, _, _ = _profiled_sse(u, self.target, has_mul, has_add)
             idx = int(np.argmin(sse))
@@ -412,7 +414,7 @@ class _ShapeFitter:
         best_v, best_sse = None, np.inf
         for _, c1, c2 in best[:3]:
             res = minimize(
-                lambda c: self._sse_of(core, tuple(c), has_mul, has_add),
+                sse_of,
                 x0=[c1, c2],
                 method="Nelder-Mead",
                 options={"xatol": 1e-10, "fatol": 1e-14, "maxiter": 400},
@@ -421,12 +423,12 @@ class _ShapeFitter:
                 best_sse, best_v = float(res.fun), tuple(float(v) for v in res.x)
         return best_v, best_sse
 
-    def _fit_inner_many(self, core, k, has_mul, has_add):
+    def _fit_inner_many(self, sse_of, k):
         starts = [0.0, 1.0, -1.0, 2.0]
         best_v, best_sse = None, np.inf
         for combo in itertools.islice(itertools.product(starts, repeat=k), 64):
             res = minimize(
-                lambda c: self._sse_of(core, tuple(c), has_mul, has_add),
+                sse_of,
                 x0=list(combo),
                 method="Nelder-Mead",
                 options={"xatol": 1e-10, "fatol": 1e-14, "maxiter": 600},
@@ -445,7 +447,7 @@ class _ShapeFitter:
         )
         if snapped == consts:
             return consts, sse
-        vals = self._eval(shape, list(snapped))
+        vals = evaluate(shape, self.envs, list(snapped))
         if not np.all(np.isfinite(vals)):
             return consts, sse
         resid = vals - self.target
@@ -455,7 +457,7 @@ class _ShapeFitter:
         return consts, sse
 
     def residual_of(self, expr):
-        vals = self._eval(expr)
+        vals = evaluate(expr, self.envs)
         vals = np.broadcast_to(np.asarray(vals, dtype=float), self.target.shape)
         if not np.all(np.isfinite(vals)):
             return np.inf
@@ -495,8 +497,7 @@ def _shape_lower_bound(shape, model=DEFAULT_COMPLEXITY):
 
 
 def _iter_fitted(
-    envs,
-    target,
+    fitter,
     grammar,
     budget,
     strict,
@@ -509,9 +510,11 @@ def _iter_fitted(
     ``score_floor_cb(expr, residual)`` returns the best achievable ranking
     score for a qualifying fit, used to certify when no later level can
     still contribute; in strict mode shapes whose lower bound exceeds the
-    certified best are skipped without fitting.
+    certified best are skipped without fitting.  The certified stop is
+    checked before a level is built, so the enumerator never builds a level
+    that would not be fitted.  The ``grammar.max_depth`` filter runs only on
+    levels above it: an n-node tree is at most n deep.
     """
-    fitter = _ShapeFitter(envs, target)
     enum = ShapeEnumerator(grammar)
     workers = thread_count(threads)
     budget = DEFAULT_BUDGET if budget is None else int(budget)
@@ -532,21 +535,18 @@ def _iter_fitted(
             return None
         return expr, residual
 
-    # level 0 holds the bare-constant shape; level n the n-node shapes
-    levels = [[("slot",)]] if grammar.allow_constants else [[]]
-    max_nodes = grammar.max_nodes
-
-    n = 0
-    while n <= max_nodes:
+    for n in range(grammar.max_nodes + 1):
         if budget <= 0:
             break
-        if n >= len(levels):
-            levels.append(
-                [s for s in enum.shapes(n) if _depth_ok(s, grammar.max_depth)]
-            )
-        shapes = levels[n]
         if strict and math.isfinite(best_score) and n > max(best_score, floor):
             break
+        if n == 0:
+            # level 0 holds the bare-constant shape; level n the n-node shapes
+            shapes = [("slot",)] if grammar.allow_constants else []
+        elif n > grammar.max_depth:
+            shapes = [s for s in enum.shapes(n) if expr_depth(s) <= grammar.max_depth]
+        else:
+            shapes = enum.shapes(n)
         batch = []
         for shape in shapes:
             if budget <= 0:
@@ -578,17 +578,7 @@ def _iter_fitted(
                 score = score_floor_cb(expr, residual)
                 if score < best_score:
                     best_score = score
-        n += 1
     return results
-
-
-def _depth_ok(shape, max_depth):
-    def depth(e):
-        if e[0] in ("var", "const", "slot"):
-            return 1
-        return 1 + max(depth(c) for c in e[1:])
-
-    return depth(shape) <= max_depth
 
 
 # ---------------------------------------------------------------------------
@@ -611,8 +601,7 @@ def fit_slice(data, grammar=None, budget=None, threads=None, scorer=DEFAULT_COMP
         grammar = replace(grammar, variables=("t",))
     strict = data.strict
     results = _iter_fitted(
-        {"t": t},
-        data.values,
+        _ShapeFitter({"t": t}, data.values),
         grammar,
         budget,
         strict,
@@ -667,7 +656,7 @@ def _const_values(expr):
 
 def _is_even_in(expr, name, probes=(0.37, 1.91, 5.3, 17.0)):
     """Numeric evenness check of expr in one variable (nan-tolerant)."""
-    others = sorted(v for v in _variables(expr) if v != name)
+    others = sorted(v for v in variables_of(expr) if v != name)
     grid = np.array([-13.7, -2.3, 0.41, 3.9, 29.0])
     u = np.array(probes)
     env_pos = {name: u[:, None]}
@@ -685,17 +674,6 @@ def _is_even_in(expr, name, probes=(0.37, 1.91, 5.3, 17.0)):
     if not both.any():
         return True
     return bool(np.allclose(a[both], b[both], rtol=1e-9, atol=1e-12))
-
-
-def _variables(expr):
-    if expr[0] == "var":
-        return {expr[1]}
-    if expr[0] in ("const", "slot"):
-        return set()
-    out = set()
-    for c in expr[1:]:
-        out |= _variables(c)
-    return out
 
 
 def lift_constants(
@@ -724,7 +702,7 @@ def lift_constants(
     def emit(e, y0, kind):
         e = canonical_simplify(e)
         score = complexity(e, scorer)
-        if frame.free_calibration and tv in _variables(e) and not _is_even_in(e, tv):
+        if frame.free_calibration and tv in variables_of(e) and not _is_even_in(e, tv):
             # the data cannot orient the new axis: unmirrorable transverse
             # dependence costs one extra bit
             score += scorer.int_bit_cost
@@ -740,7 +718,7 @@ def lift_constants(
         )
 
     emit(renamed, frame.y0 if not frame.free_calibration else 0.0, "extrusion")
-    if not _variables(renamed):
+    if not variables_of(renamed):
         return _dedupe(out)
 
     free = frame.free_calibration
@@ -836,8 +814,7 @@ def _search_lifted(data, frame, grammar, budget, threads, scorer):
         return min(c.score for c in cands)
 
     results = _iter_fitted(
-        {"t": t},
-        data.values,
+        fitter,
         grammar,
         budget,
         strict,
@@ -876,8 +853,7 @@ def _search_ambient(data, frame, grammar, budget, threads, scorer):
     envs = {"x": data.locations[:, 0], "y": data.locations[:, 1]}
     strict = data.strict
     results = _iter_fitted(
-        envs,
-        data.values,
+        _ShapeFitter(envs, data.values),
         grammar,
         budget,
         strict,

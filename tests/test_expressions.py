@@ -1,10 +1,18 @@
 import numpy as np
 import pytest
 
-from hyperpolate import ComplexityModel, Grammar, complexity, parse, serialize
+from hyperpolate import (
+    ComplexityModel,
+    Grammar,
+    InvalidInputError,
+    complexity,
+    parse,
+    serialize,
+)
 from hyperpolate.expressions import (
     ShapeEnumerator,
     canonical_simplify,
+    compile_shape,
     const,
     evaluate,
     node_count,
@@ -13,6 +21,7 @@ from hyperpolate.expressions import (
     substitute,
     var,
 )
+from hyperpolate.symbolic import _profiled_sse, _profiled_sse_1d
 
 
 class TestSerializeParse:
@@ -90,6 +99,53 @@ class TestEvaluate:
         e = parse("cos(sqrt(add(pow2(x),pow2(y))))")
         restricted = canonical_simplify(substitute(e, {"y": const(-20.0)}))
         assert serialize(restricted) == "cos(sqrt(add(pow2(x),400)))"
+
+
+class TestCompileShape:
+    SCALARS = (-1.5, 0.75, 2.0, 3.0, -0.25)
+    GRID = np.array([-2.0, -0.5, 0.0, 1e-3, 3.0, 1e300])
+    SAMPLES = {
+        "tame": np.linspace(-3.0, 4.0, 23),
+        # zeros, negatives and huge values: nan and inf from every operator
+        "wild": np.array([-1e200, -800.0, -3.5, -1.0, -0.0, 0.0, 0.25, 2.0, 710.0, 1e200]),
+    }
+
+    def _shapes(self):
+        en = ShapeEnumerator(Grammar(variables=("t",)))
+        return [("slot",)] + [s for n in range(1, 6) for s in en.shapes(n)]
+
+    @pytest.mark.parametrize("samples", sorted(SAMPLES))
+    def test_matches_evaluate_bit_for_bit(self, samples):
+        t = self.SAMPLES[samples]
+        y = np.cos(t) + 0.5 * np.arange(t.size)
+        env, col_env = {"t": t}, {"t": t[:, None]}
+        finite = 0
+        for shape in self._shapes():
+            k, at, at_grid = compile_shape(shape, env)
+            assert k == slot_count(shape)
+            values = list(self.SCALARS[:k])
+            with np.errstate(all="ignore"):
+                got = at(values)
+            want = evaluate(shape, env, values)
+            assert np.array_equal(got, want, equal_nan=True), serialize(shape)
+            if k:
+                grid_values = values[:-1] + [self.GRID]
+                with np.errstate(all="ignore"):
+                    got_grid = at_grid(grid_values)
+                want_grid = evaluate(shape, col_env, grid_values)
+                assert np.array_equal(got_grid, want_grid, equal_nan=True), serialize(shape)
+            u = np.broadcast_to(np.asarray(got, dtype=float), t.shape)
+            finite += bool(np.all(np.isfinite(u)))
+            for has_mul in (False, True):
+                for has_add in (False, True):
+                    with np.errstate(all="ignore"):
+                        fast = _profiled_sse_1d(u, y, has_mul, has_add)
+                    assert fast == _profiled_sse(u, y, has_mul, has_add)[0], serialize(shape)
+        assert finite > 0
+
+    def test_unknown_operator(self):
+        with pytest.raises(InvalidInputError):
+            compile_shape(("tan", ("slot",)), {})
 
 
 class TestComplexity:

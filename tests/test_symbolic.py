@@ -15,6 +15,8 @@ from hyperpolate import (
     tie_sets,
     top_tie_set,
 )
+from hyperpolate import symbolic
+from hyperpolate.expressions import ShapeEnumerator, expr_depth, node_count
 from hyperpolate.symbolic import predict_candidate
 
 
@@ -49,6 +51,23 @@ class TestFitSlice:
         x = np.arange(0.0, 8.0)
         data = Dataset(x[:, None], 2.0 * x)
         assert fit_slice(data, grammar=small_grammar(), budget=0) == []
+
+    def test_max_depth_is_enforced(self, monkeypatch):
+        fitted = []
+        fit = symbolic._ShapeFitter.fit
+
+        def recording_fit(self, shape):
+            fitted.append(shape)
+            return fit(self, shape)
+
+        monkeypatch.setattr(symbolic._ShapeFitter, "fit", recording_fit)
+        # no exact fit exists, so no certified stop cuts the search short
+        rng = np.random.default_rng(0)
+        x = np.arange(0.0, 12.0)
+        data = Dataset(x[:, None], rng.standard_normal(12))
+        fit_slice(data, grammar=Grammar(variables=("t",), max_nodes=6, max_depth=3))
+        assert max(node_count(s) for s in fitted) == 6
+        assert max(expr_depth(s) for s in fitted) == 3
 
     def test_no_qualifying_fit_is_empty_not_error(self):
         # strict mode data that no tiny grammar expression matches exactly
@@ -193,6 +212,20 @@ class TestSearch:
         data = Dataset(rng.normal(size=(6, 2)), rng.normal(size=6))  # 2D hull
         with pytest.raises(UnsupportedGeometryError):
             search_hyperpolation(data)
+
+    def test_certified_stop_builds_no_further_level(self, monkeypatch, cone_1d_dataset):
+        requested = []
+
+        class RecordingEnumerator(ShapeEnumerator):
+            def shapes(self, n):
+                requested.append(n)
+                return super().shapes(n)
+
+        monkeypatch.setattr(symbolic, "ShapeEnumerator", RecordingEnumerator)
+        cands = search_hyperpolation(cone_1d_dataset)
+        assert serialize(cands[0].expr) == "sqrt(add(pow2(x),pow2(y)))"
+        # the answer costs 6 points, so the stop is certified after level 6
+        assert max(requested) == 6
 
     def test_budget_zero(self):
         x = np.arange(0.0, 8.0)
