@@ -18,7 +18,6 @@ from .bayesian import (
 from .baselines import (
     PolationModel,
     SliceModel,
-    SubspaceChart,
     fit_additive,
     fit_extrusion,
     fit_linear,
@@ -27,7 +26,6 @@ from .baselines import (
     fit_nn_projected,
     fit_slice_interpolant,
     predict_additive,
-    predict_extrusion,
 )
 from .benchmark import (
     BenchmarkCase,
@@ -71,6 +69,7 @@ from .geometry import (
     Tolerances,
     affine_hull,
     classify,
+    hull_chart,
     hyperpolation_distance,
     in_convex_hull,
     project,

@@ -15,12 +15,15 @@ from .errors import (
     DegenerateFitError,
     UnsupportedGeometryError,
 )
-from .geometry import AffineSubspace, affine_hull, project
+from .geometry import AffineSubspace, hull_chart
 
 __all__ = [
-    "SubspaceChart",
     "SliceModel",
     "PolationModel",
+    "NearestSampleModel",
+    "ExtrusionModel",
+    "LinearModel",
+    "AdditiveModel",
     "METHOD_NAMES",
     "fit_slice_interpolant",
     "fit_nn_ambient",
@@ -29,65 +32,10 @@ __all__ = [
     "fit_extrusion",
     "fit_additive",
     "fit_method",
-    "predict_extrusion",
     "predict_additive",
 ]
 
 METHOD_NAMES = ("nn_ambient", "nn_projected", "linear", "extrusion", "additive")
-
-
-@dataclass(frozen=True)
-class SubspaceChart:
-    """Deterministic intrinsic coordinates on an affine subspace.
-
-    The chart base is the projection of the ambient origin onto the subspace
-    and direction signs are fixed by the hull fit, so two charts built from
-    the same data coincide exactly.  Round-tripping intrinsic coordinates
-    through the embedding is the identity on the subspace.
-    """
-
-    subspace: AffineSubspace
-    base: np.ndarray
-
-    @classmethod
-    def from_subspace(cls, sub):
-        base, _ = project(sub, np.zeros(sub.ambient_dim))
-        base = base.copy()
-        base.setflags(write=False)
-        return cls(subspace=sub, base=base)
-
-    @classmethod
-    def from_dataset(cls, data, tol=None):
-        sub = affine_hull(data) if tol is None else affine_hull(data, tol)
-        return cls.from_subspace(sub)
-
-    @property
-    def dim(self):
-        return self.subspace.dim
-
-    @property
-    def ambient_dim(self):
-        return self.subspace.ambient_dim
-
-    def to_intrinsic(self, points):
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        return (pts - self.base) @ self.subspace.basis.T
-
-    def from_intrinsic(self, coords):
-        coords = np.atleast_2d(np.asarray(coords, dtype=float))
-        return self.base + coords @ self.subspace.basis
-
-    def axis_aligned_line(self):
-        """(parallel_axis, transverse_axis, offset) when the chart is a 1D
-        line parallel to a coordinate axis in a 2D ambient space, else None."""
-        if self.ambient_dim != 2 or self.dim != 1:
-            return None
-        direction = self.subspace.basis[0]
-        for axis in (0, 1):
-            if abs(abs(direction[axis]) - 1.0) <= 1e-10:
-                transverse = 1 - axis
-                return axis, transverse, float(self.base[transverse])
-        return None
 
 
 class SliceModel:
@@ -133,7 +81,7 @@ def fit_slice_interpolant(data, chart=None):
     Duplicate intrinsic locations are averaged (strict mode guarantees their
     values agree, so averaging is a no-op there).
     """
-    chart = chart or SubspaceChart.from_dataset(data)
+    chart = chart or hull_chart(data)
     if chart.dim != 1:
         raise UnsupportedGeometryError(
             f"piecewise-linear interpolant needs a 1D hull, got dim {chart.dim}"
@@ -162,63 +110,76 @@ class PolationModel:
     """A fitted prediction method; immutable, predictions are pure.
 
     Use the ``fit_*`` functions (or :func:`fit_method`) to construct one.
+    ``predict`` takes one point (returns a float) or an (n, dim) array of
+    points (returns an (n,) array).
     """
-
-    def __init__(self, method, source, chart=None, **state):
-        self.method = method
-        self.source = source
-        self.chart = chart
-        self._state = state
-
-    def __getattr__(self, name):
-        try:
-            return self.__dict__["_state"][name]
-        except KeyError:
-            raise AttributeError(name) from None
-
-    def __repr__(self):
-        return f"PolationModel({self.method!r})"
 
     def predict(self, points):
         points = np.asarray(points, dtype=float)
         scalar = points.ndim == 1
-        pts = np.atleast_2d(points)
-        out = self._predict(pts)
+        out = self._predict(np.atleast_2d(points))
         return float(out[0]) if scalar else out
 
+
+@dataclass(frozen=True, eq=False)
+class NearestSampleModel(PolationModel):
+    """The value of the Euclidean-nearest sample location."""
+
+    locations: np.ndarray
+    values: np.ndarray
+
     def _predict(self, pts):
-        if self.method == "nn_ambient":
-            d2 = ((pts[:, None, :] - self.locations[None, :, :]) ** 2).sum(axis=2)
-            # argmin takes the first minimum: ties break to the lowest index
-            return self.values[np.argmin(d2, axis=1)]
-        if self.method in ("nn_projected", "extrusion"):
-            t = self.chart.to_intrinsic(pts)[:, 0]
-            return np.atleast_1d(self.inner(t))
-        if self.method == "linear":
-            coords = self.chart.to_intrinsic(pts)
-            return self.coeffs[0] + coords @ self.coeffs[1:]
-        if self.method == "additive":
-            f = self.inner
-            para, trans = self.parallel_axis, self.transverse_axis
-            out = np.atleast_1d(f(pts[:, para])) + np.atleast_1d(f(pts[:, trans]))
-            if not self.literal:
-                out = out - f(self.offset)
-            return out
-        raise ConfigurationError(f"unknown method {self.method!r}")
+        d2 = ((pts[:, None, :] - self.locations[None, :, :]) ** 2).sum(axis=2)
+        # argmin takes the first minimum: ties break to the lowest index
+        return self.values[np.argmin(d2, axis=1)]
+
+
+@dataclass(frozen=True, eq=False)
+class ExtrusionModel(PolationModel):
+    """A 1D subspace model evaluated at the query's projection."""
+
+    chart: AffineSubspace
+    inner: object
+
+    def _predict(self, pts):
+        t = self.chart.to_intrinsic(pts)[:, 0]
+        return np.atleast_1d(self.inner(t))
+
+
+@dataclass(frozen=True, eq=False)
+class LinearModel(PolationModel):
+    """An affine function of the intrinsic coordinates."""
+
+    chart: AffineSubspace
+    coeffs: np.ndarray
+
+    def _predict(self, pts):
+        coords = self.chart.to_intrinsic(pts)
+        return self.coeffs[0] + coords @ self.coeffs[1:]
+
+
+@dataclass(frozen=True, eq=False)
+class AdditiveModel(PolationModel):
+    """The additive lifting of a slice model; see :func:`predict_additive`."""
+
+    inner: SliceModel
+    offset: float
+    literal: bool
+
+    def _predict(self, pts):
+        return predict_additive(self.inner, pts, self.offset, self.literal)
 
 
 def fit_nn_ambient(data):
     """Predict the value of the Euclidean-nearest sample location."""
-    return PolationModel(
-        "nn_ambient", data, locations=data.locations, values=data.values
-    )
+    return NearestSampleModel(data.locations, data.values)
 
 
 def _as_inner(inner, chart):
     if isinstance(inner, SliceModel):
         model_chart = inner.chart
         fn = inner
-    elif isinstance(inner, PolationModel) and inner.method == "linear":
+    elif isinstance(inner, LinearModel):
         model_chart = inner.chart
         coeffs = inner.coeffs
 
@@ -230,7 +191,7 @@ def _as_inner(inner, chart):
             "inner model must be a SliceModel or a fitted 'linear' PolationModel"
         )
     if model_chart.dim != chart.dim or not np.allclose(
-        model_chart.subspace.basis, chart.subspace.basis, atol=1e-9
+        model_chart.basis, chart.basis, atol=1e-9
     ) or not np.allclose(model_chart.base, chart.base, atol=1e-9):
         raise ConfigurationError("inner model does not cover the data's affine hull")
     return fn
@@ -238,15 +199,12 @@ def _as_inner(inner, chart):
 
 def fit_nn_projected(data, inner=None):
     """Interpolate/extrapolate along the subspace first, then carry those
-    values to off-subspace queries at the projected location."""
-    chart = SubspaceChart.from_dataset(data)
-    if chart.dim != 1:
-        raise UnsupportedGeometryError("nn_projected requires a 1D hull")
-    if inner is None:
-        inner_fn = fit_slice_interpolant(data, chart)
-    else:
-        inner_fn = _as_inner(inner, chart)
-    return PolationModel("nn_projected", data, chart=chart, inner=inner_fn)
+    values to off-subspace queries at the projected location.
+
+    This is extrusion of the slice interpolant: the model is the one
+    :func:`fit_extrusion` builds.
+    """
+    return fit_extrusion(data, inner)
 
 
 def fit_linear(data):
@@ -255,7 +213,7 @@ def fit_linear(data):
     With exactly k+1 affinely independent strict samples this interpolates
     them exactly; a rank-deficient design raises DegenerateFitError.
     """
-    chart = SubspaceChart.from_dataset(data)
+    chart = hull_chart(data)
     coords = chart.to_intrinsic(data.locations)
     design = np.column_stack([np.ones(len(data)), coords])
     if np.linalg.matrix_rank(design) < design.shape[1]:
@@ -263,26 +221,19 @@ def fit_linear(data):
             f"need at least {chart.dim + 1} affinely independent samples"
         )
     coeffs, *_ = np.linalg.lstsq(design, data.values, rcond=None)
-    return PolationModel("linear", data, chart=chart, coeffs=coeffs)
+    return LinearModel(chart, coeffs)
 
 
 def fit_extrusion(data, inner=None):
     """Extrude a subspace model: constant along every orthogonal direction."""
-    chart = SubspaceChart.from_dataset(data)
+    chart = hull_chart(data)
     if chart.dim != 1:
         raise UnsupportedGeometryError("extrusion baseline requires a 1D hull")
     if inner is None:
         inner_fn = fit_slice_interpolant(data, chart)
     else:
         inner_fn = _as_inner(inner, chart)
-    return PolationModel("extrusion", data, chart=chart, inner=inner_fn)
-
-
-def predict_extrusion(model, p):
-    """Extruded prediction at ``p``: the subspace model at the projection."""
-    if model.method not in ("extrusion", "nn_projected"):
-        raise ConfigurationError("model is not an extrusion over the data subspace")
-    return model.predict(np.asarray(p, dtype=float))
+    return ExtrusionModel(chart, inner_fn)
 
 
 def fit_additive(data, literal=False):
@@ -292,39 +243,33 @@ def fit_additive(data, literal=False):
     slice model exactly; ``literal=True`` selects the uncorrected form
     f(x) + f(y).
     """
-    chart = SubspaceChart.from_dataset(data)
+    chart = hull_chart(data)
     aligned = chart.axis_aligned_line()
     if aligned is None:
         raise UnsupportedGeometryError(
             "additive lifting needs an axis-aligned 1D slice in a 2D space"
         )
-    para, trans, offset = aligned
+    _, _, offset = aligned
     inner = fit_slice_interpolant(data, chart)
-    return PolationModel(
-        "additive",
-        data,
-        chart=chart,
-        inner=inner,
-        parallel_axis=para,
-        transverse_axis=trans,
-        offset=offset,
-        literal=bool(literal),
-    )
+    return AdditiveModel(inner, offset, bool(literal))
 
 
 def predict_additive(model_x, p, slice_offset, literal=False):
-    """Additive prediction from a 1D slice model.
+    """Additive prediction f(x) + f(y) - f(y0) from a 1D slice model.
 
-    ``model_x`` is evaluated at both coordinates of ``p``; the value at
-    ``slice_offset`` is subtracted unless the literal form is requested.
+    ``model_x`` is evaluated at both coordinates of ``p``, one 2D point or an
+    (n, 2) array of them; the value at ``slice_offset`` is subtracted unless
+    the literal form is requested.  The sum is symmetric in x and y, so it
+    needs no record of which axis the slice runs along.
     """
     p = np.asarray(p, dtype=float)
-    if p.shape != (2,):
+    if p.ndim not in (1, 2) or p.shape[-1] != 2:
         raise UnsupportedGeometryError("additive lifting is defined on 2D points")
-    out = float(model_x(p[0])) + float(model_x(p[1]))
+    pts = np.atleast_2d(p)
+    out = np.atleast_1d(model_x(pts[:, 0])) + np.atleast_1d(model_x(pts[:, 1]))
     if not literal:
-        out -= float(model_x(slice_offset))
-    return out
+        out = out - model_x(slice_offset)
+    return float(out[0]) if p.ndim == 1 else out
 
 
 def fit_method(name, data):

@@ -153,14 +153,7 @@ def build_prior(expressions, scorer=None):
 
 def family_from_candidates(candidates):
     """Prior built from search results, reusing their recorded scores."""
-    if not candidates:
-        raise InvalidInputError("hypothesis family must be nonempty")
-    hyps = [
-        Hypothesis(expr=c.expr, score=float(c.score), candidate=c)
-        for c in candidates
-    ]
-    log_w = np.array([-h.score * math.log(2.0) for h in hyps])
-    return HypothesisFamily(hypotheses=tuple(hyps), weights=_normalized(log_w))
+    return build_prior([Hypothesis(c.expr, float(c.score), c) for c in candidates])
 
 
 def update(prior, data, strict_tol=STRICT_TOL):

@@ -26,7 +26,12 @@ from .geometry import (
     in_convex_hull,
     project,
 )
-from .symbolic import predict_candidate, search_hyperpolation, top_tie_set
+from .symbolic import (
+    _line_normal,
+    predict_candidate,
+    search_hyperpolation,
+    top_tie_set,
+)
 
 __all__ = [
     "BenchmarkCase",
@@ -366,12 +371,7 @@ class _IntrinsicCandidateMethod:
         self.base = np.asarray(case.slice_base, dtype=float)
         direction = np.asarray(case.slice_direction, dtype=float)
         self.direction = direction
-        normal = np.array([-direction[1], direction[0]])
-        normal /= np.linalg.norm(normal)
-        nz = np.nonzero(np.abs(normal) > 1e-12)[0]
-        if nz.size and normal[nz[0]] < 0:
-            normal = -normal
-        self.normal = normal
+        self.normal = _line_normal(direction / np.linalg.norm(direction))
 
     def predict(self, points):
         pts = np.atleast_2d(np.asarray(points, dtype=float))

@@ -71,15 +71,57 @@ def build_parser():
     return parser
 
 
-def _merge_config(args):
+def _is_number(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_int(value):
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_str(value):
+    return isinstance(value, str)
+
+
+# JSON values each argparse flag type accepts from a config file
+_CONFIG_VALUE_CHECKS = {float: _is_number, int: _is_int, str: _is_str}
+
+
+def _config_options(parser, command):
+    """Flags of ``command`` that a config file may set: dest -> argparse type."""
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return {
+        action.dest: action.type or str
+        for action in commands.choices[command]._actions
+        if action.option_strings and action.dest not in ("help", "config")
+    }
+
+
+def _merge_config(args, options):
+    """Fill unset flags from the ``--config`` JSON object.
+
+    Keys are the subcommand's flag names (``tol-hull`` or ``tol_hull``) and
+    each value must match the flag's type; anything else is an input error.
+    """
     if not getattr(args, "config", None):
         return args
     with open(args.config, encoding="utf-8") as fh:
         config = json.load(fh)
+    if not isinstance(config, dict):
+        raise InvalidInputError(f"config {args.config}: expected a JSON object")
     for key, value in config.items():
         attr = key.replace("-", "_")
+        if attr not in options:
+            raise InvalidInputError(
+                f"config {args.config}: {key!r} is not an option of {args.command}"
+            )
+        kind = options[attr]
+        if not _CONFIG_VALUE_CHECKS[kind](value):
+            raise InvalidInputError(
+                f"config {args.config}: {key!r} must be {kind.__name__}, got {value!r}"
+            )
         if getattr(args, attr, None) is None:
-            setattr(args, attr, value)
+            setattr(args, attr, kind(value))
     return args
 
 
@@ -160,9 +202,40 @@ def cmd_search(args):
     return EXIT_OK
 
 
+def _is_pair(value):
+    return isinstance(value, list) and len(value) == 2 and all(map(_is_number, value))
+
+
+# field -> (check, expected form) for the JSON values of a case spec
+_CASE_SPEC_CHECKS = {
+    "name": (_is_str, "a string"),
+    "truth": (_is_str, "a string"),
+    "slice_base": (_is_pair, "a list of 2 numbers"),
+    "slice_direction": (_is_pair, "a list of 2 numbers"),
+    "sample_params": (
+        lambda v: isinstance(v, list) and all(map(_is_number, v)),
+        "a list of numbers",
+    ),
+    "noise_sigma": (_is_number, "a number"),
+    "seed": (_is_int, "an integer"),
+    "grid_ranges": (
+        lambda v: isinstance(v, list) and len(v) == 2 and all(map(_is_pair, v)),
+        "a list of 2 [lo, hi] pairs",
+    ),
+    "grid_step": (_is_number, "a number"),
+}
+
+
 def _load_case_spec(path):
     with open(path, encoding="utf-8") as fh:
         raw = json.load(fh)
+    if not isinstance(raw, dict):
+        raise InvalidInputError(f"case spec {path}: expected a JSON object")
+    for key, (check, form) in _CASE_SPEC_CHECKS.items():
+        if key in raw and not check(raw[key]):
+            raise InvalidInputError(
+                f"case spec {path}: {key!r} must be {form}, got {raw[key]!r}"
+            )
     try:
         return benchmark.BenchmarkCase(
             name=raw["name"],
@@ -216,7 +289,7 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        args = _merge_config(args)
+        args = _merge_config(args, _config_options(parser, args.command))
         if args.command == "classify":
             return cmd_classify(args)
         if args.command == "search":

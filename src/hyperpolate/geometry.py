@@ -30,6 +30,7 @@ __all__ = [
     "EXTRAPOLATION",
     "HYPERPOLATION",
     "affine_hull",
+    "hull_chart",
     "project",
     "in_convex_hull",
     "classify",
@@ -200,7 +201,6 @@ class AffineSubspace:
 
     base: np.ndarray
     basis: np.ndarray
-    fit_tol: float
 
     def __post_init__(self):
         base = np.asarray(self.base, dtype=float)
@@ -233,6 +233,18 @@ class AffineSubspace:
         """Embed intrinsic coordinates back into the ambient space."""
         coords = np.atleast_2d(np.asarray(coords, dtype=float))
         return self.base + coords @ self.basis
+
+    def axis_aligned_line(self):
+        """(parallel_axis, transverse_axis, offset) when the subspace is a 1D
+        line parallel to a coordinate axis in a 2D ambient space, else None."""
+        if self.ambient_dim != 2 or self.dim != 1:
+            return None
+        direction = self.basis[0]
+        for axis in (0, 1):
+            if abs(abs(direction[axis]) - 1.0) <= 1e-10:
+                transverse = 1 - axis
+                return axis, transverse, float(self.base[transverse])
+        return None
 
 
 def affine_hull(data, tol=DEFAULT_SUBSPACE_TOL):
@@ -269,7 +281,20 @@ def affine_hull(data, tol=DEFAULT_SUBSPACE_TOL):
         nz = np.nonzero(np.abs(row) > 1e-12)[0]
         if nz.size and row[nz[0]] < 0:
             basis[i] = -row
-    return AffineSubspace(base=centroid, basis=basis, fit_tol=float(tol))
+    return AffineSubspace(base=centroid, basis=basis)
+
+
+def hull_chart(data):
+    """Deterministic intrinsic coordinates on the data's affine hull.
+
+    The affine hull re-based at the projection of the ambient origin, with
+    direction signs fixed by the hull fit, so two charts built from the same
+    data coincide exactly.  Round-tripping intrinsic coordinates through the
+    embedding is the identity on the subspace.
+    """
+    sub = affine_hull(data)
+    base, _ = project(sub, np.zeros(sub.ambient_dim))
+    return AffineSubspace(base=base, basis=sub.basis)
 
 
 def project(sub, p):

@@ -23,14 +23,11 @@ Three dataset geometries are supported:
 
 import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.optimize import minimize, minimize_scalar
 
-from ._threads import thread_count
-from .baselines import SubspaceChart
 from .errors import UnsupportedGeometryError
 from .expressions import (
     DEFAULT_COMPLEXITY,
@@ -52,6 +49,7 @@ from .expressions import (
     var,
     variables_of,
 )
+from .geometry import AffineSubspace, hull_chart
 
 __all__ = [
     "STRICT_TOL",
@@ -98,7 +96,7 @@ class SliceFrame:
     slice_var: str
     transverse_var: str
     y0: float  # fixed slice offset ("axis"/"ambient"); 0.0 for "new_dim"
-    chart: SubspaceChart | None = None
+    chart: AffineSubspace | None = None
     parallel_axis: int = 0
 
     @property
@@ -116,6 +114,10 @@ class SliceFit:
 
     def __iter__(self):
         return iter((self.expr, self.residual, self.score))
+
+    @property
+    def rank_key(self):
+        return (quantize_residual(self.residual), self.score, serialize(self.expr))
 
 
 @dataclass(frozen=True)
@@ -154,9 +156,9 @@ def candidate_to_dict(c):
     }
 
 
-def detect_frame(data, tol=None):
+def detect_frame(data):
     """Classify the dataset geometry into one of the supported frames."""
-    chart = SubspaceChart.from_dataset(data) if tol is None else SubspaceChart.from_dataset(data, tol)
+    chart = hull_chart(data)
     if data.ambient_dim == 1:
         if chart.dim != 1:
             raise UnsupportedGeometryError("all sample locations coincide")
@@ -180,7 +182,7 @@ def detect_frame(data, tol=None):
                 chart=chart,
                 parallel_axis=para,
             )
-        normal = _line_normal(chart)
+        normal = _line_normal(chart.basis[0])
         return SliceFrame(
             mode="ambient",
             slice_var="x",
@@ -193,8 +195,9 @@ def detect_frame(data, tol=None):
     )
 
 
-def _line_normal(chart):
-    d = chart.subspace.basis[0]
+def _line_normal(d):
+    """Unit normal of a 2D line with unit direction ``d``, its first nonzero
+    component positive."""
     normal = np.array([-d[1], d[0]])
     nz = np.nonzero(np.abs(normal) > 1e-12)[0]
     if nz.size and normal[nz[0]] < 0:
@@ -502,7 +505,6 @@ def _iter_fitted(
     budget,
     strict,
     score_floor_cb,
-    threads=None,
     floor=ENUM_FLOOR,
 ):
     """Enumerate shapes ascending, fit constants, yield fitted expressions.
@@ -516,7 +518,6 @@ def _iter_fitted(
     levels above it: an n-node tree is at most n deep.
     """
     enum = ShapeEnumerator(grammar)
-    workers = thread_count(threads)
     budget = DEFAULT_BUDGET if budget is None else int(budget)
     best_score = math.inf
     seen = set()
@@ -560,12 +561,7 @@ def _iter_fitted(
                 continue
             batch.append(shape)
             budget -= 1
-        if workers > 1 and len(batch) > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                outs = list(pool.map(process, batch))
-        else:
-            outs = [process(s) for s in batch]
-        for out in outs:
+        for out in map(process, batch):
             if out is None:
                 continue
             expr, residual = out
@@ -586,7 +582,21 @@ def _iter_fitted(
 # ---------------------------------------------------------------------------
 
 
-def fit_slice(data, grammar=None, budget=None, threads=None, scorer=DEFAULT_COMPLEXITY):
+def _qualifying_fits(fitter, grammar, budget, strict, score_floor_cb):
+    """Fitted (expr, residual) pairs over the fitter's variables.
+
+    The grammar's variables are set to the fitter's; in strict mode only
+    fits with max-abs residual at or below the strict tolerance qualify.
+    """
+    variables = tuple(fitter.envs)
+    grammar = grammar or Grammar(variables=variables)
+    if sorted(grammar.variables) != sorted(variables):
+        grammar = replace(grammar, variables=variables)
+    results = _iter_fitted(fitter, grammar, budget, strict, score_floor_cb)
+    return [(e, r) for e, r in results if not strict or r <= STRICT_TOL]
+
+
+def fit_slice(data, grammar=None, budget=None, scorer=DEFAULT_COMPLEXITY):
     """Fit slice expressions over the intrinsic coordinate t.
 
     Returns SliceFit records ordered by (residual, score, serialization);
@@ -595,26 +605,17 @@ def fit_slice(data, grammar=None, budget=None, threads=None, scorer=DEFAULT_COMP
     qualifying expression yields an empty list.
     """
     frame = detect_frame(data)
-    t = _intrinsic_coordinate(data, frame)
-    grammar = grammar or Grammar(variables=("t",))
-    if grammar.variables != ("t",):
-        grammar = replace(grammar, variables=("t",))
-    strict = data.strict
-    results = _iter_fitted(
-        _ShapeFitter({"t": t}, data.values),
+    fitter = _ShapeFitter({"t": _intrinsic_coordinate(data, frame)}, data.values)
+    results = _qualifying_fits(
+        fitter,
         grammar,
         budget,
-        strict,
+        data.strict,
         score_floor_cb=lambda e, r: complexity(e, scorer),
-        threads=threads,
     )
-    fits = []
-    for expr, residual in results:
-        if strict and residual > STRICT_TOL:
-            continue
-        fits.append(SliceFit(expr, residual, complexity(expr, scorer)))
-    fits.sort(key=lambda f: (quantize_residual(f.residual), f.score, serialize(f.expr)))
-    if not strict:
+    fits = [SliceFit(e, r, complexity(e, scorer)) for e, r in results]
+    fits.sort(key=lambda f: f.rank_key)
+    if not data.strict:
         fits = fits[:MAX_SLICE_FITS]
     return fits
 
@@ -782,7 +783,6 @@ def search_hyperpolation(
     data,
     grammar=None,
     budget=None,
-    threads=None,
     scorer=DEFAULT_COMPLEXITY,
 ):
     """Full search: slice fit composed with constant lifting, ranked.
@@ -794,41 +794,25 @@ def search_hyperpolation(
     """
     frame = detect_frame(data)
     if frame.mode == "ambient":
-        candidates = _search_ambient(data, frame, grammar, budget, threads, scorer)
+        candidates = _search_ambient(data, frame, grammar, budget, scorer)
     else:
-        candidates = _search_lifted(data, frame, grammar, budget, threads, scorer)
+        candidates = _search_lifted(data, frame, grammar, budget, scorer)
     candidates.sort(key=lambda c: c.rank_key)
     return candidates
 
 
-def _search_lifted(data, frame, grammar, budget, threads, scorer):
-    t = _intrinsic_coordinate(data, frame)
-    grammar = grammar or Grammar(variables=("t",))
-    if grammar.variables != ("t",):
-        grammar = replace(grammar, variables=("t",))
-    strict = data.strict
-    fitter = _ShapeFitter({"t": t}, data.values)
+def _search_lifted(data, frame, grammar, budget, scorer):
+    fitter = _ShapeFitter({"t": _intrinsic_coordinate(data, frame)}, data.values)
 
     def best_candidate_score(expr, residual):
         cands = lift_constants(expr, frame, residual=residual, scorer=scorer)
         return min(c.score for c in cands)
 
-    results = _iter_fitted(
-        fitter,
-        grammar,
-        budget,
-        strict,
-        score_floor_cb=best_candidate_score,
-        threads=threads,
+    results = _qualifying_fits(
+        fitter, grammar, budget, data.strict, score_floor_cb=best_candidate_score
     )
-    slice_fits = []
-    for expr, residual in results:
-        if strict and residual > STRICT_TOL:
-            continue
-        slice_fits.append(SliceFit(expr, residual, complexity(expr, scorer)))
-    slice_fits.sort(
-        key=lambda f: (quantize_residual(f.residual), f.score, serialize(f.expr))
-    )
+    slice_fits = [SliceFit(e, r, complexity(e, scorer)) for e, r in results]
+    slice_fits.sort(key=lambda f: f.rank_key)
     slice_fits = slice_fits[:MAX_SLICE_FITS]
     candidates = []
     for fit in slice_fits:
@@ -846,35 +830,29 @@ def _search_lifted(data, frame, grammar, budget, threads, scorer):
     return _dedupe(candidates)
 
 
-def _search_ambient(data, frame, grammar, budget, threads, scorer):
-    grammar = grammar or Grammar(variables=("x", "y"))
-    if set(grammar.variables) != {"x", "y"}:
-        grammar = replace(grammar, variables=("x", "y"))
-    envs = {"x": data.locations[:, 0], "y": data.locations[:, 1]}
-    strict = data.strict
-    results = _iter_fitted(
-        _ShapeFitter(envs, data.values),
+def _search_ambient(data, frame, grammar, budget, scorer):
+    fitter = _ShapeFitter(
+        {"x": data.locations[:, 0], "y": data.locations[:, 1]}, data.values
+    )
+    results = _qualifying_fits(
+        fitter,
         grammar,
         budget,
-        strict,
+        data.strict,
         score_floor_cb=lambda e, r: complexity(e, scorer),
-        threads=threads,
     )
-    candidates = []
-    for expr, residual in results:
-        if strict and residual > STRICT_TOL:
-            continue
-        candidates.append(
-            CandidateLifting(
-                expr=expr,
-                y0=frame.y0,
-                score=complexity(expr, scorer),
-                residual=residual,
-                kind="direct",
-                frame=frame,
-            )
+    candidates = [
+        CandidateLifting(
+            expr=expr,
+            y0=frame.y0,
+            score=complexity(expr, scorer),
+            residual=residual,
+            kind="direct",
+            frame=frame,
         )
-    if not strict:
+        for expr, residual in results
+    ]
+    if not data.strict:
         candidates.sort(key=lambda c: c.rank_key)
         candidates = candidates[:MAX_SLICE_FITS]
     return _dedupe(candidates)
@@ -893,7 +871,7 @@ def restrict(candidate):
         )
     chart = frame.chart
     b = chart.base
-    d = chart.subspace.basis[0]
+    d = chart.basis[0]
     mapping = {}
     for i, name in enumerate(("x", "y")):
         expr = ("add", ("mul", const(d[i]), var("t")), const(b[i]))

@@ -363,19 +363,22 @@ class TestCriterion7PropertySuites:
     def _search_determinism():
         rng = np.random.default_rng(29)
         grammar = Grammar(variables=("t",), max_nodes=3)
-        count = 0
+        datasets = []
         for _ in range(100):
             m = int(rng.integers(5, 10))
             x = np.sort(rng.uniform(-4, 4, size=m))
             kind = int(rng.integers(3))
             values = [x**2, np.abs(x), 3.0 * x][kind]
-            data = Dataset(x[:, None], values)
-            outs = []
-            for threads in (1, 2, 3):
-                cands = search_hyperpolation(data, grammar=grammar, threads=threads)
-                outs.append(
-                    tuple((serialize(c.expr), c.y0, c.score, c.residual) for c in cands)
-                )
-            assert outs[0] == outs[1] == outs[2]
+            datasets.append(Dataset(x[:, None], values))
+
+        def run(data):
+            cands = search_hyperpolation(data, grammar=grammar)
+            return [(serialize(c.expr), c.y0, c.score, c.residual, c.kind) for c in cands]
+
+        # every search runs twice, with the other 99 searches in between
+        first = [run(data) for data in datasets]
+        count = 0
+        for data, expected in zip(datasets, first):
+            assert run(data) == expected
             count += 1
         return count

@@ -4,7 +4,6 @@ import pytest
 from hyperpolate import (
     ConfigurationError,
     Dataset,
-    SubspaceChart,
     UnsupportedGeometryError,
     fit_additive,
     fit_extrusion,
@@ -13,8 +12,9 @@ from hyperpolate import (
     fit_nn_ambient,
     fit_nn_projected,
     fit_slice_interpolant,
+    generate_case,
+    hull_chart,
     predict_additive,
-    predict_extrusion,
 )
 
 
@@ -27,13 +27,13 @@ def ripple_slice_dataset():
 class TestChart:
     def test_round_trip_identity(self):
         data = ripple_slice_dataset()
-        chart = SubspaceChart.from_dataset(data)
+        chart = hull_chart(data)
         coords = chart.to_intrinsic(data.locations)
         back = chart.from_intrinsic(coords)
         assert np.allclose(back, data.locations, atol=1e-10)
 
     def test_axis_aligned_detection(self):
-        chart = SubspaceChart.from_dataset(ripple_slice_dataset())
+        chart = hull_chart(ripple_slice_dataset())
         para, trans, offset = chart.axis_aligned_line()
         assert (para, trans) == (0, 1)
         assert offset == pytest.approx(-20.0)
@@ -41,7 +41,39 @@ class TestChart:
     def test_diagonal_not_axis_aligned(self):
         t = np.arange(-3.0, 4.0)
         data = Dataset(np.column_stack([t, t]), t**2)
-        assert SubspaceChart.from_dataset(data).axis_aligned_line() is None
+        assert hull_chart(data).axis_aligned_line() is None
+
+    # Base and intrinsic coordinates of sample rows 0, 1 and -1 and of the
+    # off-hull point (3, 7), as the chart re-based at the projection of the
+    # origin has always given them.
+    PINNED = {
+        "ripple": ([0.0, -20.0], [-40.0, -39.0, 40.0, 3.0]),
+        "cone": ([0.0, 1.0], [-20.0, -19.0, 20.0, 3.0]),
+        "diagonal_xy": (
+            [0.0, 0.0],
+            [-28.284271247461902, -26.870057685088806, 28.284271247461902,
+             7.0710678118654755],
+        ),
+        "shifted_diagonal": (
+            [-1.0, 1.0000000000000004],
+            [1.4142135623730947, 2.82842712474619, 7.0710678118654755,
+             7.0710678118654755],
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_rebased_chart_pinned(self, name):
+        if name == "shifted_diagonal":
+            # the centroid (2, 4) is not the base
+            t = np.arange(0.0, 5.0)
+            data = Dataset(np.column_stack([t, t + 2.0]), t)
+        else:
+            data, _ = generate_case(name)
+        chart = hull_chart(data)
+        base, coords = self.PINNED[name]
+        points = np.vstack([data.locations[[0, 1, -1]], [[3.0, 7.0]]])
+        assert np.array_equal(chart.base, base)
+        assert np.array_equal(chart.to_intrinsic(points)[:, 0], coords)
 
 
 class TestNearestNeighbourAmbient:
@@ -127,7 +159,7 @@ class TestExtrusion:
         data = ripple_slice_dataset()
         model = fit_extrusion(data)
         for loc, val in zip(data.locations, data.values):
-            assert predict_extrusion(model, loc) == pytest.approx(val, abs=1e-12)
+            assert model.predict(loc) == pytest.approx(val, abs=1e-12)
 
     def test_orthogonal_constancy_random(self):
         data = ripple_slice_dataset()
@@ -137,9 +169,7 @@ class TestExtrusion:
             p = rng.uniform(-40, 40, size=2)
             offset = rng.uniform(-30, 30)
             q = p + offset * np.array([0.0, 1.0])  # slice normal
-            assert predict_extrusion(model, q) == pytest.approx(
-                predict_extrusion(model, p), abs=1e-12
-            )
+            assert model.predict(q) == pytest.approx(model.predict(p), abs=1e-12)
 
 
 class TestAdditive:
@@ -181,6 +211,15 @@ class TestRegistry:
         for name in ("nn_ambient", "nn_projected", "linear", "extrusion", "additive"):
             model = fit_method(name, data)
             assert np.isfinite(model.predict([1.0, -3.0]))
+
+    def test_nn_projected_is_extrusion(self):
+        data, case = generate_case("cone")
+        grid = case.query_grid()
+        assert grid.shape == (41 * 41, 2)
+        assert np.array_equal(
+            fit_method("nn_projected", data).predict(grid),
+            fit_method("extrusion", data).predict(grid),
+        )
 
     def test_unknown_name(self):
         with pytest.raises(ConfigurationError):

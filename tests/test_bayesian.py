@@ -35,6 +35,15 @@ class TestBuildPrior:
         family = build_prior([parse("x"), parse("pow2(x)"), parse("abs(x)")])
         assert abs(family.weights.sum() - 1.0) <= 1e-12
 
+    def test_candidates_prior_equals_expression_prior(self, cone_search):
+        candidates, _ = cone_search
+        scores = {_ser(c.expr): c.score for c in candidates}
+        assert len(set(scores.values())) > 1
+        family = family_from_candidates(candidates)
+        prior = build_prior([c.expr for c in candidates], scorer=lambda e: scores[_ser(e)])
+        assert np.array_equal(family.weights, prior.weights)
+        assert [h.candidate for h in family.hypotheses] == candidates
+
 
 def _ser(e):
     from hyperpolate import serialize

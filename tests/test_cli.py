@@ -196,6 +196,23 @@ class TestBench:
         assert code == 0
         assert (tmp_path / "report_mini.json").exists()
 
+    def test_case_spec_wrong_field_type_exits_2(self, capsys, tmp_path):
+        spec = {
+            "name": "mini",
+            "truth": "add(x,y)",
+            "slice_base": 5,
+            "slice_direction": [1.0, 0.0],
+            "sample_params": [0.0, 1.0, 2.0],
+        }
+        path = tmp_path / "case.json"
+        path.write_text(json.dumps(spec), encoding="utf-8")
+        code, _, err = run(
+            capsys,
+            "bench", str(path), "--methods", "nn_ambient", "--out", str(tmp_path),
+        )
+        assert code == 2
+        assert err.startswith("error:") and "slice_base" in err
+
 
 class TestConfig:
     def test_json_config_merges_under_flags(self, capsys, line_csv, queries_csv, tmp_path):
@@ -209,6 +226,31 @@ class TestConfig:
             "--config", str(config),
         )
         assert code == 0
+
+    @pytest.mark.parametrize(
+        "config, message",
+        [
+            ({"tol_hull": "1e-9"}, "tol_hull"),
+            ([{"tol_hull": 1e-9}], "JSON object"),
+            ({"tol_hul": 1e-9}, "tol_hul"),
+        ],
+        ids=["string_for_float", "list_not_object", "misspelt_key"],
+    )
+    def test_malformed_config_exits_2(
+        self, capsys, line_csv, queries_csv, tmp_path, config, message
+    ):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        code, out, err = run(
+            capsys,
+            "classify",
+            "--data", line_csv,
+            "--queries", queries_csv,
+            "--config", str(path),
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and message in err
 
 
 class TestIO:

@@ -232,30 +232,22 @@ class TestSearch:
         data = Dataset(x[:, None], 2.0 * x)
         assert search_hyperpolation(data, budget=0) == []
 
-    def test_env_var_thread_cap(self, monkeypatch):
-        x = np.arange(-4.0, 5.0)
-        data = Dataset(x[:, None], x**2)
-        grammar = Grammar(variables=("t",), max_nodes=3)
-        baseline = search_hyperpolation(data, grammar=grammar)
-        monkeypatch.setenv("HYPERPOLATE_THREADS", "3")
-        threaded = search_hyperpolation(data, grammar=grammar)
-        key = lambda cs: [(serialize(c.expr), c.y0, c.score) for c in cs]
-        assert key(baseline) == key(threaded)
-
-    def test_determinism_across_thread_counts(self):
+    def test_determinism_across_repeat_runs(self):
         rng = np.random.default_rng(9)
         grammar = Grammar(variables=("t",), max_nodes=4)
+        datasets = []
         for case in range(20):
             x = np.sort(rng.uniform(-5, 5, size=8))
             values = rng.choice([x**2, 2 * x, np.abs(x)]) + 0.0
-            data = Dataset(x[:, None], values)
-            outputs = []
-            for threads in (1, 2, 3):
-                cands = search_hyperpolation(data, grammar=grammar, threads=threads)
-                outputs.append(
-                    [(serialize(c.expr), c.y0, c.score, c.residual) for c in cands]
-                )
-            assert outputs[0] == outputs[1] == outputs[2]
+            datasets.append(Dataset(x[:, None], values))
+
+        def run(data):
+            cands = search_hyperpolation(data, grammar=grammar)
+            return [(serialize(c.expr), c.y0, c.score, c.residual, c.kind) for c in cands]
+
+        # every search runs twice, with the other searches in between
+        first = [run(data) for data in datasets]
+        assert [run(data) for data in datasets] == first
 
 
 class TestPrediction:
