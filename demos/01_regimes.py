@@ -15,18 +15,20 @@ data = Dataset(
     values=[1.0, 3.0, 5.0],
 )
 
-queries = [
+queries = np.array([
     (0.5, 0.0),   # between samples, on the line
     (5.0, 0.0),   # beyond the samples, still on the line
     (0.5, 2.0),   # off the line: no amount of mixing samples reaches it
     (1.0, 0.0),   # exactly a sample location
-]
+])
+
+# an (n, dim) array classifies and measures every query in one call
+regimes = classify(queries, data)
+dists = hyperpolation_distance(queries, data)
 
 print(f"{'query':>12}  {'regime':<14} {'off-hull distance':>18}")
-for q in queries:
-    regime = classify(q, data)
-    dist = hyperpolation_distance(q, data)
-    print(f"{str(q):>12}  {regime.tag:<14} {dist:>18.3f}")
+for q, regime, dist in zip(queries, regimes, dists):
+    print(f"{str(tuple(q.tolist())):>12}  {regime.tag:<14} {dist:>18.3f}")
 
 # Interpolation verdicts come with a convex-weight witness:
 regime = classify((0.5, 0.0), data)

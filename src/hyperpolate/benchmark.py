@@ -22,9 +22,8 @@ from .geometry import (
     INTERPOLATION,
     Dataset,
     Tolerances,
-    affine_hull,
-    in_convex_hull,
-    project,
+    classify,
+    hyperpolation_distance,
 )
 from .symbolic import (
     _line_normal,
@@ -208,28 +207,6 @@ def reports_equal(a, b, ignore_runtime=True):
     return da == db
 
 
-def _classify_grid(data, queries, tols=None):
-    """Regime tags for a query lattice.
-
-    Identical verdicts to classify(); the affine-hull residual is computed
-    first so the LP only runs for on-hull queries.
-    """
-    tols = tols or Tolerances()
-    sub = affine_hull(data, tol=tols.subspace_tol)
-    tags = []
-    for q in queries:
-        _, residual = project(sub, q)
-        if residual > tols.subspace_tol:
-            tags.append(HYPERPOLATION)
-            continue
-        if np.min(np.linalg.norm(data.locations - q, axis=1)) <= tols.point_tol:
-            tags.append(AUTOPOLATION)
-            continue
-        inside, _ = in_convex_hull(q, data, tol=tols.hull_tol)
-        tags.append(INTERPOLATION if inside else EXTRAPOLATION)
-    return tags
-
-
 class _SymbolicMethod:
     """Adapter giving search_hyperpolation the fit/predict interface."""
 
@@ -277,9 +254,13 @@ def evaluate_methods(
         ),
         (queries.shape[0],),
     )
-    sub = affine_hull(data)
-    dists = np.array([project(sub, q)[1] for q in queries])
-    tags = _classify_grid(data, queries, tols=tols)
+    tols = tols or Tolerances()
+    dists = hyperpolation_distance(queries, data, tol=tols.subspace_tol)
+    tags = [regime.tag for regime in classify(queries, data, tols)]
+    regime_counts = {
+        tag: tags.count(tag)
+        for tag in (AUTOPOLATION, INTERPOLATION, EXTRAPOLATION, HYPERPOLATION)
+    }
     edges = case.band_edges
     method_reports = []
     predictions = {}
@@ -306,15 +287,11 @@ def evaluate_methods(
             else:
                 rmse = mx = 0.0
             bands.append(BandError(lo=lo, hi=hi, rmse=rmse, max_abs=mx, count=count))
-        regime_counts = {
-            tag: int(sum(1 for t in tags if t == tag))
-            for tag in (AUTOPOLATION, INTERPOLATION, EXTRAPOLATION, HYPERPOLATION)
-        }
         method_reports.append(
             MethodReport(
                 name=name,
                 bands=tuple(bands),
-                regime_counts=regime_counts,
+                regime_counts=dict(regime_counts),
                 misses=misses,
                 runtime_s=runtime,
             )

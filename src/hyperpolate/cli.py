@@ -65,9 +65,9 @@ def build_parser():
     _add_common(p)
     _add_search_flags(p)
     p.add_argument("case", help="built-in case name, 'all', or a case-spec JSON file")
-    p.add_argument("--methods", default="extrusion,nn_ambient,symbolic")
+    p.add_argument("--methods", help="comma-separated (default extrusion,nn_ambient,symbolic)")
     p.add_argument("--seed", type=int)
-    p.add_argument("--out", default=".", help="output directory for report/grid files")
+    p.add_argument("--out", help="output directory for report/grid files (default .)")
     return parser
 
 
@@ -126,14 +126,8 @@ def _merge_config(args, options):
 
 
 def _tolerances(args):
-    kwargs = {}
-    if getattr(args, "tol_point", None) is not None:
-        kwargs["point_tol"] = args.tol_point
-    if getattr(args, "tol_hull", None) is not None:
-        kwargs["hull_tol"] = args.tol_hull
-    if getattr(args, "tol_subspace", None) is not None:
-        kwargs["subspace_tol"] = args.tol_subspace
-    return Tolerances(**kwargs)
+    given = dict(point_tol=args.tol_point, hull_tol=args.tol_hull, subspace_tol=args.tol_subspace)
+    return Tolerances(**{k: v for k, v in given.items() if v is not None})
 
 
 def _grammar(args):
@@ -157,18 +151,15 @@ def _emit(text, out_path):
 def cmd_classify(args):
     data = read_dataset_csv(args.data, noise_sigma=args.sigma or 0.0)
     queries = read_queries_csv(args.queries)
-    if queries.size and queries.shape[1] != data.ambient_dim:
-        raise InvalidInputError(
-            f"queries have dimension {queries.shape[1]}, dataset {data.ambient_dim}"
-        )
     tols = _tolerances(args)
+    regimes = classify(queries, data, tols=tols)
+    dists = hyperpolation_distance(queries, data, tol=tols.subspace_tol)
     lines = []
-    for q in queries:
-        regime = classify(q, data, tols=tols)
+    for q, regime, dist in zip(queries, regimes, dists):
         record = {
             "point": [float(v) for v in q],
             "regime": regime.tag,
-            "distance": hyperpolation_distance(q, data, tol=tols.subspace_tol),
+            "distance": float(dist),
         }
         if regime.tag == INTERPOLATION and regime.weights is not None:
             record["witness"] = [float(w) for w in regime.weights]
@@ -263,9 +254,13 @@ def cmd_bench(args):
         names = [_load_case_spec(args.case)]
     else:
         raise UnknownCaseError(f"unknown case {args.case!r}")
-    methods = [m.strip() for m in args.methods.split(",") if m.strip()]
+    # defaults applied after the --config merge, so that a config can set them
+    methods = "extrusion,nn_ambient,symbolic" if args.methods is None else args.methods
+    methods = [m.strip() for m in methods.split(",") if m.strip()]
+    out = "." if args.out is None else args.out
     grammar = _grammar(args)
-    os.makedirs(args.out, exist_ok=True)
+    tols = _tolerances(args)
+    os.makedirs(out, exist_ok=True)
     for spec in names:
         case = benchmark.BUILTIN_CASES[spec] if isinstance(spec, str) else spec
         if args.seed is not None:
@@ -273,11 +268,11 @@ def cmd_bench(args):
         if args.sigma is not None:
             case = benchmark.BenchmarkCase(**{**case.__dict__, "noise_sigma": args.sigma})
         report, predictions, truth, queries = benchmark.evaluate_methods(
-            methods, case, grammar=grammar, budget=args.budget
+            methods, case, grammar=grammar, budget=args.budget, tols=tols
         )
-        write_json(os.path.join(args.out, f"report_{case.name}.json"), report.to_dict())
+        write_json(os.path.join(out, f"report_{case.name}.json"), report.to_dict())
         write_grid_csv(
-            os.path.join(args.out, f"grid_{case.name}.csv"),
+            os.path.join(out, f"grid_{case.name}.csv"),
             queries,
             truth,
             predictions,

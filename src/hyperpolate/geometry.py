@@ -47,7 +47,7 @@ DEFAULT_HULL_TOL = 1e-9
 DEFAULT_SUBSPACE_TOL = 1e-8
 
 
-def _as_coords(p, dim=None):
+def _as_coords(p, dim):
     """Coerce a Point/sequence/ndarray into a finite 1-D float array."""
     if isinstance(p, Point):
         arr = np.asarray(p.coords, dtype=float)
@@ -57,11 +57,16 @@ def _as_coords(p, dim=None):
         raise InvalidInputError(f"expected a single point, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise InvalidInputError("point has non-finite coordinates")
-    if dim is not None and arr.size != dim:
-        raise DimensionMismatchError(
-            f"point has {arr.size} coordinates, expected {dim}"
-        )
+    if arr.size != dim:
+        raise DimensionMismatchError(f"point has dimension {arr.size}, expected {dim}")
     return arr
+
+
+def _as_queries(p, dim):
+    """(rows, single): one point as one row, or each row of an (n, dim) array."""
+    if isinstance(p, Point) or np.ndim(p) != 2:
+        return [_as_coords(p, dim)], True
+    return [_as_coords(q, dim) for q in np.asarray(p, dtype=float)], False
 
 
 @dataclass(frozen=True)
@@ -389,33 +394,52 @@ def in_convex_hull(p, data, tol=DEFAULT_HULL_TOL):
 
 
 def classify(p, data, tols=None):
-    """Assign exactly one regime tag to a query point.
+    """Assign exactly one regime tag to a query point, or to each row of an
+    (n, dim) array (then a list of regimes is returned).
 
     Order of tests: autopolation (within ``point_tol`` of a sample), then
     interpolation (convex hull), then extrapolation (within ``subspace_tol``
     of the affine hull), else hyperpolation with the off-hull residual as
-    witness.
+    witness.  The affine hull is fitted once, at the first query that is not
+    a sample.  Distance to it is convex, so no convex combination of the
+    samples is farther off it than the farthest sample, at ``R``, and no hull
+    member is farther than ``R + hull_tol``.  The LP is skipped, as it would
+    fail, for residuals above twice that; the factor is room for rounding.
     """
     tols = tols or Tolerances()
-    coords = _as_coords(p, data.ambient_dim)
-    dists = np.linalg.norm(data.locations - coords, axis=1)
-    if np.min(dists) <= tols.point_tol:
-        return Regime(tag=AUTOPOLATION)
-    inside, weights = in_convex_hull(coords, data, tol=tols.hull_tol)
-    if inside:
-        return Regime(tag=INTERPOLATION, weights=weights)
-    sub = affine_hull(data, tol=tols.subspace_tol)
-    _, residual = project(sub, coords)
-    if residual <= tols.subspace_tol:
-        return Regime(tag=EXTRAPOLATION)
-    return Regime(tag=HYPERPOLATION, residual=residual)
+    queries, single = _as_queries(p, data.ambient_dim)
+    sub = lp_bound = None
+    regimes = []
+    for q in queries:
+        if np.min(np.linalg.norm(data.locations - q, axis=1)) <= tols.point_tol:
+            regimes.append(Regime(tag=AUTOPOLATION))
+            continue
+        sub = sub or affine_hull(data, tol=tols.subspace_tol)
+        _, residual = project(sub, q)
+        off_hull = residual > tols.subspace_tol
+        if off_hull and lp_bound is None:
+            rel = data.locations - sub.base  # a 0-dim hull has no basis rows
+            off = np.linalg.norm(rel - rel @ sub.basis.T @ sub.basis, axis=1)
+            lp_bound = 2.0 * (off.max() + tols.hull_tol)
+        inside, weights = False, None
+        if not off_hull or residual <= lp_bound:
+            inside, weights = in_convex_hull(q, data, tol=tols.hull_tol)
+        if inside:
+            regimes.append(Regime(tag=INTERPOLATION, weights=weights))
+        elif off_hull:
+            regimes.append(Regime(tag=HYPERPOLATION, residual=residual))
+        else:
+            regimes.append(Regime(tag=EXTRAPOLATION))
+    return regimes[0] if single else regimes
 
 
 def hyperpolation_distance(p, data, tol=DEFAULT_SUBSPACE_TOL):
-    """Euclidean distance from ``p`` to the data's affine hull.
+    """Euclidean distance from ``p`` to the data's affine hull, or the (n,)
+    distances of the rows of an (n, dim) array.
 
     Zero (up to projection round-off) for every non-hyperpolation query.
     """
+    queries, single = _as_queries(p, data.ambient_dim)
     sub = affine_hull(data, tol=tol)
-    _, residual = project(sub, _as_coords(p, data.ambient_dim))
-    return residual
+    dists = np.array([project(sub, q)[1] for q in queries])
+    return float(dists[0]) if single else dists

@@ -2,6 +2,10 @@ import numpy as np
 import pytest
 
 from hyperpolate import (
+    AUTOPOLATION,
+    EXTRAPOLATION,
+    HYPERPOLATION,
+    INTERPOLATION,
     Grammar,
     UnknownCaseError,
     compare_orderings,
@@ -104,6 +108,25 @@ class TestEvaluate:
         report, *_ = evaluate_methods(["nn_ambient"], "cone")
         band = [b for b in report.method("nn_ambient").bands if b.lo == 10.0][0]
         assert band.rmse == pytest.approx(8.922898030553576, abs=1e-9)
+
+    def test_regimes_come_from_classify(self, jittered_line):
+        # (0, 5e-6) is a sample off the fitted line; (0, 0) is between samples
+        case = BenchmarkCase(
+            name="jittered_line",
+            truth="x",
+            slice_base=(0.0, 0.0),
+            slice_direction=(1.0, 0.0),
+            sample_params=tuple(float(t) for t in range(-1000, 1001)),
+            grid_ranges=((0.0, 0.0), (0.0, 5e-6)),
+            grid_step=5e-6,
+        )
+        report, *_ = evaluate_methods(["nn_ambient"], case, dataset=jittered_line)
+        assert report.method("nn_ambient").regime_counts == {
+            AUTOPOLATION: 1,
+            INTERPOLATION: 1,
+            EXTRAPOLATION: 0,
+            HYPERPOLATION: 0,
+        }
 
     def test_determinism(self):
         r1, *_ = evaluate_methods(["extrusion"], "cone")

@@ -196,6 +196,19 @@ class TestBench:
         assert code == 0
         assert (tmp_path / "report_mini.json").exists()
 
+    def test_tolerance_flags_reach_the_report(self, capsys, tmp_path):
+        code, _, _ = run(
+            capsys,
+            "bench", "cone",
+            "--methods", "nn_ambient",
+            "--tol-point", "1.0",
+            "--out", str(tmp_path),
+        )
+        assert code == 0
+        report = json.loads((tmp_path / "report_cone.json").read_text())
+        # the samples are (t, 1): the rows y = 0, 1 and 2 lie within 1.0 of one
+        assert report["methods"][0]["regime_counts"]["autopolation"] == 3 * 41
+
     def test_case_spec_wrong_field_type_exits_2(self, capsys, tmp_path):
         spec = {
             "name": "mini",
@@ -226,6 +239,27 @@ class TestConfig:
             "--config", str(config),
         )
         assert code == 0
+
+    def test_config_sets_bench_methods_and_out(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"methods": "nn_ambient", "out": "o2"}), encoding="utf-8")
+
+        def method_names(out_dir):
+            report = json.loads((tmp_path / out_dir / "report_cone.json").read_text())
+            return [m["name"] for m in report["methods"]]
+
+        code, _, _ = run(capsys, "bench", "cone", "--config", str(config))
+        assert code == 0
+        assert not (tmp_path / "report_cone.json").exists()
+        assert method_names("o2") == ["nn_ambient"]
+        code, _, _ = run(
+            capsys,
+            "bench", "cone", "--config", str(config),
+            "--methods", "extrusion", "--out", "o3",
+        )
+        assert code == 0
+        assert method_names("o3") == ["extrusion"]
 
     @pytest.mark.parametrize(
         "config, message",

@@ -7,11 +7,14 @@ from hyperpolate import (
     HYPERPOLATION,
     INTERPOLATION,
     Dataset,
+    DimensionMismatchError,
     InvalidInputError,
     Point,
+    Regime,
     Tolerances,
     affine_hull,
     classify,
+    generate_case,
     hyperpolation_distance,
     in_convex_hull,
     project,
@@ -201,6 +204,105 @@ class TestClassify:
             checked += 1
             assert classify(q, data, tols).tag == want
         assert checked >= 50
+
+
+def diagonal_lattice():
+    """Samples t*(1, 1), t = -20..20, and a 2.5-step lattice over [-30, 30]^2."""
+    t = np.arange(-20.0, 21.0)
+    axis = np.arange(-30.0, 31.25, 2.5)
+    gx, gy = np.meshgrid(axis, axis, indexing="ij")
+    queries = np.column_stack([gx.ravel(), gy.ravel()])
+    return Dataset(np.column_stack([t, t]), t * t), queries
+
+
+class TestBatchClassify:
+    @staticmethod
+    def assert_same(got, want):
+        assert [r.tag for r in got] == [r.tag for r in want]
+        for a, b in zip(got, want):
+            for field in ("weights", "residual"):
+                x, y = getattr(a, field), getattr(b, field)
+                assert (x is None) == (y is None)
+                assert x is None or np.array_equal(x, y)
+
+    def batch_equals_points(self, queries, data):
+        batch = classify(queries, data)
+        assert isinstance(batch, list)
+        self.assert_same(batch, [classify(q, data) for q in queries])
+        dists = hyperpolation_distance(queries, data)
+        assert np.array_equal(dists, [hyperpolation_distance(q, data) for q in queries])
+        return batch
+
+    def test_cone_grid(self):
+        data, case = generate_case("cone")
+        tags = [r.tag for r in self.batch_equals_points(case.query_grid(), data)]
+        assert tags.count(AUTOPOLATION) == 41 and tags.count(HYPERPOLATION) == 1640
+
+    def test_slice_lattice(self):
+        data, queries = diagonal_lattice()
+        tags = {r.tag for r in self.batch_equals_points(queries, data)}
+        assert tags == {AUTOPOLATION, INTERPOLATION, EXTRAPOLATION, HYPERPOLATION}
+
+    def test_cloud_3d(self):
+        rng = np.random.default_rng(41)
+        samples = rng.uniform(-1.0, 1.0, size=(40, 3))
+        queries = np.vstack([rng.uniform(-1.3, 1.3, size=(50, 3)), samples[:10]])
+        tags = {r.tag for r in self.batch_equals_points(queries, Dataset(samples, np.zeros(40)))}
+        assert tags == {AUTOPOLATION, INTERPOLATION, EXTRAPOLATION}
+
+    def test_empty_batch(self):
+        data = line_dataset()
+        assert classify(np.empty((0, 2)), data) == []
+        assert hyperpolation_distance(np.empty((0, 2)), data).shape == (0,)
+
+    def test_single_point_forms(self):
+        data = line_dataset()
+        (want,) = classify(np.array([[0.5, 0.0]]), data)
+        for p in (Point((0.5, 0.0)), (0.5, 0.0), [0.5, 0.0], np.array([0.5, 0.0])):
+            got = classify(p, data)
+            assert isinstance(got, Regime)
+            self.assert_same([got], [want])
+            assert isinstance(hyperpolation_distance(p, data), float)
+        with pytest.raises(DimensionMismatchError):
+            classify(np.zeros((2, 3)), data)
+
+    def test_one_dimensional_ambient(self):
+        data = Dataset([[0.0], [1.0], [2.0]], [0.0, 1.0, 4.0])
+        queries = np.array([[1.0], [0.5], [3.0]])
+        tags = [r.tag for r in self.batch_equals_points(queries, data)]
+        assert tags == [AUTOPOLATION, INTERPOLATION, EXTRAPOLATION]
+
+    def test_jittered_line_verdicts(self, jittered_line):
+        # pinned from the LP-first classifier that ran the LP on every query
+        queries = np.array(
+            [(0, 5e-6), (0.25, 2.5e-6), (0.5, 1e-6), (3, 2e-9), (2000, 0), (0.25, 1)]
+        )
+        tags = [r.tag for r in self.batch_equals_points(queries, jittered_line)]
+        assert tags == [
+            AUTOPOLATION,
+            INTERPOLATION,
+            INTERPOLATION,
+            INTERPOLATION,
+            EXTRAPOLATION,
+            HYPERPOLATION,
+        ]
+
+    def test_lp_runs_only_for_on_hull_non_samples(self, monkeypatch):
+        import hyperpolate.geometry as geometry
+
+        calls = []
+        real = geometry.in_convex_hull
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(geometry, "in_convex_hull", counting)
+        data, queries = diagonal_lattice()
+        classify(queries, data)
+        x, y = queries.T
+        samples = (x == y) & (x == np.round(x)) & (np.abs(x) <= 20)
+        assert len(calls) == int(((x == y) & ~samples).sum()) == 16
 
 
 class TestHyperpolationDistance:
