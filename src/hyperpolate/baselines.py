@@ -38,40 +38,40 @@ __all__ = [
 METHOD_NAMES = ("nn_ambient", "nn_projected", "linear", "extrusion", "additive")
 
 
+@dataclass(frozen=True, eq=False)
 class SliceModel:
-    """A 1D model of the function along the data's subspace.
+    """A piecewise-linear model of the function along a 1D subspace.
 
-    ``kind`` is ``"piecewise_linear"`` (strict interpolant with linear
-    extrapolation from the two outermost points) or ``"affine"``.
+    It interpolates ``values`` at the sorted intrinsic ``knots`` and
+    extrapolates linearly from the two outermost knots; a single knot gives
+    a constant.
     """
 
-    def __init__(self, chart, kind, knots=None, values=None, coeffs=None):
-        if chart.dim != 1:
+    chart: AffineSubspace
+    knots: np.ndarray
+    values: np.ndarray
+
+    def __post_init__(self):
+        if self.chart.dim != 1:
             raise UnsupportedGeometryError("slice models require a 1D subspace")
-        self.chart = chart
-        self.kind = kind
-        self.knots = None if knots is None else np.asarray(knots, dtype=float)
-        self.values = None if values is None else np.asarray(values, dtype=float)
-        self.coeffs = None if coeffs is None else np.asarray(coeffs, dtype=float)
+        object.__setattr__(self, "knots", np.asarray(self.knots, dtype=float))
+        object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
         scalar = t.ndim == 0
         t = np.atleast_1d(t)
-        if self.kind == "affine":
-            out = self.coeffs[0] + self.coeffs[1] * t
-        else:
-            xs, ys = self.knots, self.values
-            out = np.interp(t, xs, ys)
-            if xs.size >= 2:
-                lo = t < xs[0]
-                hi = t > xs[-1]
-                if np.any(lo):
-                    slope = (ys[1] - ys[0]) / (xs[1] - xs[0])
-                    out = np.where(lo, ys[0] + slope * (t - xs[0]), out)
-                if np.any(hi):
-                    slope = (ys[-1] - ys[-2]) / (xs[-1] - xs[-2])
-                    out = np.where(hi, ys[-1] + slope * (t - xs[-1]), out)
+        xs, ys = self.knots, self.values
+        out = np.interp(t, xs, ys)
+        if xs.size >= 2:
+            lo = t < xs[0]
+            hi = t > xs[-1]
+            if np.any(lo):
+                slope = (ys[1] - ys[0]) / (xs[1] - xs[0])
+                out = np.where(lo, ys[0] + slope * (t - xs[0]), out)
+            if np.any(hi):
+                slope = (ys[-1] - ys[-2]) / (xs[-1] - xs[-2])
+                out = np.where(hi, ys[-1] + slope * (t - xs[-1]), out)
         return float(out[0]) if scalar else out
 
 
@@ -99,11 +99,7 @@ def fit_slice_interpolant(data, chart=None):
             knots.append(ti)
             vals.append(yi)
             counts.append(1)
-    values = np.asarray(vals) / np.asarray(counts)
-    if len(knots) < 2:
-        # a single distinct location: constant slice model
-        return SliceModel(chart, "affine", coeffs=(values[0], 0.0))
-    return SliceModel(chart, "piecewise_linear", knots=np.asarray(knots), values=values)
+    return SliceModel(chart, np.asarray(knots), np.asarray(vals) / np.asarray(counts))
 
 
 class PolationModel:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError, NoPredictionError
-from .expressions import DEFAULT_COMPLEXITY, complexity, evaluate, serialize
+from .expressions import complexity, evaluate, serialize
 from .symbolic import STRICT_TOL, CandidateLifting, predict_candidate
 
 __all__ = [
@@ -27,6 +27,9 @@ __all__ = [
 ]
 
 NORMALIZATION_TOL = 1e-12
+# hypothesis values at a query closer than this (relative to max(1, |v|))
+# merge into one predictive atom
+MERGE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -49,7 +52,13 @@ class Hypothesis:
             return predict_candidate(self.candidate, pts)
         names = ("x", "y", "z")
         env = {names[i]: pts[:, i] for i in range(min(pts.shape[1], 3))}
-        vals = evaluate(self.expr, env)
+        try:
+            vals = evaluate(self.expr, env)
+        except KeyError as exc:
+            raise InvalidInputError(
+                f"hypothesis {self.label} uses variable {exc.args[0]!r}, "
+                f"but the points have {pts.shape[1]} coordinate(s)"
+            ) from None
         return np.broadcast_to(np.asarray(vals, dtype=float), (pts.shape[0],)).copy()
 
 
@@ -104,13 +113,18 @@ class Posterior:
         return self.hypotheses[idx]
 
     def to_records(self, data=None):
-        """JSON-ready records {expr, weight, residual}."""
+        """JSON-ready records {expr, weight, residual}.
+
+        The residual is the max-abs mismatch on the samples, or None when a
+        domain error makes it non-finite.
+        """
         out = []
         for h, w in zip(self.hypotheses, self.weights):
             rec = {"expr": h.label, "weight": float(w)}
             if data is not None:
                 vals = h(data.locations)
-                rec["residual"] = float(np.max(np.abs(vals - data.values)))
+                residual = float(np.max(np.abs(vals - data.values)))
+                rec["residual"] = residual if math.isfinite(residual) else None
             out.append(rec)
         return out
 
@@ -140,7 +154,7 @@ def build_prior(expressions, scorer=None):
     """
     if not expressions:
         raise InvalidInputError("hypothesis family must be nonempty")
-    scorer = scorer or (lambda e: complexity(e, DEFAULT_COMPLEXITY))
+    scorer = scorer or complexity
     hyps = []
     for e in expressions:
         if isinstance(e, Hypothesis):
@@ -156,7 +170,7 @@ def family_from_candidates(candidates):
     return build_prior([Hypothesis(c.expr, float(c.score), c) for c in candidates])
 
 
-def update(prior, data, strict_tol=STRICT_TOL):
+def update(prior, data):
     """Condition the prior on the dataset.
 
     Strict mode (sigma = 0) keeps exactly the hypotheses whose max-abs
@@ -174,7 +188,7 @@ def update(prior, data, strict_tol=STRICT_TOL):
             continue
         resid = vals - data.values
         if sigma == 0.0:
-            if np.max(np.abs(resid)) > strict_tol:
+            if np.max(np.abs(resid)) > STRICT_TOL:
                 log_w[i] = -np.inf
         else:
             log_w[i] -= float(resid @ resid) / (2.0 * sigma * sigma)
@@ -184,15 +198,17 @@ def update(prior, data, strict_tol=STRICT_TOL):
     return Posterior(hypotheses=prior.hypotheses, weights=weights, noise_sigma=sigma)
 
 
-def predict(post, p, merge_tol=1e-12):
-    """Predictive distribution at a query point.
+def predict(post, p):
+    """Predictive distribution at one query point (a 1-D coordinate sequence).
 
-    Hypothesis values closer than ``merge_tol`` collapse into one atom, so a
+    Hypothesis values closer than ``MERGE_TOL`` collapse into one atom, so a
     mirror-symmetric pair queried on its symmetry axis yields a point mass.
     """
     if post.is_empty:
         raise NoPredictionError("cannot predict from an empty posterior")
     p = np.asarray(p, dtype=float)
+    if p.ndim != 1 or p.size == 0:
+        raise InvalidInputError(f"predict takes one point, got shape {p.shape}")
     values = np.array([float(h(p[None, :])[0]) for h in post.hypotheses])
     if not np.all(np.isfinite(values)):
         bad = ~np.isfinite(values)
@@ -210,7 +226,7 @@ def predict(post, p, merge_tol=1e-12):
     merged_v, merged_w = [], []
     for idx in order:
         v, w = float(values[idx]), float(weights[idx])
-        if merged_v and abs(v - merged_v[-1]) <= merge_tol * max(1.0, abs(v)):
+        if merged_v and abs(v - merged_v[-1]) <= MERGE_TOL * max(1.0, abs(v)):
             merged_w[-1] += w
         else:
             merged_v.append(v)

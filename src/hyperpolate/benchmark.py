@@ -197,35 +197,31 @@ class Report:
         raise KeyError(name)
 
 
-def reports_equal(a, b, ignore_runtime=True):
-    """Structural equality of two reports, normalizing wall-clock fields."""
+def reports_equal(a, b):
+    """Structural equality of two reports, ignoring wall-clock runtimes."""
     da, db = a.to_dict(), b.to_dict()
-    if ignore_runtime:
-        for d in (da, db):
-            for m in d["methods"]:
-                m["runtime_s"] = 0.0
+    for d in (da, db):
+        for m in d["methods"]:
+            m["runtime_s"] = 0.0
     return da == db
 
 
 class _SymbolicMethod:
     """Adapter giving search_hyperpolation the fit/predict interface."""
 
-    def __init__(self, data, grammar=None, budget=None, candidate=None):
-        if candidate is None:
-            candidates = search_hyperpolation(data, grammar=grammar, budget=budget)
-            top = top_tie_set(candidates)
-            if not top:
-                raise UnknownCaseError("symbolic search returned no candidate")
-            candidate = top[0]
-        self.candidate = candidate
+    def __init__(self, data, grammar, budget):
+        top = top_tie_set(search_hyperpolation(data, grammar=grammar, budget=budget))
+        if not top:
+            raise UnknownCaseError("symbolic search returned no candidate")
+        self.candidate = top[0]
 
     def predict(self, points):
         return predict_candidate(self.candidate, points)
 
 
-def _fit_named_method(name, data, grammar=None, budget=None):
+def _fit_named_method(name, data, grammar, budget):
     if name == "symbolic":
-        return _SymbolicMethod(data, grammar=grammar, budget=budget)
+        return _SymbolicMethod(data, grammar, budget)
     return fit_method(name, data)
 
 
@@ -269,7 +265,7 @@ def evaluate_methods(
         if isinstance(methods, dict):
             model = methods[name]
         else:
-            model = _fit_named_method(name, data, grammar=grammar, budget=budget)
+            model = _fit_named_method(name, data, grammar, budget)
         pred = np.asarray(model.predict(queries), dtype=float)
         runtime = time.perf_counter() - t0
         predictions[name] = pred
@@ -323,14 +319,14 @@ def _slice_dataset(case, data):
     return t[order], data.values[order]
 
 
-def resample_params(t, values, factor=4):
-    """Piecewise-linear resample at `factor`x density over the parameter.
+def resample_params(t, values):
+    """Piecewise-linear resample at 4x density over the parameter.
 
     Returns the dense parameters, values, and a noise estimate derived from
     the second differences (the linear-interpolation error scale), so that
     searches on the resampled data run in flexible mode.
     """
-    dense = np.linspace(t[0], t[-1], (t.size - 1) * factor + 1)
+    dense = np.linspace(t[0], t[-1], (t.size - 1) * 4 + 1)
     dense_vals = np.interp(dense, t, values)
     second = np.abs(np.diff(values, 2)) if t.size >= 3 else np.array([])
     est = float(np.max(second)) / 8.0 if second.size else 0.0

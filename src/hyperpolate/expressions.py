@@ -245,12 +245,14 @@ def parse(text):
 
 
 # One table for every evaluator, so that evaluate and compile_shape apply
-# the same numpy operation to each node (pow2 is a*a, not np.square).
+# the same numpy operation to each node (pow2 is a*a, not np.square).  div is
+# the ufunc, so that two float constants divide by zero to inf/nan as arrays
+# do, instead of raising ZeroDivisionError.
 _OPS = {
     "add": operator.add,
     "sub": operator.sub,
     "mul": operator.mul,
-    "div": operator.truediv,
+    "div": np.true_divide,
     "pow2": lambda a: a * a,
     "sqrt": np.sqrt,
     "sin": np.sin,
@@ -427,8 +429,9 @@ def canonical_simplify(e):
         identity = 0.0 if op == "add" else 1.0
         if const_val != identity or not rest:
             if op == "mul" and const_val == -1.0 and rest:
-                # -u is described more cheaply as sub(0, u)
-                return ("sub", const(0.0), _rebuild_chain(op, rest))
+                # -u is described more cheaply as sub(0, u); simplifying
+                # that applies -(-u) = u
+                return canonical_simplify(("sub", const(0.0), _rebuild_chain(op, rest)))
             rest.append(const(const_val))
         return _rebuild_chain(op, rest)
     if op == "sub":
@@ -471,8 +474,10 @@ class ComplexityModel:
     """Node costs for the description-length score.
 
     Integer constants cost ``const_base + int_bit_cost * ceil(log2(|c|+1))``;
-    other reals pay a flat surcharge.  The model is a replaceable component:
-    any scorer monotone in node count works with the search.
+    other reals pay a flat surcharge.  The symbolic search ranks by the
+    default costs only: its pruning (the per-shape lower bound and the
+    level stop) is derived from them.  Other models serve ``complexity()``
+    only.
     """
 
     op_cost: float = 1.0

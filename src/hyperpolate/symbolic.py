@@ -3,7 +3,8 @@
 Fits an expression to the data slice by exhaustive shape enumeration with
 least-squares constant fitting, then lifts it off the slice by replacing
 constants with expressions in a transverse coordinate, ranking every
-candidate by (fit residual, description-length score).
+candidate by (fit residual, description-length score).  The score is
+``complexity`` with the default costs: the pruning is derived from them.
 
 Three dataset geometries are supported:
 
@@ -28,7 +29,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.optimize import minimize, minimize_scalar
 
-from .errors import UnsupportedGeometryError
+from .errors import DimensionMismatchError, UnsupportedGeometryError
 from .expressions import (
     DEFAULT_COMPLEXITY,
     Grammar,
@@ -112,9 +113,6 @@ class SliceFit:
     residual: float
     score: float
 
-    def __iter__(self):
-        return iter((self.expr, self.residual, self.score))
-
     @property
     def rank_key(self):
         return (quantize_residual(self.residual), self.score, serialize(self.expr))
@@ -136,7 +134,6 @@ class CandidateLifting:
     residual: float
     kind: str
     frame: SliceFrame
-    slice_expr: tuple | None = None
 
     @property
     def rank_key(self):
@@ -317,10 +314,9 @@ def _profiled_sse_1d(u, y, has_mul, has_add):
 class _ShapeFitter:
     """Fits constant slots of shapes against targets over fixed sample envs."""
 
-    def __init__(self, envs, target, strict_tol=STRICT_TOL):
+    def __init__(self, envs, target):
         self.envs = {k: np.asarray(v, dtype=float) for k, v in envs.items()}
         self.target = np.asarray(target, dtype=float)
-        self.strict_tol = strict_tol
         self.grid = _scale_grid(self.envs, self.target)
 
     def fit(self, shape):
@@ -467,13 +463,14 @@ class _ShapeFitter:
         return float(np.max(np.abs(vals - self.target)))
 
 
-def _shape_lower_bound(shape, model=DEFAULT_COMPLEXITY):
+def _shape_lower_bound(shape):
     """Lower bound on any lifted-candidate score from this shape.
 
-    Operators and variables cost one point.  A surviving constant costs at
-    least 3 (|c| >= 1 after identity folding) except in sub-LHS position
-    where 0 survives folding; the cheapest substitution replaces one
-    constant by pow2(y), worth 2 points.
+    The costs are the default complexity model's, by which the search
+    ranks.  Operators and variables cost one point.  A surviving constant
+    costs at least 3 (|c| >= 1 after identity folding) except in sub-LHS
+    position where 0 survives folding; the cheapest substitution replaces
+    one constant by pow2(y), worth 2 points.
     """
     slot_mins = []
 
@@ -499,14 +496,7 @@ def _shape_lower_bound(shape, model=DEFAULT_COMPLEXITY):
 # ---------------------------------------------------------------------------
 
 
-def _iter_fitted(
-    fitter,
-    grammar,
-    budget,
-    strict,
-    score_floor_cb,
-    floor=ENUM_FLOOR,
-):
+def _iter_fitted(fitter, grammar, budget, strict, score_floor_cb):
     """Enumerate shapes ascending, fit constants, yield fitted expressions.
 
     ``score_floor_cb(expr, residual)`` returns the best achievable ranking
@@ -539,7 +529,7 @@ def _iter_fitted(
     for n in range(grammar.max_nodes + 1):
         if budget <= 0:
             break
-        if strict and math.isfinite(best_score) and n > max(best_score, floor):
+        if strict and math.isfinite(best_score) and n > max(best_score, ENUM_FLOOR):
             break
         if n == 0:
             # level 0 holds the bare-constant shape; level n the n-node shapes
@@ -555,7 +545,7 @@ def _iter_fitted(
             if (
                 strict
                 and math.isfinite(best_score)
-                and n > floor
+                and n > ENUM_FLOOR
                 and _shape_lower_bound(shape) > best_score
             ):
                 continue
@@ -596,7 +586,7 @@ def _qualifying_fits(fitter, grammar, budget, strict, score_floor_cb):
     return [(e, r) for e, r in results if not strict or r <= STRICT_TOL]
 
 
-def fit_slice(data, grammar=None, budget=None, scorer=DEFAULT_COMPLEXITY):
+def fit_slice(data, grammar=None, budget=None):
     """Fit slice expressions over the intrinsic coordinate t.
 
     Returns SliceFit records ordered by (residual, score, serialization);
@@ -611,9 +601,9 @@ def fit_slice(data, grammar=None, budget=None, scorer=DEFAULT_COMPLEXITY):
         grammar,
         budget,
         data.strict,
-        score_floor_cb=lambda e, r: complexity(e, scorer),
+        score_floor_cb=lambda e, r: complexity(e),
     )
-    fits = [SliceFit(e, r, complexity(e, scorer)) for e, r in results]
+    fits = [SliceFit(e, r, complexity(e)) for e, r in results]
     fits.sort(key=lambda f: f.rank_key)
     if not data.strict:
         fits = fits[:MAX_SLICE_FITS]
@@ -655,11 +645,11 @@ def _const_values(expr):
     return out
 
 
-def _is_even_in(expr, name, probes=(0.37, 1.91, 5.3, 17.0)):
+def _is_even_in(expr, name):
     """Numeric evenness check of expr in one variable (nan-tolerant)."""
     others = sorted(v for v in variables_of(expr) if v != name)
     grid = np.array([-13.7, -2.3, 0.41, 3.9, 29.0])
-    u = np.array(probes)
+    u = np.array([0.37, 1.91, 5.3, 17.0])
     env_pos = {name: u[:, None]}
     env_neg = {name: -u[:, None]}
     for i, v in enumerate(others):
@@ -677,12 +667,7 @@ def _is_even_in(expr, name, probes=(0.37, 1.91, 5.3, 17.0)):
     return bool(np.allclose(a[both], b[both], rtol=1e-9, atol=1e-12))
 
 
-def lift_constants(
-    expr,
-    slice_hint=None,
-    residual=0.0,
-    scorer=DEFAULT_COMPLEXITY,
-):
+def lift_constants(expr, slice_hint=None, residual=0.0):
     """Lift a slice expression into the transverse coordinate.
 
     For each constant occurrence c the menu substitutes c -> y, c -> y^2 and
@@ -702,11 +687,11 @@ def lift_constants(
 
     def emit(e, y0, kind):
         e = canonical_simplify(e)
-        score = complexity(e, scorer)
+        score = complexity(e)
         if frame.free_calibration and tv in variables_of(e) and not _is_even_in(e, tv):
             # the data cannot orient the new axis: unmirrorable transverse
             # dependence costs one extra bit
-            score += scorer.int_bit_cost
+            score += DEFAULT_COMPLEXITY.int_bit_cost
         out.append(
             CandidateLifting(
                 expr=e,
@@ -779,12 +764,7 @@ def _dedupe(cands):
     return list(seen.values())
 
 
-def search_hyperpolation(
-    data,
-    grammar=None,
-    budget=None,
-    scorer=DEFAULT_COMPLEXITY,
-):
+def search_hyperpolation(data, grammar=None, budget=None):
     """Full search: slice fit composed with constant lifting, ranked.
 
     Returns candidates ordered by (residual, score) with deterministic
@@ -794,29 +774,29 @@ def search_hyperpolation(
     """
     frame = detect_frame(data)
     if frame.mode == "ambient":
-        candidates = _search_ambient(data, frame, grammar, budget, scorer)
+        candidates = _search_ambient(data, frame, grammar, budget)
     else:
-        candidates = _search_lifted(data, frame, grammar, budget, scorer)
+        candidates = _search_lifted(data, frame, grammar, budget)
     candidates.sort(key=lambda c: c.rank_key)
     return candidates
 
 
-def _search_lifted(data, frame, grammar, budget, scorer):
+def _search_lifted(data, frame, grammar, budget):
     fitter = _ShapeFitter({"t": _intrinsic_coordinate(data, frame)}, data.values)
 
     def best_candidate_score(expr, residual):
-        cands = lift_constants(expr, frame, residual=residual, scorer=scorer)
+        cands = lift_constants(expr, frame, residual=residual)
         return min(c.score for c in cands)
 
     results = _qualifying_fits(
         fitter, grammar, budget, data.strict, score_floor_cb=best_candidate_score
     )
-    slice_fits = [SliceFit(e, r, complexity(e, scorer)) for e, r in results]
+    slice_fits = [SliceFit(e, r, complexity(e)) for e, r in results]
     slice_fits.sort(key=lambda f: f.rank_key)
     slice_fits = slice_fits[:MAX_SLICE_FITS]
     candidates = []
     for fit in slice_fits:
-        lifted = lift_constants(fit.expr, frame, residual=fit.residual, scorer=scorer)
+        lifted = lift_constants(fit.expr, frame, residual=fit.residual)
         for cand in lifted:
             restricted = restrict(cand)
             residual = fitter.residual_of(
@@ -824,13 +804,11 @@ def _search_lifted(data, frame, grammar, budget, scorer):
             )
             if not np.isfinite(residual):
                 continue
-            candidates.append(
-                replace(cand, residual=residual, slice_expr=fit.expr)
-            )
+            candidates.append(replace(cand, residual=residual))
     return _dedupe(candidates)
 
 
-def _search_ambient(data, frame, grammar, budget, scorer):
+def _search_ambient(data, frame, grammar, budget):
     fitter = _ShapeFitter(
         {"x": data.locations[:, 0], "y": data.locations[:, 1]}, data.values
     )
@@ -839,13 +817,13 @@ def _search_ambient(data, frame, grammar, budget, scorer):
         grammar,
         budget,
         data.strict,
-        score_floor_cb=lambda e, r: complexity(e, scorer),
+        score_floor_cb=lambda e, r: complexity(e),
     )
     candidates = [
         CandidateLifting(
             expr=expr,
             y0=frame.y0,
-            score=complexity(expr, scorer),
+            score=complexity(expr),
             residual=residual,
             kind="direct",
             frame=frame,
@@ -892,8 +870,12 @@ def predict_candidate(candidate, points):
         x = pts[:, 0]
         offset = pts[:, 1] if pts.shape[1] > 1 else np.zeros_like(x)
         env = {"x": x, "y": candidate.y0 + offset}
-    else:
+    elif pts.shape[1] == 2:
         env = {"x": pts[:, 0], "y": pts[:, 1]}
+    else:
+        raise DimensionMismatchError(
+            f"points have dimension {pts.shape[1]}, expected 2 for this candidate"
+        )
     vals = evaluate(candidate.expr, env)
     return np.broadcast_to(np.asarray(vals, dtype=float), (pts.shape[0],)).copy()
 

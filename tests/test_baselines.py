@@ -161,6 +161,16 @@ class TestExtrusion:
         for loc, val in zip(data.locations, data.values):
             assert model.predict(loc) == pytest.approx(val, abs=1e-12)
 
+    def test_merged_knots_predict_their_mean(self):
+        # two samples 1e-13 apart merge into one knot with the mean value
+        data = Dataset([[0.0, 0.0], [1e-13, 0.0]], [1.0, 3.0])
+        model = fit_extrusion(data)
+        assert fit_slice_interpolant(data).knots.size == 1
+        xs = np.linspace(-50.0, 50.0, 21)
+        grid = np.array([[x, y] for x in xs for y in xs])
+        assert np.all(model.predict(grid) == 2.0)
+        assert model.predict([7.0, -3.0]) == 2.0
+
     def test_orthogonal_constancy_random(self):
         data = ripple_slice_dataset()
         model = fit_extrusion(data)

@@ -1,14 +1,18 @@
+import json
+
 import numpy as np
 import pytest
 
 from hyperpolate import (
     Dataset,
+    Grammar,
     InvalidInputError,
     NoPredictionError,
     build_prior,
     family_from_candidates,
     parse,
     predict,
+    search_hyperpolation,
     top_tie_set,
     update,
 )
@@ -81,6 +85,34 @@ class TestUpdate:
         with pytest.raises(NoPredictionError):
             predict(post, np.array([1.0]))
 
+    def test_hypothesis_variable_missing_from_data(self):
+        family = build_prior([parse("y")])
+        data = Dataset([[1.0], [2.0]], [1.0, 2.0])
+        with pytest.raises(InvalidInputError):
+            update(family, data)
+
+    def test_candidate_dimension_mismatch(self):
+        # candidates of a 2-D search updated on 1-D data
+        t = np.arange(-3.0, 4.0)
+        plane = Dataset(np.column_stack([t, np.ones_like(t)]), 2.0 * t)
+        cands = search_hyperpolation(plane, grammar=Grammar(max_nodes=3))
+        family = family_from_candidates(cands)
+        data = Dataset([[1.0], [2.0]], [2.0, 4.0])
+        with pytest.raises(InvalidInputError):
+            update(family, data)
+
+    def test_records_are_strict_json(self):
+        family = build_prior([parse("sqrt(x)"), parse("abs(x)")])
+        data = Dataset([[-4.0], [1.0]], [4.0, 1.0])
+        records = update(family, data).to_records(data)
+
+        def reject(token):
+            raise ValueError(f"non-JSON number {token}")
+
+        parsed = json.loads(json.dumps(records), parse_constant=reject)
+        by_expr = {r["expr"]: r["residual"] for r in parsed}
+        assert by_expr == {"sqrt(x)": None, "abs(x)": 0.0}
+
     def test_mirror_pair_equal_weights(self, ripple_search, ripple_1d_dataset):
         candidates, _ = ripple_search
         pair = top_tie_set(candidates)
@@ -107,6 +139,13 @@ class TestPredict:
         assert len(dist) == 1
         assert dist.mean == pytest.approx(9.0)
         assert dist.map_value == pytest.approx(9.0)
+
+    @pytest.mark.parametrize("query", [3.0, [[1.0], [2.0]], []])
+    def test_query_must_be_one_point(self, query):
+        family = build_prior([parse("pow2(x)")])
+        post = update(family, Dataset([[1.0], [2.0]], [1.0, 4.0]))
+        with pytest.raises(InvalidInputError):
+            predict(post, query)
 
     def test_mirror_pair_symmetric_query_collapses(self, ripple_search, ripple_1d_dataset):
         candidates, _ = ripple_search

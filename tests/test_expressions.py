@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from hyperpolate import (
 )
 from hyperpolate.expressions import (
     ShapeEnumerator,
+    assign_slots,
     canonical_simplify,
     compile_shape,
     const,
@@ -82,6 +85,33 @@ class TestSimplify:
             serialize(canonical_simplify(("cos", ("sub", var("y"), var("x")))))
             == "cos(sub(x,y))"
         )
+
+    def test_negated_negation_folds(self):
+        # mul(u, -1) is rewritten to sub(0, u); with u = sub(0, t) that is t
+        shape = ("add", ("mul", ("sub", ("slot",), var("t")), ("slot",)), var("t"))
+        e = canonical_simplify(assign_slots(shape, (0.0, -1.0)))
+        assert serialize(e) == "add(t,t)"
+        assert canonical_simplify(e) == e
+
+    def test_idempotent_on_small_fitted_shapes(self):
+        en = ShapeEnumerator(Grammar(variables=("t",)))
+        for n in range(1, 6):
+            for shape in en.shapes(n):
+                for consts in itertools.product(
+                    (0.0, 1.0, -1.0, 2.0, -0.5), repeat=slot_count(shape)
+                ):
+                    e = canonical_simplify(assign_slots(shape, consts))
+                    assert canonical_simplify(e) == e, (serialize(shape), consts)
+
+    def test_constant_division_by_zero_is_not_an_exception(self):
+        e = parse("div(1,0)")
+        assert serialize(e) == "div(1,0)"
+        assert evaluate(e, {}) == np.inf
+        # a fitted denominator that folds to zero: add(mul(x, 0), 0)
+        slot = ("slot",)
+        shape = ("div", slot, ("add", ("mul", var("x"), slot), slot))
+        e = canonical_simplify(assign_slots(shape, (1.0, 0.0, 0.0)))
+        assert serialize(e) == "div(1,0)"
 
 
 class TestEvaluate:

@@ -227,6 +227,22 @@ class TestSearch:
         # the answer costs 6 points, so the stop is certified after level 6
         assert max(requested) == 6
 
+    def test_certified_search_equals_exhaustive_search(self, monkeypatch):
+        # f = 2x on the line y = 2; the shape add(mul(sub(~,t),~),t) fitted at
+        # (0, -1) simplifies to add(t,t) and must fold away as a duplicate
+        x = np.arange(-5.0, 6.0)
+        data = Dataset(np.column_stack([x, np.full_like(x, 2.0)]), 2.0 * x)
+        grammar = Grammar(max_nodes=7, unary_ops=(), binary_ops=("add", "sub", "mul"))
+
+        def top():
+            cands = search_hyperpolation(data, grammar=grammar)
+            return {(serialize(c.expr), c.score) for c in top_tie_set(cands)}
+
+        certified = top()
+        # a floor at max_nodes turns off the level stop and the bound skip
+        monkeypatch.setattr(symbolic, "ENUM_FLOOR", grammar.max_nodes)
+        assert top() == certified == {("mul(x,y)", 3.0)}
+
     def test_budget_zero(self):
         x = np.arange(0.0, 8.0)
         data = Dataset(x[:, None], 2.0 * x)
