@@ -30,8 +30,8 @@ print("\nposterior over the mirror pair:")
 for record in posterior.to_records(data):
     print(f"  {record['expr']:<45} weight={record['weight']:.3f}")
 
-for point in ([0.0, 0.0], [0.0, 10.0]):
-    dist = predict(posterior, np.asarray(point))
+queries = ([0.0, 0.0], [0.0, 10.0])
+for point, dist in zip(queries, predict(posterior, np.array(queries))):
     atoms = ", ".join(
         f"{v:+.4f} (w={w:.2f})" for v, w in zip(dist.values, dist.weights)
     )

@@ -8,12 +8,13 @@ the resulting mixture at any query point.
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import InvalidInputError, NoPredictionError
-from .expressions import complexity, evaluate, serialize
-from .symbolic import STRICT_TOL, CandidateLifting, predict_candidate
+from .expressions import compile_expr, complexity, serialize
+from .symbolic import STRICT_TOL, CandidateLifting, _candidate_env, predict_candidate
 
 __all__ = [
     "Hypothesis",
@@ -30,6 +31,7 @@ NORMALIZATION_TOL = 1e-12
 # hypothesis values at a query closer than this (relative to max(1, |v|))
 # merge into one predictive atom
 MERGE_TOL = 1e-12
+_AXES = ("x", "y", "z")
 
 
 @dataclass(frozen=True)
@@ -46,20 +48,34 @@ class Hypothesis:
             return f"{serialize(self.expr)}@y0={self.candidate.y0:g}"
         return serialize(self.expr)
 
+    @cached_property
+    def compiled(self):
+        """The compiled expression, built once (the candidate's own, if any)."""
+        if self.candidate is not None:
+            return self.candidate.compiled
+        return compile_expr(self.expr)
+
     def __call__(self, points):
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         if self.candidate is not None:
             return predict_candidate(self.candidate, pts)
-        names = ("x", "y", "z")
-        env = {names[i]: pts[:, i] for i in range(min(pts.shape[1], 3))}
+        with np.errstate(all="ignore"):
+            vals = self._values(pts)
+        return np.broadcast_to(np.asarray(vals, dtype=float), (pts.shape[0],)).copy()
+
+    def _values(self, pts):
+        """Values at the rows of a 2-D float array: an array, or a scalar for
+        a constant; runs under the caller's numpy error state."""
+        if self.candidate is not None:
+            return self.compiled(_candidate_env(self.candidate, pts))
+        env = {name: pts[:, i] for i, name in enumerate(_AXES[: pts.shape[1]])}
         try:
-            vals = evaluate(self.expr, env)
+            return self.compiled(env)
         except KeyError as exc:
             raise InvalidInputError(
                 f"hypothesis {self.label} uses variable {exc.args[0]!r}, "
                 f"but the points have {pts.shape[1]} coordinate(s)"
             ) from None
-        return np.broadcast_to(np.asarray(vals, dtype=float), (pts.shape[0],)).copy()
 
 
 def _normalized(log_weights):
@@ -199,33 +215,48 @@ def update(prior, data):
 
 
 def predict(post, p):
-    """Predictive distribution at one query point (a 1-D coordinate sequence).
+    """Predictive distribution at one query point (a 1-D coordinate
+    sequence), or a list of them for the rows of an (n, dim) ndarray.
 
     Hypothesis values closer than ``MERGE_TOL`` collapse into one atom, so a
     mirror-symmetric pair queried on its symmetry axis yields a point mass.
+    Hypotheses that hit a domain error at a query are left out of its
+    distribution.
     """
     if post.is_empty:
         raise NoPredictionError("cannot predict from an empty posterior")
-    p = np.asarray(p, dtype=float)
-    if p.ndim != 1 or p.size == 0:
-        raise InvalidInputError(f"predict takes one point, got shape {p.shape}")
-    values = np.array([float(h(p[None, :])[0]) for h in post.hypotheses])
-    if not np.all(np.isfinite(values)):
-        bad = ~np.isfinite(values)
-        keep = ~bad
-        if not keep.any():
+    pts = np.asarray(p, dtype=float)
+    batch = isinstance(p, np.ndarray) and pts.ndim == 2
+    if pts.ndim != (2 if batch else 1) or pts.shape[-1] == 0:
+        raise InvalidInputError(
+            f"predict takes one point or an (n, dim) array, got shape {pts.shape}"
+        )
+    if not batch:
+        pts = pts[None, :]
+    values = np.empty((len(post), pts.shape[0]))
+    with np.errstate(all="ignore"):
+        for i, h in enumerate(post.hypotheses):
+            values[i] = h._values(pts)
+    # one contiguous row per point, so that its weighted sum is the
+    # per-point one bit for bit
+    dists = [_distribution(row, post.weights) for row in values.T.copy()]
+    return dists if batch else dists[0]
+
+
+def _distribution(values, weights):
+    """Mixture of one query's hypothesis values under the posterior weights."""
+    finite = np.isfinite(values)
+    if not finite.all():
+        if not finite.any():
             raise NoPredictionError("all hypotheses hit domain errors at the query")
-        values = values[keep]
-        weights = post.weights[keep]
+        values = values[finite]
+        weights = weights[finite]
         weights = weights / weights.sum()
-    else:
-        weights = post.weights
     mean = float(values @ weights)
     map_value = float(values[int(np.argmax(weights))])
     order = np.argsort(values, kind="stable")
     merged_v, merged_w = [], []
-    for idx in order:
-        v, w = float(values[idx]), float(weights[idx])
+    for v, w in zip(values[order].tolist(), weights[order].tolist()):
         if merged_v and abs(v - merged_v[-1]) <= MERGE_TOL * max(1.0, abs(v)):
             merged_w[-1] += w
         else:

@@ -39,6 +39,7 @@ __all__ = [
     "serialize",
     "parse",
     "evaluate",
+    "compile_expr",
     "compile_shape",
     "substitute",
     "assign_slots",
@@ -244,7 +245,7 @@ def parse(text):
     return canonical_simplify(_Parser(text).parse())
 
 
-# One table for every evaluator, so that evaluate and compile_shape apply
+# One table for every evaluator, so that compile_expr and compile_shape apply
 # the same numpy operation to each node (pow2 is a*a, not np.square).  div is
 # the ufunc, so that two float constants divide by zero to inf/nan as arrays
 # do, instead of raising ZeroDivisionError.
@@ -268,27 +269,43 @@ def evaluate(e, env, slot_values=None):
     ``env`` maps variable names to arrays (broadcastable); ``slot_values``
     supplies constants for slot leaves in depth-first order.
     """
-    counter = [0]
-
-    def rec(node):
-        op = node[0]
-        if op == "var":
-            return env[node[1]]
-        if op == "const":
-            return node[1]
-        if op == "slot":
-            idx = counter[0]
-            counter[0] += 1
-            return slot_values[idx]
-        fn = _OPS.get(op)
-        if fn is None:
-            raise InvalidInputError(f"unknown operator {op!r}")
-        if len(node) == 3:
-            return fn(rec(node[1]), rec(node[2]))
-        return fn(rec(node[1]))
-
     with np.errstate(all="ignore"):
-        return rec(e)
+        return compile_expr(e)(env, slot_values)
+
+
+def compile_expr(e):
+    """Compile an expression once into ``fn(env, slot_values=None)``.
+
+    ``fn`` reads its variables from ``env`` and its slot constants from
+    ``slot_values`` (depth-first order, fixed here) at call time, so one
+    compiled form serves any points.  It is one closure per node, applying
+    the node's ``_OPS`` entry to its children's values, left child first.
+    Calls run under the caller's numpy error state; ``evaluate`` silences
+    domain warnings around its call.
+    """
+    return _closure(e, [0])
+
+
+def _closure(node, counter):
+    op = node[0]
+    if op == "var":
+        name = node[1]
+        return lambda env, slot_values=None: env[name]
+    if op == "const":
+        value = node[1]
+        return lambda env, slot_values=None: value
+    if op == "slot":
+        idx = counter[0]
+        counter[0] += 1
+        return lambda env, slot_values=None: slot_values[idx]
+    fn = _OPS.get(op)
+    if fn is None:
+        raise InvalidInputError(f"unknown operator {op!r}")
+    a = _closure(node[1], counter)
+    if len(node) == 3:
+        b = _closure(node[2], counter)
+        return lambda env, slot_values=None: fn(a(env, slot_values), b(env, slot_values))
+    return lambda env, slot_values=None: fn(a(env, slot_values))
 
 
 def compile_shape(e, env):
@@ -396,10 +413,26 @@ def _rebuild_chain(op, elements):
     return out
 
 
+# operators defined at every real argument: 0 * u folds to 0 only when u is
+# built from these, variables and finite constants, since elsewhere u can be
+# nan or inf where 0 is not
+_EVERYWHERE_OPS = ("add", "sub", "mul", "pow2", "abs", "sin", "cos")
+
+
+def _defined_everywhere(e):
+    op = e[0]
+    if op == "const":
+        return math.isfinite(e[1])
+    if op in ("var", "slot"):
+        return True
+    return op in _EVERYWHERE_OPS and all(_defined_everywhere(c) for c in e[1:])
+
+
 def canonical_simplify(e):
     """Fold constants and trivial identities, sort commutative operands.
 
-    Domain-changing rewrites (like pow2(sqrt(u)) -> u) are not applied.
+    Domain-changing rewrites (like pow2(sqrt(u)) -> u, 0 * sqrt(u) -> 0 or
+    0 / u -> 0) are not applied.
     """
     if is_leaf(e):
         return e
@@ -423,7 +456,7 @@ def canonical_simplify(e):
                 const_val = const_val + el[1] if op == "add" else const_val * el[1]
             else:
                 rest.append(el)
-        if op == "mul" and const_val == 0.0:
+        if op == "mul" and const_val == 0.0 and all(_defined_everywhere(el) for el in rest):
             return const(0.0)
         rest.sort(key=_sort_key)
         identity = 0.0 if op == "add" else 1.0
@@ -445,8 +478,6 @@ def canonical_simplify(e):
         return ("sub", a, b)
     if op == "div":
         a, b = kids
-        if is_const(a) and a[1] == 0.0:
-            return const(0.0)
         if is_const(b) and b[1] == 1.0:
             return a
         return ("div", a, b)

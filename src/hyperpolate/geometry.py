@@ -145,6 +145,7 @@ class Dataset:
         self._locations.setflags(write=False)
         self._values.setflags(write=False)
         self.noise_sigma = noise_sigma
+        self._hulls = {}  # affine_hull results by tol; the data never change
 
     @property
     def locations(self):
@@ -268,10 +269,18 @@ def affine_hull(data, tol=DEFAULT_SUBSPACE_TOL):
     Returns
     -------
     AffineSubspace
+        Fitted once per dataset and ``tol``, then shared by every caller
+        (it is immutable).
     """
-    if tol <= 0:
+    if not tol > 0:
         raise InvalidInputError("tol must be positive")
-    locations = data.locations
+    sub = data._hulls.get(tol)
+    if sub is None:
+        sub = data._hulls[tol] = _fit_affine_hull(data.locations, tol)
+    return sub
+
+
+def _fit_affine_hull(locations, tol):
     centroid = locations.mean(axis=0)
     centred = locations - centroid
     # economy SVD: directions with relatively negligible spread are noise

@@ -25,6 +25,7 @@ Three dataset geometries are supported:
 import itertools
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 from scipy.optimize import minimize, minimize_scalar
@@ -38,6 +39,7 @@ from .expressions import (
     assign_slots,
     canonical_simplify,
     chain_elements,
+    compile_expr,
     compile_shape,
     complexity,
     const,
@@ -142,6 +144,11 @@ class CandidateLifting:
     @property
     def residual_rank(self):
         return quantize_residual(self.residual)
+
+    @cached_property
+    def compiled(self):
+        """``compile_expr(self.expr)``, built once per candidate."""
+        return compile_expr(self.expr)
 
 
 def candidate_to_dict(c):
@@ -865,19 +872,24 @@ def predict_candidate(candidate, points):
     places the slice at y0, so the transverse coordinate is y0 + offset.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
+    with np.errstate(all="ignore"):
+        vals = candidate.compiled(_candidate_env(candidate, pts))
+    return np.broadcast_to(np.asarray(vals, dtype=float), (pts.shape[0],)).copy()
+
+
+def _candidate_env(candidate, pts):
+    """Variable arrays of ``candidate.expr`` at the rows of a 2-D float array
+    (see ``predict_candidate``)."""
     frame = candidate.frame
     if frame.mode == "new_dim":
         x = pts[:, 0]
         offset = pts[:, 1] if pts.shape[1] > 1 else np.zeros_like(x)
-        env = {"x": x, "y": candidate.y0 + offset}
-    elif pts.shape[1] == 2:
-        env = {"x": pts[:, 0], "y": pts[:, 1]}
-    else:
-        raise DimensionMismatchError(
-            f"points have dimension {pts.shape[1]}, expected 2 for this candidate"
-        )
-    vals = evaluate(candidate.expr, env)
-    return np.broadcast_to(np.asarray(vals, dtype=float), (pts.shape[0],)).copy()
+        return {"x": x, "y": candidate.y0 + offset}
+    if pts.shape[1] == 2:
+        return {"x": pts[:, 0], "y": pts[:, 1]}
+    raise DimensionMismatchError(
+        f"points have dimension {pts.shape[1]}, expected 2 for this candidate"
+    )
 
 
 def tie_sets(candidates):

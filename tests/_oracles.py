@@ -266,6 +266,46 @@ def oracle_band_errors(name, method):
     return bands
 
 
+# ---------------------------------------------------------------------------
+# expression oracle
+# ---------------------------------------------------------------------------
+
+# the numpy operation of each node; pow2 is a*a and div the ufunc, so that
+# two float constants divide by zero to inf/nan as arrays do
+_EXPR_OPS = {
+    "add": lambda a, b: a + b,
+    "sub": lambda a, b: a - b,
+    "mul": lambda a, b: a * b,
+    "div": np.true_divide,
+    "pow2": lambda a: a * a,
+    "sqrt": np.sqrt,
+    "sin": np.sin,
+    "cos": np.cos,
+    "exp": np.exp,
+    "abs": np.abs,
+}
+
+
+def eval_expr(e, env, slot_values=()):
+    """Recursive walk of an expression tuple: each node's operation applied
+    to its children's values, left child first, slots filled depth-first."""
+    slots = iter(slot_values)
+
+    def rec(node):
+        op = node[0]
+        if op == "var":
+            return env[node[1]]
+        if op == "const":
+            return node[1]
+        if op == "slot":
+            return next(slots)
+        args = [rec(child) for child in node[1:]]
+        return _EXPR_OPS[op](*args)
+
+    with np.errstate(all="ignore"):
+        return rec(e)
+
+
 if __name__ == "__main__":
     for case in ("ripple", "cone"):
         for method in ("extrusion", "nn_ambient"):

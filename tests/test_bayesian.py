@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from hyperpolate import (
     Dataset,
     Grammar,
+    Hypothesis,
     InvalidInputError,
     NoPredictionError,
     build_prior,
@@ -193,3 +195,95 @@ class TestPredict:
         import json
 
         assert json.loads(json.dumps(records)) == records
+
+
+@pytest.fixture(scope="module")
+def noisy_cone_posterior():
+    """The seed-1 noisy cone (sigma 0.01) and the posterior over its top 64
+    candidates at budget 5000, with the 41 x 41 lattice on [-20, 20]^2."""
+    x = np.arange(-20.0, 21.0)
+    values = np.sqrt(x * x + 1.0) + 0.01 * np.random.default_rng(1).standard_normal(x.size)
+    data = Dataset(x[:, None], values, noise_sigma=0.01)
+    cands = search_hyperpolation(data, budget=5000)
+    post = update(family_from_candidates(cands[:64]), data)
+    lattice = np.array([(a, b) for a in x for b in x])
+    return post, lattice
+
+
+def _same_distribution(a, b):
+    return (
+        np.array_equal(a.values, b.values, equal_nan=True)
+        and np.array_equal(a.weights, b.weights, equal_nan=True)
+        and np.array_equal(a.mean, b.mean, equal_nan=True)
+        and np.array_equal(a.map_value, b.map_value, equal_nan=True)
+    )
+
+
+class TestCompiledHypotheses:
+    @pytest.mark.parametrize("first", [0, 1])
+    def test_signed_zero_constants_keep_their_own_sign(self, first):
+        # raw tuples: ("const", 0.0) and ("const", -0.0) are equal and hash
+        # equal, so a cache keyed by the expression would mix them up
+        hyps = [Hypothesis(("mul", ("var", "x"), ("const", z)), 1.0) for z in (0.0, -0.0)]
+        assert hyps[0] == hyps[1] and hash(hyps[0]) == hash(hyps[1])
+        x = np.array([[1.0], [-2.0]])
+        got = {}
+        for i in (first, 1 - first):
+            got[i] = hyps[i](x)
+        assert np.signbit(got[0]).tolist() == [False, True]
+        assert np.signbit(got[1]).tolist() == [True, False]
+
+    def test_compiled_once_per_object(self):
+        h = build_prior([parse("sqrt(x)")]).hypotheses[0]
+        assert h.compiled is h.compiled
+        t = np.arange(-3.0, 4.0)
+        plane = Dataset(np.column_stack([t, np.ones_like(t)]), 2.0 * t)
+        c = search_hyperpolation(plane, grammar=Grammar(max_nodes=3))[0]
+        assert family_from_candidates([c]).hypotheses[0].compiled is c.compiled
+
+    def test_per_point_predict_pinned(self, noisy_cone_posterior):
+        # values computed with the recursive evaluator, before the compiled one
+        post, lattice = noisy_cone_posterior
+        dists = [predict(post, p) for p in lattice]
+        digest = hashlib.sha256()
+        for d in dists:
+            for part in (d.values, d.weights, d.mean, d.map_value):
+                digest.update(np.asarray(part, dtype=float).tobytes())
+        assert digest.hexdigest() == (
+            "03a2cac3d3a211a3ba123ba9e816baa9c3db5958d2c800ca580ae87e8261bda0"
+        )
+        assert sum(len(d) for d in dists) == 79652
+        origin, above = dists[840], dists[841]  # (0, 0) and (0, 1)
+        assert (len(origin), origin.mean, origin.map_value) == (
+            4, 0.9977719800947499, 0.9977719800947499
+        )
+        assert (len(above), above.mean, above.map_value) == (
+            37, 1.117109331672177, 0.0022280199052501226
+        )
+
+
+class TestBatchPredict:
+    def test_batch_equals_per_point(self, noisy_cone_posterior):
+        post, lattice = noisy_cone_posterior
+        batch = predict(post, lattice)
+        assert isinstance(batch, list) and len(batch) == len(lattice)
+        for q, got in zip(lattice, batch):
+            assert _same_distribution(got, predict(post, q)), q
+
+    def test_constant_and_domain_error_hypotheses(self):
+        family = build_prior([parse("sqrt(x)"), parse("3"), parse("x")])
+        post = update(family, Dataset([[1.0], [4.0]], [1.0, 2.0], noise_sigma=1.0))
+        queries = np.array([[-4.0], [0.0], [16.0]])
+        batch = predict(post, queries)
+        assert [len(d) for d in batch] == [2, 2, 3]  # sqrt(-4) left out, sqrt(0) = 0
+        for q, got in zip(queries, batch):
+            assert _same_distribution(got, predict(post, q))
+
+    def test_empty_batch(self):
+        post = update(build_prior([parse("x")]), Dataset([[1.0]], [1.0]))
+        assert predict(post, np.zeros((0, 1))) == []
+
+    def test_batch_without_coordinates_rejected(self):
+        post = update(build_prior([parse("x")]), Dataset([[1.0]], [1.0]))
+        with pytest.raises(InvalidInputError):
+            predict(post, np.zeros((2, 0)))

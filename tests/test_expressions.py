@@ -15,6 +15,7 @@ from hyperpolate.expressions import (
     ShapeEnumerator,
     assign_slots,
     canonical_simplify,
+    compile_expr,
     compile_shape,
     const,
     evaluate,
@@ -25,6 +26,8 @@ from hyperpolate.expressions import (
     var,
 )
 from hyperpolate.symbolic import _profiled_sse, _profiled_sse_1d
+
+from _oracles import eval_expr
 
 
 class TestSerializeParse:
@@ -113,6 +116,20 @@ class TestSimplify:
         e = canonical_simplify(assign_slots(shape, (1.0, 0.0, 0.0)))
         assert serialize(e) == "div(1,0)"
 
+    def test_zero_times_a_domain_error_is_kept(self):
+        e = parse("mul(0,sqrt(x))")
+        assert serialize(e) == "mul(sqrt(x),0)"
+        out = evaluate(e, {"x": np.array([-1.0, 4.0])})
+        assert np.isnan(out[0]) and out[1] == 0.0
+        # factors defined at every real argument still fold
+        assert serialize(parse("mul(0,x,cos(sub(x,y)))")) == "0"
+
+    def test_zero_divided_is_not_folded(self):
+        assert serialize(parse("div(0,0)")) == "div(0,0)"
+        assert np.isnan(evaluate(parse("div(0,0)"), {}))
+        assert serialize(parse("div(0,x)")) == "div(0,x)"
+        assert serialize(parse("div(0,2)")) == "0"  # constant evaluation
+
 
 class TestEvaluate:
     def test_vectorized(self):
@@ -176,6 +193,42 @@ class TestCompileShape:
     def test_unknown_operator(self):
         with pytest.raises(InvalidInputError):
             compile_shape(("tan", ("slot",)), {})
+
+
+class TestCompileExpr:
+    SLOTS = (-1.5, 0.75, 2.0, 3.0, -0.25)
+    SAMPLES = TestCompileShape.SAMPLES
+
+    @staticmethod
+    def _shapes(variables, max_nodes):
+        en = ShapeEnumerator(Grammar(variables=variables))
+        return [("slot",)] + [s for n in range(1, max_nodes + 1) for s in en.shapes(n)]
+
+    @pytest.mark.parametrize("variables, max_nodes", [(("t",), 5), (("x", "y"), 4)])
+    def test_matches_reference_walker(self, variables, max_nodes):
+        # one compiled form per shape, called on every sample set
+        envs = []
+        for name in sorted(self.SAMPLES):
+            t = self.SAMPLES[name]
+            envs.append({v: t[::-1] if i else t for i, v in enumerate(variables)})
+        finite = 0
+        for shape in self._shapes(variables, max_nodes):
+            fn = compile_expr(shape)
+            values = list(self.SLOTS[: slot_count(shape)])
+            for env in envs:
+                with np.errstate(all="ignore"):
+                    got = fn(env, values)
+                want = eval_expr(shape, env, values)
+                assert np.array_equal(got, want, equal_nan=True), serialize(shape)
+                assert np.array_equal(evaluate(shape, env, values), want, equal_nan=True)
+                finite += bool(np.all(np.isfinite(got)))
+        assert finite > 0
+
+    def test_unknown_operator(self):
+        with pytest.raises(InvalidInputError):
+            compile_expr(("tan", var("x")))
+        with pytest.raises(InvalidInputError):
+            evaluate(("tan", var("x")), {"x": np.zeros(2)})
 
 
 class TestComplexity:

@@ -15,6 +15,7 @@ from hyperpolate import (
     affine_hull,
     classify,
     generate_case,
+    hull_chart,
     hyperpolation_distance,
     in_convex_hull,
     project,
@@ -76,6 +77,35 @@ class TestAffineHull:
     def test_bad_tol(self):
         with pytest.raises(InvalidInputError):
             affine_hull(line_dataset(), tol=0.0)
+
+    def test_nan_tol_rejected(self):
+        with pytest.raises(InvalidInputError):
+            affine_hull(line_dataset(), tol=float("nan"))
+
+    def test_one_fit_per_dataset_and_tol(self, monkeypatch):
+        svd = np.linalg.svd
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        data = Dataset([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]], [0.0, 1.0, 2.0])
+        queries = np.array([[0.5, 0.5], [3.0, 3.0], [1.0, 0.0]])
+        for q in queries:
+            classify(q, data)
+        classify(queries, data)
+        hyperpolation_distance(queries[0], data)
+        hyperpolation_distance(queries, data)
+        hull_chart(data)
+        assert affine_hull(data) is affine_hull(data, tol=1e-8)
+        assert len(calls) == 1
+        assert affine_hull(data, tol=1e-3) is not affine_hull(data)
+        assert len(calls) == 2
+        # a new dataset fits its own hull
+        affine_hull(data.with_sample([3.0, 3.0], 3.0))
+        assert len(calls) == 3
 
 
 class TestProject:
