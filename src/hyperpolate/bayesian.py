@@ -216,7 +216,8 @@ def update(prior, data):
 
 def predict(post, p):
     """Predictive distribution at one query point (a 1-D coordinate
-    sequence), or a list of them for the rows of an (n, dim) ndarray.
+    sequence), or a list of them for the rows of an (n, dim) array or
+    nested sequence, as ``classify`` reads its queries.
 
     Hypothesis values closer than ``MERGE_TOL`` collapse into one atom, so a
     mirror-symmetric pair queried on its symmetry axis yields a point mass.
@@ -226,8 +227,8 @@ def predict(post, p):
     if post.is_empty:
         raise NoPredictionError("cannot predict from an empty posterior")
     pts = np.asarray(p, dtype=float)
-    batch = isinstance(p, np.ndarray) and pts.ndim == 2
-    if pts.ndim != (2 if batch else 1) or pts.shape[-1] == 0:
+    batch = pts.ndim == 2
+    if pts.ndim not in (1, 2) or pts.shape[-1] == 0:
         raise InvalidInputError(
             f"predict takes one point or an (n, dim) array, got shape {pts.shape}"
         )

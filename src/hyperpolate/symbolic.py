@@ -28,7 +28,6 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
-from scipy.optimize import minimize, minimize_scalar
 
 from .errors import DimensionMismatchError, UnsupportedGeometryError
 from .expressions import (
@@ -227,6 +226,13 @@ def _scale_grid(envs, target):
     return grid
 
 
+def _full(values, shape):
+    """``np.broadcast_to(np.asarray(values, dtype=float), shape)``, without
+    the call when the values already have that shape."""
+    values = np.asarray(values, dtype=float)
+    return values if values.shape == shape else np.broadcast_to(values, shape)
+
+
 def _linear_split(shape):
     """Strip profiled linear slots: shape == (core * c_a) + c_b.
 
@@ -288,34 +294,314 @@ def _profiled_sse(u, y, has_mul, has_add):
     return sse, ca, cb
 
 
-def _profiled_sse_1d(u, y, has_mul, has_add):
-    """``_profiled_sse(u, y, has_mul, has_add)[0]`` for an (m,) core vector.
+class _LaneObjective:
+    """The profiled SSE of a shape's core as a function of its slot values,
+    for many slot values per call.
 
-    The same numpy operations in the same order, on (m,) instead of (m, 1):
-    the reductions give bit-equal results either way.  Multiplying by the
-    profiled 1 and adding the profiled 0 are exact and left out.  A
-    non-finite entry of ``u`` always makes the sum non-finite, so the SSE
-    alone decides the infinite result.
+    ``at`` and ``at_grid`` are the core's ``compile_shape`` evaluators.
+    Given each slot's values as an (L, 1) column, ``at`` yields the (L, m)
+    table of L lanes' core values, one C-contiguous row per lane.
     """
-    if has_mul and has_add:
-        um = u.mean()
-        ym = y.mean()
-        uc = u - um
-        varu = (uc * uc).sum()
-        cov = (uc * (y - ym)).sum()
-        ca = cov / varu if varu > 0 else 0.0
-        resid = u * ca + (ym - ca * um) - y
-    elif has_mul:
-        uu = (u * u).sum()
-        uy = (u * y).sum()
-        ca = uy / uu if uu > 0 else 0.0
-        resid = u * ca - y
-    elif has_add:
-        resid = u + (y - u).mean() - y
-    else:
-        resid = u - y
-    sse = float((resid * resid).sum())
-    return sse if math.isfinite(sse) else math.inf
+
+    def __init__(self, at, at_grid, target, has_mul, has_add):
+        self.at = at
+        self.at_grid = at_grid
+        self.target = target
+        self.has_mul = has_mul
+        self.has_add = has_add
+        self.ym = target.mean()
+        self.yc = target - self.ym
+
+    def grid_sse(self, values):
+        """SSE at each entry of the last slot value, a (G,) vector, the
+        others being scalars: the (m, G) column form, for choosing starts."""
+        u = _full(self.at_grid(values), (self.target.size, values[-1].size))
+        return _profiled_sse(u, self.target, self.has_mul, self.has_add)[0]
+
+    def __call__(self, points, ceiling=math.inf):
+        """SSE at each of L points (slot values: all scalars or all
+        k-vectors), each bit-equal to the SSE of that point alone, and at
+        most ``ceiling``."""
+        pts = np.array(points, dtype=float)
+        columns = (pts[:, None],) if pts.ndim == 1 else pts.T.copy()[:, :, None]
+        u = _full(self.at(tuple(columns)), (len(points), self.target.size))
+        return self.rows_sse(u, ceiling)
+
+    def capped(self, points):
+        """``self(points)`` at most 1e300, so that a bounded Brent run sees
+        no infinite value."""
+        return self(points, 1e300)
+
+    def rows_sse(self, u, ceiling=math.inf):
+        """``min(_profiled_sse(row, target, ...)[0], ceiling)`` for each row
+        of an (L, m) table.
+
+        Each row goes through the numpy operations ``_profiled_sse``
+        applies to one (m, 1) column, in the same order, and a mean is the
+        sum divided by m, as ``ndarray.mean`` computes it.  A row sum is
+        numpy's pairwise sum of that row, as for a single vector, so every
+        lane's SSE is bit-equal to the SSE of that lane alone; the column
+        sums of an (m, L) table add sequentially and are not.  Multiplying
+        by the profiled 1 and adding the profiled 0 are exact and left out.
+        A non-finite core value always makes its row's sum non-finite (nan
+        or inf), which ``fmin`` turns into the ceiling.
+        """
+        y = self.target
+        m = y.size
+        if self.has_mul and self.has_add:
+            um = np.add.reduce(u, axis=1, keepdims=True) / m
+            uc = u - um
+            varu = np.add.reduce(uc * uc, axis=1)
+            cov = np.add.reduce(uc * self.yc, axis=1)
+            ca = np.where(varu > 0, cov / varu, 0.0)[:, None]
+            resid = u * ca + (self.ym - ca * um) - y
+        elif self.has_mul:
+            uu = np.add.reduce(u * u, axis=1)
+            uy = np.add.reduce(u * y, axis=1)
+            ca = np.where(uu > 0, uy / uu, 0.0)[:, None]
+            resid = u * ca - y
+        elif self.has_add:
+            resid = u + np.add.reduce(y - u, axis=1, keepdims=True) / m - y
+        else:
+            resid = u - y
+        return np.fmin(np.add.reduce(resid * resid, axis=1), ceiling)
+
+
+# The two minimizers below are the loops of scipy 1.17.1's
+# ``scipy.optimize._optimize._minimize_scalar_bounded`` and
+# ``_minimize_neldermead`` (BSD-3-Clause, Copyright (c) 2001-2002 Enthought,
+# Inc. and 2003 onwards SciPy Developers), turned into generators: each
+# yields its next trial point and is sent that point's objective value
+# (``fx = yield x``), so that ``_lockstep`` can evaluate many runs at once.
+# Messages, callbacks and result objects are left out; every iterate is
+# computed as scipy computes it.  In the Brent loop numpy's scalar ``abs``,
+# ``sign`` and ``maximum`` are Python's ``abs``, a sign test and ``max``,
+# which give the same floats on Python floats, faster.
+
+
+def _bounded_brent(x1, x2, xatol=1e-12, maxfun=500):
+    """Bounded Brent minimisation over [x1, x2]; returns (x, f(x)).
+
+    ``minimize_scalar(f, bounds=(x1, x2), method="bounded",
+    options={"xatol": xatol, "maxiter": maxfun})``, one evaluation per step.
+    """
+    sqrt_eps = math.sqrt(2.2e-16)
+    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
+    a, b = x1, x2
+    fulc = a + golden_mean * (b - a)
+    nfc, xf = fulc, fulc
+    rat = e = 0.0
+    x = xf
+    fx = yield x
+    num = 1
+
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+
+    while abs(xf - xm) > (tol2 - 0.5 * (b - a)):
+        golden = 1
+        # Check for parabolic fit
+        if abs(e) > tol1:
+            golden = 0
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r = e
+            e = rat
+
+            # Check for acceptability of parabola
+            if (
+                (abs(p) < abs(0.5 * q * r))
+                and (p > q * (a - xf))
+                and (p < q * (b - xf))
+            ):
+                rat = (p + 0.0) / q
+                x = xf + rat
+
+                if ((x - a) < tol2) or ((b - x) < tol2):
+                    # scipy: rat = tol1 * (np.sign(xm - xf) + ((xm - xf) == 0))
+                    rat = -tol1 if xm - xf < 0 else tol1
+            else:  # do a golden-section step
+                golden = 1
+
+        if golden:  # do a golden-section step
+            if xf >= xm:
+                e = a - xf
+            else:
+                e = b - xf
+            rat = golden_mean * e
+
+        # scipy: si = np.sign(rat) + (rat == 0)
+        #        x = xf + si * np.maximum(np.abs(rat), tol1)
+        step = max(abs(rat), tol1)
+        x = xf - step if rat < 0 else xf + step
+        fu = yield x
+        num += 1
+
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if (fu <= fnfc) or (nfc == xf):
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif (fu <= ffulc) or (fulc == xf) or (fulc == nfc):
+                fulc, ffulc = x, fu
+
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+
+        if num >= maxfun:
+            break
+
+    return xf, fx
+
+
+def _nelder_mead(x0, xatol=1e-10, fatol=1e-14, maxiter=400):
+    """Nelder-Mead minimisation from ``x0``; returns (x, f(x)).
+
+    ``minimize(f, x0, method="Nelder-Mead", options={"xatol": xatol,
+    "fatol": fatol, "maxiter": maxiter})``: the non-adaptive, unbounded form
+    with no cap on evaluations, one evaluation per step.
+    """
+    rho, chi, psi, sigma = 1, 2, 0.5, 0.5
+    nonzdelt = 0.05
+    zdelt = 0.00025
+
+    x0 = np.asarray(x0, dtype=float)
+    N = len(x0)
+    sim = np.empty((N + 1, N), dtype=x0.dtype)
+    sim[0] = x0
+    for k in range(N):
+        y = np.array(x0, copy=True)
+        if y[k] != 0:
+            y[k] = (1 + nonzdelt) * y[k]
+        else:
+            y[k] = zdelt
+        sim[k + 1] = y
+
+    fsim = np.full((N + 1,), np.inf, dtype=float)
+    for k in range(N + 1):
+        fsim[k] = yield sim[k]
+    ind = np.argsort(fsim)
+    sim = np.take(sim, ind, 0)
+    fsim = np.take(fsim, ind, 0)
+
+    ind = np.argsort(fsim)
+    fsim = np.take(fsim, ind, 0)
+    # sort so sim[0,:] has the lowest function value
+    sim = np.take(sim, ind, 0)
+
+    iterations = 1
+
+    while iterations < maxiter:
+        if (
+            np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= xatol
+            and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol
+        ):
+            break
+
+        xbar = np.add.reduce(sim[:-1], 0) / N
+        xr = (1 + rho) * xbar - rho * sim[-1]
+        fxr = yield xr
+        doshrink = 0
+
+        if fxr < fsim[0]:
+            xe = (1 + rho * chi) * xbar - rho * chi * sim[-1]
+            fxe = yield xe
+
+            if fxe < fxr:
+                sim[-1] = xe
+                fsim[-1] = fxe
+            else:
+                sim[-1] = xr
+                fsim[-1] = fxr
+        else:  # fsim[0] <= fxr
+            if fxr < fsim[-2]:
+                sim[-1] = xr
+                fsim[-1] = fxr
+            else:  # fxr >= fsim[-2]
+                # Perform contraction
+                if fxr < fsim[-1]:
+                    xc = (1 + psi * rho) * xbar - psi * rho * sim[-1]
+                    fxc = yield xc
+
+                    if fxc <= fxr:
+                        sim[-1] = xc
+                        fsim[-1] = fxc
+                    else:
+                        doshrink = 1
+                else:
+                    # Perform an inside contraction
+                    xcc = (1 - psi) * xbar + psi * sim[-1]
+                    fxcc = yield xcc
+
+                    if fxcc < fsim[-1]:
+                        sim[-1] = xcc
+                        fsim[-1] = fxcc
+                    else:
+                        doshrink = 1
+
+                if doshrink:
+                    for j in range(1, N + 1):
+                        sim[j] = sim[0] + sigma * (sim[j] - sim[0])
+                        fsim[j] = yield sim[j]
+        iterations += 1
+        ind = np.argsort(fsim)
+        sim = np.take(sim, ind, 0)
+        fsim = np.take(fsim, ind, 0)
+
+    return sim[0], np.min(fsim)
+
+
+def _lockstep(lanes, objective):
+    """Run minimizer generators together; returns their results in order.
+
+    Each step sends every live lane the value at the point it yielded last,
+    computed for all of them by one call ``objective(points)``: given the
+    list of the live lanes' points, it returns an array of their values.
+    """
+    results = [None] * len(lanes)
+    live = list(range(len(lanes)))
+    points = [next(lane) for lane in lanes]
+    while live:
+        values = objective([points[i] for i in live]).tolist()
+        still = []
+        for i, fx in zip(live, values):
+            try:
+                points[i] = lanes[i].send(fx)
+            except StopIteration as stop:
+                results[i] = stop.value
+            else:
+                still.append(i)
+        live = still
+    return results
+
+
+def _first_best(runs):
+    """(constants, sse) of the first run with the least finite SSE, or
+    (None, inf) when no run has one."""
+    best_v, best_sse = None, np.inf
+    for x, fx in runs:
+        if np.isfinite(fx) and fx < best_sse:
+            best_sse, best_v = float(fx), tuple(float(v) for v in np.atleast_1d(x))
+    return best_v, best_sse
 
 
 class _ShapeFitter:
@@ -327,7 +613,9 @@ class _ShapeFitter:
         self.grid = _scale_grid(self.envs, self.target)
 
     def fit(self, shape):
-        """Return (const_vector, sse) or None when no finite fit exists."""
+        """Return (const_vector, sse, max_abs) or None when no finite fit
+        exists.  ``max_abs`` is the max-abs residual of a slot-free shape,
+        whose values the fit computes anyway, and None for other shapes."""
         with np.errstate(all="ignore"):
             return self._fit(shape)
 
@@ -336,35 +624,27 @@ class _ShapeFitter:
         core, has_mul, has_add = _linear_split(shape)
         k_inner, at, at_grid = compile_shape(core, self.envs)
         if k_inner == 0 and not (has_mul or has_add):
-            vals = np.broadcast_to(np.asarray(at(()), dtype=float), target.shape)
+            vals = _full(at(()), target.shape)
             if not np.all(np.isfinite(vals)):
                 return None
             resid = vals - target
-            return (), float(resid @ resid)
-        if is_slot(core):
-            # the bare constant: no variable gives its values the samples' shape
-            def at(c):
-                return np.broadcast_to(np.asarray(c[0], dtype=float), target.shape)
-
+            return (), float(resid @ resid), float(np.max(np.abs(resid)))
         inner = ()
         if k_inner:
-
-            def sse_of(c):
-                return _profiled_sse_1d(at(c), target, has_mul, has_add)
-
+            lanes = _LaneObjective(at, at_grid, target, has_mul, has_add)
             if k_inner == 1:
-                inner, sse = self._fit_inner1(at_grid, sse_of, has_mul, has_add)
+                inner, sse = self._fit_inner1(lanes)
             elif k_inner == 2:
-                inner, sse = self._fit_inner2(at_grid, sse_of, has_mul, has_add)
+                inner, sse = self._fit_inner2(lanes)
             else:
-                inner, sse = self._fit_inner_many(sse_of, k_inner)
+                inner, sse = self._fit_inner_many(lanes, k_inner)
             if inner is None or not np.isfinite(sse):
                 return None
-        u = np.broadcast_to(np.asarray(at(inner), dtype=float), target.shape)
+        u = _full(at(inner), target.shape)
         sse, ca, cb = _profiled_sse(u, target, has_mul, has_add)
         if not np.isfinite(sse):
             return None
-        return self._assemble(inner, ca, cb, has_mul, has_add), sse
+        return self._assemble(inner, ca, cb, has_mul, has_add), sse, None
 
     def _assemble(self, inner, ca, cb, has_mul, has_add):
         out = list(inner)
@@ -374,74 +654,40 @@ class _ShapeFitter:
             out.append(float(cb))
         return tuple(out)
 
-    def _fit_inner1(self, at_grid, sse_of, has_mul, has_add):
+    def _fit_inner1(self, lanes):
         grid = self.grid
-        u = np.broadcast_to(
-            np.asarray(at_grid((grid,)), dtype=float), (self.target.size, grid.size)
-        )
-        sse, _, _ = _profiled_sse(u, self.target, has_mul, has_add)
-        order = np.argsort(sse, kind="stable")[:3]
-        best_c, best_sse = None, np.inf
-        for idx in order:
+        sse = lanes.grid_sse((grid,))
+        brackets = []
+        for idx in np.argsort(sse, kind="stable")[:3]:
             if not np.isfinite(sse[idx]):
                 continue
             lo = grid[idx - 1] if idx > 0 else grid[idx] - 1.0
             hi = grid[idx + 1] if idx + 1 < grid.size else grid[idx] + 1.0
-            res = minimize_scalar(
-                lambda c: min(sse_of((c,)), 1e300),
-                bounds=(lo, hi),
-                method="bounded",
-                options={"xatol": 1e-12},
-            )
-            cand_sse = float(res.fun)
-            if np.isfinite(cand_sse) and cand_sse < best_sse:
-                best_sse, best_c = cand_sse, float(res.x)
-        if best_c is None:
-            return None, np.inf
-        return (best_c,), best_sse
+            brackets.append((float(lo), float(hi)))
+        runs = [_bounded_brent(lo, hi) for lo, hi in brackets]
+        return _first_best(_lockstep(runs, lanes.capped))
 
     def _coarse(self):
         g = self.grid
         return g[:: max(1, g.size // 28)]
 
-    def _fit_inner2(self, at_grid, sse_of, has_mul, has_add):
+    def _fit_inner2(self, lanes):
         coarse = self._coarse()
         best = []
         for c1 in coarse:
-            u = np.broadcast_to(
-                np.asarray(at_grid((c1, coarse)), dtype=float),
-                (self.target.size, coarse.size),
-            )
-            sse, _, _ = _profiled_sse(u, self.target, has_mul, has_add)
+            sse = lanes.grid_sse((c1, coarse))
             idx = int(np.argmin(sse))
             if np.isfinite(sse[idx]):
                 best.append((float(sse[idx]), float(c1), float(coarse[idx])))
         best.sort()
-        best_v, best_sse = None, np.inf
-        for _, c1, c2 in best[:3]:
-            res = minimize(
-                sse_of,
-                x0=[c1, c2],
-                method="Nelder-Mead",
-                options={"xatol": 1e-10, "fatol": 1e-14, "maxiter": 400},
-            )
-            if np.isfinite(res.fun) and res.fun < best_sse:
-                best_sse, best_v = float(res.fun), tuple(float(v) for v in res.x)
-        return best_v, best_sse
+        runs = [_nelder_mead((c1, c2)) for _, c1, c2 in best[:3]]
+        return _first_best(_lockstep(runs, lanes))
 
-    def _fit_inner_many(self, sse_of, k):
+    def _fit_inner_many(self, lanes, k):
         starts = [0.0, 1.0, -1.0, 2.0]
-        best_v, best_sse = None, np.inf
-        for combo in itertools.islice(itertools.product(starts, repeat=k), 64):
-            res = minimize(
-                sse_of,
-                x0=list(combo),
-                method="Nelder-Mead",
-                options={"xatol": 1e-10, "fatol": 1e-14, "maxiter": 600},
-            )
-            if np.isfinite(res.fun) and res.fun < best_sse:
-                best_sse, best_v = float(res.fun), tuple(float(v) for v in res.x)
-        return best_v, best_sse
+        combos = itertools.islice(itertools.product(starts, repeat=k), 64)
+        runs = [_nelder_mead(x0, maxiter=600) for x0 in combos]
+        return _first_best(_lockstep(runs, lanes))
 
     def snap(self, shape, consts, sse):
         """Round near-integer constants when the fit does not degrade."""
@@ -464,7 +710,7 @@ class _ShapeFitter:
 
     def residual_of(self, expr):
         vals = evaluate(expr, self.envs)
-        vals = np.broadcast_to(np.asarray(vals, dtype=float), self.target.shape)
+        vals = _full(vals, self.target.shape)
         if not np.all(np.isfinite(vals)):
             return np.inf
         return float(np.max(np.abs(vals - self.target)))
@@ -524,11 +770,17 @@ def _iter_fitted(fitter, grammar, budget, strict, score_floor_cb):
         fit = fitter.fit(shape)
         if fit is None:
             return None
-        consts, sse = fitter.snap(shape, *fit)
+        consts, sse, max_abs = fit
+        consts, sse = fitter.snap(shape, consts, sse)
         expr = canonical_simplify(assign_slots(shape, consts))
         if node_count(expr) < node_count(shape):
             return None  # folded duplicate of a smaller shape
-        residual = fitter.residual_of(expr)
+        if max_abs is not None and expr == shape:
+            # the fit evaluated this very expression (compile_shape's values
+            # are evaluate's, bit for bit)
+            residual = max_abs
+        else:
+            residual = fitter.residual_of(expr)
         if not np.isfinite(residual):
             return None
         return expr, residual

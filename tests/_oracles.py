@@ -5,6 +5,8 @@ imports from the package under test.  The acceptance tests freeze the numbers
 these oracles produce; rerunning ``python tests/_oracles.py`` reprints them.
 """
 
+import itertools
+
 import numpy as np
 
 BAND_EDGES = (0.0, 1.0, 5.0, 10.0, 20.0, 40.0)
@@ -304,6 +306,125 @@ def eval_expr(e, env, slot_values=()):
 
     with np.errstate(all="ignore"):
         return rec(e)
+
+
+# ---------------------------------------------------------------------------
+# constant-fitting oracle: scipy's minimizers, one start at a time
+# ---------------------------------------------------------------------------
+
+
+def profiled_sse(u, y, has_mul, has_add):
+    """SSE of the least-squares profiled (c_a, c_b) in ``u * c_a + c_b``
+    given core values ``u`` of shape (m, G): an array over G."""
+    y = y[:, None]
+    bad = ~np.isfinite(u).all(axis=0)
+    if has_mul and has_add:
+        um = u.mean(axis=0)
+        ym = y.mean(axis=0)
+        uc = u - um
+        varu = (uc * uc).sum(axis=0)
+        cov = (uc * (y - ym)).sum(axis=0)
+        ca = np.where(varu > 0, cov / np.where(varu > 0, varu, 1.0), 0.0)
+        cb = ym - ca * um
+    elif has_mul:
+        uu = (u * u).sum(axis=0)
+        uy = (u * y).sum(axis=0)
+        ca = np.where(uu > 0, uy / np.where(uu > 0, uu, 1.0), 0.0)
+        cb = np.zeros_like(ca)
+    elif has_add:
+        ca = np.ones(u.shape[1])
+        cb = (y - u).mean(axis=0)
+    else:
+        ca, cb = np.ones(u.shape[1]), np.zeros(u.shape[1])
+    resid = u * ca + cb - y if (has_mul or has_add) else u - y
+    sse = (resid * resid).sum(axis=0)
+    return np.where(bad | ~np.isfinite(sse), np.inf, sse)
+
+
+def profiled_sse_1d(u, y, has_mul, has_add):
+    """``profiled_sse`` of one (m,) core vector, as a float."""
+    if has_mul and has_add:
+        um = u.mean()
+        ym = y.mean()
+        uc = u - um
+        varu = (uc * uc).sum()
+        cov = (uc * (y - ym)).sum()
+        ca = cov / varu if varu > 0 else 0.0
+        resid = u * ca + (ym - ca * um) - y
+    elif has_mul:
+        uu = (u * u).sum()
+        uy = (u * y).sum()
+        ca = uy / uu if uu > 0 else 0.0
+        resid = u * ca - y
+    elif has_add:
+        resid = u + (y - u).mean() - y
+    else:
+        resid = u - y
+    sse = float((resid * resid).sum())
+    return sse if np.isfinite(sse) else np.inf
+
+
+def scipy_fit_inner(k, grid, target, at, at_grid, has_mul, has_add):
+    """(inner constants, SSE) of a shape's core with ``k`` slots, or
+    (None, inf): starts chosen on ``grid`` (three bounded-Brent brackets
+    for one slot, three Nelder-Mead starts from a coarse grid for two, 64
+    fixed starts for more), each refined by its own scipy call on the
+    profiled SSE of ``at(c)``; the first best refinement wins.  ``at`` and
+    ``at_grid`` are a compiled core's evaluators (``at_grid`` maps a (G,)
+    slot vector to an (m, G) table)."""
+    from scipy.optimize import minimize, minimize_scalar
+
+    m = target.size
+
+    def sse_of(c):
+        u = np.broadcast_to(np.asarray(at(c), dtype=float), target.shape)
+        return profiled_sse_1d(u, target, has_mul, has_add)
+
+    def table_sse(values, n):
+        u = np.broadcast_to(np.asarray(at_grid(values), dtype=float), (m, n))
+        return profiled_sse(u, target, has_mul, has_add)
+
+    if k == 1:
+        sse = table_sse((grid,), grid.size)
+        best_c, best_sse = None, np.inf
+        for idx in np.argsort(sse, kind="stable")[:3]:
+            if not np.isfinite(sse[idx]):
+                continue
+            lo = grid[idx - 1] if idx > 0 else grid[idx] - 1.0
+            hi = grid[idx + 1] if idx + 1 < grid.size else grid[idx] + 1.0
+            res = minimize_scalar(
+                lambda c: min(sse_of((c,)), 1e300),
+                bounds=(lo, hi),
+                method="bounded",
+                options={"xatol": 1e-12},
+            )
+            if np.isfinite(res.fun) and float(res.fun) < best_sse:
+                best_sse, best_c = float(res.fun), float(res.x)
+        return (None, np.inf) if best_c is None else ((best_c,), best_sse)
+    if k == 2:
+        coarse = grid[:: max(1, grid.size // 28)]
+        best = []
+        for c1 in coarse:
+            sse = table_sse((c1, coarse), coarse.size)
+            idx = int(np.argmin(sse))
+            if np.isfinite(sse[idx]):
+                best.append((float(sse[idx]), float(c1), float(coarse[idx])))
+        best.sort()
+        starts, maxiter = [[c1, c2] for _, c1, c2 in best[:3]], 400
+    else:
+        combos = itertools.product((0.0, 1.0, -1.0, 2.0), repeat=k)
+        starts, maxiter = [list(c) for c in itertools.islice(combos, 64)], 600
+    best_v, best_sse = None, np.inf
+    for x0 in starts:
+        res = minimize(
+            sse_of,
+            x0=x0,
+            method="Nelder-Mead",
+            options={"xatol": 1e-10, "fatol": 1e-14, "maxiter": maxiter},
+        )
+        if np.isfinite(res.fun) and res.fun < best_sse:
+            best_sse, best_v = float(res.fun), tuple(float(v) for v in res.x)
+    return best_v, best_sse
 
 
 if __name__ == "__main__":

@@ -146,6 +146,14 @@ class TestPredict:
     def test_query_must_be_one_point(self, query):
         family = build_prior([parse("pow2(x)")])
         post = update(family, Dataset([[1.0], [2.0]], [1.0, 4.0]))
+        if np.ndim(query) == 2:
+            # a nested list is a batch of points, as for an (n, dim) array
+            # and as classify reads it
+            got = predict(post, query)
+            want = predict(post, np.array(query))
+            assert len(got) == 2
+            assert all(_same_distribution(a, b) for a, b in zip(got, want))
+            return
         with pytest.raises(InvalidInputError):
             predict(post, query)
 

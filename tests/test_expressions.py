@@ -25,7 +25,7 @@ from hyperpolate.expressions import (
     substitute,
     var,
 )
-from hyperpolate.symbolic import _profiled_sse, _profiled_sse_1d
+from hyperpolate.symbolic import _LaneObjective, _profiled_sse
 
 from _oracles import eval_expr
 
@@ -183,11 +183,28 @@ class TestCompileShape:
                 assert np.array_equal(got_grid, want_grid, equal_nan=True), serialize(shape)
             u = np.broadcast_to(np.asarray(got, dtype=float), t.shape)
             finite += bool(np.all(np.isfinite(u)))
+            # lanes: one row per slot-value point, each reduced on its own
+            rows = np.stack([u, u[::-1], 0.5 * u])
+            points = [self.SCALARS[i : i + k] for i in range(len(self.SCALARS) - k + 1)]
+            if k == 1:
+                points = [p[0] for p in points]  # bounded Brent's scalar points
             for has_mul in (False, True):
                 for has_add in (False, True):
+                    lanes = _LaneObjective(at, at_grid, y, has_mul, has_add)
                     with np.errstate(all="ignore"):
-                        fast = _profiled_sse_1d(u, y, has_mul, has_add)
-                    assert fast == _profiled_sse(u, y, has_mul, has_add)[0], serialize(shape)
+                        got_rows = lanes.rows_sse(rows)
+                        want_rows = [_profiled_sse(r, y, has_mul, has_add)[0] for r in rows]
+                        assert got_rows.tolist() == want_rows, serialize(shape)
+                        if not k:
+                            continue
+                        got_lanes = lanes(points)
+                        want_lanes = [
+                            _profiled_sse(
+                                np.broadcast_to(at(np.atleast_1d(p)), t.shape), y, has_mul, has_add
+                            )[0]
+                            for p in points
+                        ]
+                    assert got_lanes.tolist() == want_lanes, serialize(shape)
         assert finite > 0
 
     def test_unknown_operator(self):

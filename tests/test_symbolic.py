@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+from scipy.optimize import minimize, minimize_scalar
 
 from hyperpolate import (
     Dataset,
@@ -16,8 +19,16 @@ from hyperpolate import (
     top_tie_set,
 )
 from hyperpolate import symbolic
-from hyperpolate.expressions import ShapeEnumerator, expr_depth, node_count
+from hyperpolate.expressions import (
+    ShapeEnumerator,
+    compile_shape,
+    expr_depth,
+    node_count,
+    slot_count,
+)
 from hyperpolate.symbolic import predict_candidate
+
+import _oracles as oracles
 
 
 def small_grammar(max_nodes=5):
@@ -275,3 +286,145 @@ class TestPrediction:
         pts = np.array([[0.0, 0.0], [3.0, 5.0], [-11.0, -7.0]])
         expected = np.cos(np.sqrt(pts[:, 0] ** 2 + (pts[:, 1] - 20.0) ** 2))
         assert np.allclose(predict_candidate(minus, pts), expected, atol=1e-12)
+
+
+def _pointwise(f):
+    """A lockstep objective that evaluates ``f`` at each point on its own."""
+    return lambda points: np.array([f(p) for p in points], dtype=float)
+
+
+def _rosenbrock(scale):
+    return lambda x: (1 - x[0]) ** 2 + scale * (x[1] - x[0] ** 2) ** 2
+
+
+# objective, brackets; the comment names the steps each case exercises
+BRENT_CASES = {
+    # smooth: parabolic steps, with golden ones where a parabola is refused
+    "wavy": (lambda x: (x - 0.3) ** 2 + 0.1 * math.sin(5 * x), [(-2.0, 3.0), (-1.0, 0.5), (0.5, 2.5)]),
+    # a kink at the minimum: mostly golden-section steps
+    "vee": (lambda x: abs(x - 0.3), [(-2.0, 3.0), (0.0, 0.4)]),
+    # the fitter's 1e300 clamp of an infinite SSE: a plateau left of 0.5
+    "plateau": (lambda x: 1e300 if x < 0.5 else (x - 0.7) ** 2, [(-3.0, 1.0), (-3.0, 0.6)]),
+    # minimum on the bound of a huge bracket: stops at the 500-call cap
+    "cap": (lambda x: x, [(0.0, 1e300)]),
+}
+
+# objective, starts
+NELDER_MEAD_CASES = {
+    # expansions and both contractions; (0, 0) and (0, 1) start on zdelt
+    "rosenbrock": (_rosenbrock(100.0), [(-1.2, 1.0), (0.0, 0.0), (0.0, 1.0)]),
+    # plateaus: the inside contraction fails and the simplex shrinks
+    "steps": (
+        lambda x: float(np.floor(4 * abs(x[0] - 0.3)) + np.floor(4 * abs(x[1] + 0.2))),
+        [(2.0, -1.0), (0.0, 0.0)],
+    ),
+    # the outside contraction fails and the simplex shrinks
+    "sawtooth": (
+        lambda x: (x[0] % 0.37) + (x[1] % 0.29) + 0.01 * (x[0] ** 2 + x[1] ** 2),
+        [(3.0, 2.0)],
+    ),
+    # an infinite SSE left of x0 = 0
+    "infinite": (
+        lambda x: math.inf if x[0] < 0 else (x[0] - 1) ** 2 + x[1] ** 2,
+        [(0.5, 0.5), (0.0, 2.0)],
+    ),
+    # a narrow curved valley: stops at the 400-iteration cap
+    "cap": (_rosenbrock(1e6), [(-1.2, 1.0)]),
+}
+
+
+def _noisy_cone1():
+    x = np.arange(-20.0, 21.0)
+    rng = np.random.default_rng(1)
+    return x, np.sqrt(x * x + 1.0) + 0.01 * rng.standard_normal(x.size)
+
+
+def _ripple1d():
+    x = np.arange(-40.0, 41.0)
+    return x, np.cos(np.sqrt(x * x + 400.0))
+
+
+def _scipy_fit(fitter, shape):
+    """``fitter.fit(shape)[:2]`` with the inner constants fitted by the
+    scipy reference in ``_oracles``, one minimizer call per start."""
+    core, has_mul, has_add = symbolic._linear_split(shape)
+    k, at, at_grid = compile_shape(core, fitter.envs)
+    target = fitter.target
+    with np.errstate(all="ignore"):
+        inner, sse = oracles.scipy_fit_inner(k, fitter.grid, target, at, at_grid, has_mul, has_add)
+        if inner is None or not np.isfinite(sse):
+            return None
+        u = np.broadcast_to(np.asarray(at(inner), dtype=float), target.shape)
+        sse, ca, cb = symbolic._profiled_sse(u, target, has_mul, has_add)
+    if not np.isfinite(sse):
+        return None
+    return fitter._assemble(inner, ca, cb, has_mul, has_add), sse
+
+
+class TestLockstepFitting:
+    """The generator minimizers, run as lanes, give scipy's results bit for
+    bit, and so does every constant fit."""
+
+    @pytest.mark.parametrize("case", sorted(BRENT_CASES))
+    def test_bounded_brent_matches_scipy(self, case):
+        f, brackets = BRENT_CASES[case]
+        lanes = [symbolic._bounded_brent(lo, hi) for lo, hi in brackets]
+        runs = symbolic._lockstep(lanes, _pointwise(f))
+        for (lo, hi), (x, fx) in zip(brackets, runs):
+            with np.errstate(all="ignore"):
+                res = minimize_scalar(f, bounds=(lo, hi), method="bounded", options={"xatol": 1e-12})
+            assert (repr(x), repr(fx)) == (repr(float(res.x)), repr(float(res.fun)))
+            assert res.nfev == 500 if case == "cap" else res.nfev < 500
+
+    @pytest.mark.parametrize("case", sorted(NELDER_MEAD_CASES))
+    def test_nelder_mead_matches_scipy(self, case):
+        f, starts = NELDER_MEAD_CASES[case]
+        runs = symbolic._lockstep([symbolic._nelder_mead(x0) for x0 in starts], _pointwise(f))
+        for x0, (x, fx) in zip(starts, runs):
+            res = minimize(
+                f,
+                x0=list(x0),
+                method="Nelder-Mead",
+                options={"xatol": 1e-10, "fatol": 1e-14, "maxiter": 400},
+            )
+            assert x.tobytes() == res.x.tobytes()
+            assert repr(float(fx)) == repr(float(res.fun))
+            assert res.nit == 400 if case == "cap" else res.nit < 400
+
+    @pytest.mark.parametrize("data", [_ripple1d, _noisy_cone1], ids=["ripple1d", "noisy_cone1"])
+    def test_fits_match_scipy_reference(self, data):
+        """Every shape of at most 6 nodes with one or two inner slots."""
+        t, y = data()
+        fitter = symbolic._ShapeFitter({"t": t}, y)
+        enum = ShapeEnumerator(Grammar(variables=("t",)))
+        counts = {1: 0, 2: 0}
+        for shape in (s for n in range(1, 7) for s in enum.shapes(n)):
+            k = slot_count(symbolic._linear_split(shape)[0])
+            if k not in counts:
+                continue
+            counts[k] += 1
+            got = fitter.fit(shape)
+            assert repr(got and got[:2]) == repr(_scipy_fit(fitter, shape)), serialize(shape)
+        assert counts[1] > 2000 and counts[2] > 100
+
+    def test_three_slot_fit_matches_scipy_reference(self):
+        # three inner slots and no profiled ones: 64 Nelder-Mead lanes
+        shape = ("add", ("mul", ("exp", ("mul", ("var", "t"), ("slot",))), ("slot",)),
+                 ("pow2", ("sub", ("var", "t"), ("slot",))))
+        assert symbolic._linear_split(shape) == (shape, False, False)
+        t = np.arange(-4.0, 5.0)
+        fitter = symbolic._ShapeFitter({"t": t}, 2.0 * np.exp(0.3 * t) + (t - 1.0) ** 2)
+        got = fitter.fit(shape)
+        assert repr(got[:2]) == repr(_scipy_fit(fitter, shape))
+        assert got[1] < 1e-12
+        assert np.allclose(got[0], (0.3, 2.0, 1.0), atol=1e-6)
+
+    def test_slot_free_residual_is_the_fits(self):
+        # the search reads a slot-free shape's residual off its fit
+        t, y = _ripple1d()
+        fitter = symbolic._ShapeFitter({"t": t}, y)
+        shape = ("cos", ("sqrt", ("add", ("pow2", ("var", "t")), ("var", "t"))))
+        consts, sse, max_abs = fitter.fit(shape)
+        assert consts == ()
+        assert repr(max_abs) == repr(fitter.residual_of(shape))
+        assert fitter.fit(("add", ("var", "t"), ("slot",)))[2] is None
