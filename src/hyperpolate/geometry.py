@@ -9,12 +9,38 @@ and jointly exhaustive.
 Convex-hull membership is decided by an LP feasibility problem; the affine
 hull is recovered from an SVD of the centred sample locations with a relative
 singular-value cut-off.
+
+Most queries that reach the LP in a batch lie outside the convex hull, and
+the LP only proves that.  ``classify`` first tries to prove it more cheaply,
+with a lower bound on the distance from the query to the convex hull:
+
+* Orthogonal projection onto the affine hull is 1-Lipschitz and maps the
+  convex hull of the samples onto the convex hull of their projections, so
+  the distance from the projected query to the projected hull is a lower
+  bound.  It is in turn at least the query's largest violation of any
+  halfspace that contains every projected sample.  Those halfspaces form a
+  facet table in the hull's intrinsic coordinates: the two ends of the
+  interval for a 1-D hull, Qhull's facets (``scipy.spatial.ConvexHull``;
+  Barber, Dobkin & Huhdanpaa, ACM TOMS 1996) for 2-D and 3-D hulls, none
+  otherwise (a 0-D hull has no facets, and above 3-D the facet count grows
+  as m^floor(d/2)).  The table is checked against every sample when it is
+  built, so no soundness rests on Qhull.
+* The distance of a point off the affine hull is a convex, 1-Lipschitz
+  function, so no convex combination of the samples is farther off than the
+  farthest sample, at R, and a query at residual r is at least r - R from
+  every such combination.
+
+The larger of the two is the bound.  When it exceeds ``hull_tol`` plus a
+rounding allowance, the LP's own test (the reconstruction within
+``hull_tol`` of the query) cannot pass, so skipping it changes no verdict
+and no witness.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linprog
+from scipy.spatial import ConvexHull, QhullError
 
 from .errors import DimensionMismatchError, InvalidInputError
 
@@ -45,6 +71,10 @@ HYPERPOLATION = "hyperpolation"
 DEFAULT_POINT_TOL = 1e-9
 DEFAULT_HULL_TOL = 1e-9
 DEFAULT_SUBSPACE_TOL = 1e-8
+
+# Rounding allowance per sample or coordinate and per unit of magnitude (see
+# classify)
+_ROUNDING = 64.0 * np.finfo(float).eps
 
 
 def _as_coords(p, dim):
@@ -146,6 +176,7 @@ class Dataset:
         self._values.setflags(write=False)
         self.noise_sigma = noise_sigma
         self._hulls = {}  # affine_hull results by tol; the data never change
+        self._facets = {}  # _FacetTable by subspace tol, built on first need
 
     @property
     def locations(self):
@@ -402,6 +433,86 @@ def in_convex_hull(p, data, tol=DEFAULT_HULL_TOL):
     return False, None
 
 
+@dataclass(frozen=True)
+class _FacetTable:
+    """Certificate data for queries outside the samples' convex hull.
+
+    ``normals`` (k, d) are unit normals in the intrinsic coordinates of
+    ``sub`` and ``offsets`` (k,) their offsets, widened by the build check's
+    slack, so every projected sample y has ``normals @ y <= offsets``; both
+    are None when there is no table.  ``reach`` is R, the largest residual
+    of any sample off ``sub``; ``span`` the largest norm of a sample;
+    ``rounding`` is ``64 (m + n) eps`` for m samples in n dimensions.
+    """
+
+    sub: AffineSubspace
+    normals: np.ndarray | None
+    offsets: np.ndarray | None
+    reach: float
+    span: float
+    rounding: float
+
+
+def _facets(coords):
+    """(normals, offsets) of halfspaces containing the rows of ``coords``,
+    or (None, None): an interval for 1-D, Qhull's facets for 2-D and 3-D,
+    nothing for 0-D, above 3-D or when Qhull fails."""
+    dim = coords.shape[1]
+    if dim == 1:
+        return np.array([[1.0], [-1.0]]), np.array([coords.max(), -coords.min()])
+    if dim not in (2, 3):
+        return None, None
+    try:
+        equations = ConvexHull(coords).equations
+    except QhullError:
+        return None, None
+    norms = np.linalg.norm(equations[:, :-1], axis=1)
+    return equations[:, :-1] / norms[:, None], -equations[:, -1] / norms
+
+
+def _facet_table(data, subspace_tol):
+    """The dataset's _FacetTable for ``subspace_tol``, built once."""
+    table = data._facets.get(subspace_tol)
+    if table is None:
+        sub = affine_hull(data, tol=subspace_tol)
+        rel = data.locations - sub.base  # a 0-dim hull has no basis rows
+        coords = rel @ sub.basis.T
+        reach = float(np.linalg.norm(rel - coords @ sub.basis, axis=1).max())
+        span = float(np.linalg.norm(data.locations, axis=1).max())
+        m, n = data.locations.shape
+        rounding = _ROUNDING * (m + n)
+        slack = rounding * span
+        normals, offsets = _facets(coords)
+        if normals is not None:
+            # every halfspace must hold every sample: trust no facet blindly
+            # (in blocks, so the check's table stays near 2**20 entries)
+            rows = max(1, 2**20 // len(offsets))
+            worst = max(
+                np.max(coords[i : i + rows] @ normals.T - offsets)
+                for i in range(0, m, rows)
+            )
+            if worst > slack:
+                normals = offsets = None
+            else:
+                offsets = offsets + slack
+        table = _FacetTable(sub, normals, offsets, reach, span, rounding)
+        data._facets[subspace_tol] = table
+    return table
+
+
+def _outside_hull(table, q, residual, hull_tol):
+    """True when a lower bound on the distance from ``q`` (at ``residual``
+    off the affine hull) to the convex hull of the samples exceeds
+    ``hull_tol`` plus the rounding allowance, so the LP cannot find a member
+    within ``hull_tol`` of ``q``."""
+    limit = hull_tol + table.rounding * (table.span + float(np.linalg.norm(q)))
+    bound = residual - table.reach
+    if bound <= limit and table.normals is not None:
+        coords = (q - table.sub.base) @ table.sub.basis.T
+        bound = max(bound, float(np.max(table.normals @ coords - table.offsets)))
+    return bound > limit
+
+
 def classify(p, data, tols=None):
     """Assign exactly one regime tag to a query point, or to each row of an
     (n, dim) array (then a list of regimes is returned).
@@ -409,33 +520,40 @@ def classify(p, data, tols=None):
     Order of tests: autopolation (within ``point_tol`` of a sample), then
     interpolation (convex hull), then extrapolation (within ``subspace_tol``
     of the affine hull), else hyperpolation with the off-hull residual as
-    witness.  The affine hull is fitted once, at the first query that is not
-    a sample.  Distance to it is convex, so no convex combination of the
-    samples is farther off it than the farthest sample, at ``R``, and no hull
-    member is farther than ``R + hull_tol``.  The LP is skipped, as it would
-    fail, for residuals above twice that; the factor is room for rounding.
+    witness.  The affine hull and the facet table below are built once per
+    dataset and ``subspace_tol``, at the first query that is not a sample.
+
+    The LP runs only for a query that is not certified outside the convex
+    hull.  The certificate is a lower bound on the distance to the hull,
+    ``max(g, r - R)``: g is the largest violation, by the query's projection
+    onto the affine hull, of a halfspace that holds every projected sample;
+    r is the query's residual off the affine hull and R the largest
+    sample's.  Projection onto the affine hull is 1-Lipschitz and maps the
+    convex hull into the projected samples' hull, so g bounds the distance;
+    the residual is convex and 1-Lipschitz, so every hull member is at most
+    R off and at least r - R from the query.  The LP is skipped when the
+    bound exceeds ``hull_tol + 64 (m + n) eps (max_i |x_i| + |q|)`` for m
+    samples in n dimensions: the LP's reconstruction rounds by about
+    ``(m + n) eps`` of that magnitude and the bound by a few ``n eps``.
+    The halfspaces are the module's facet table.  A skipped LP would have failed, so verdicts and witnesses are those of
+    running it.
     """
     tols = tols or Tolerances()
     queries, single = _as_queries(p, data.ambient_dim)
-    sub = lp_bound = None
+    table = None
     regimes = []
     for q in queries:
         if np.min(np.linalg.norm(data.locations - q, axis=1)) <= tols.point_tol:
             regimes.append(Regime(tag=AUTOPOLATION))
             continue
-        sub = sub or affine_hull(data, tol=tols.subspace_tol)
-        _, residual = project(sub, q)
-        off_hull = residual > tols.subspace_tol
-        if off_hull and lp_bound is None:
-            rel = data.locations - sub.base  # a 0-dim hull has no basis rows
-            off = np.linalg.norm(rel - rel @ sub.basis.T @ sub.basis, axis=1)
-            lp_bound = 2.0 * (off.max() + tols.hull_tol)
+        table = table or _facet_table(data, tols.subspace_tol)
+        _, residual = project(table.sub, q)
         inside, weights = False, None
-        if not off_hull or residual <= lp_bound:
+        if not _outside_hull(table, q, residual, tols.hull_tol):
             inside, weights = in_convex_hull(q, data, tol=tols.hull_tol)
         if inside:
             regimes.append(Regime(tag=INTERPOLATION, weights=weights))
-        elif off_hull:
+        elif residual > tols.subspace_tol:
             regimes.append(Regime(tag=HYPERPOLATION, residual=residual))
         else:
             regimes.append(Regime(tag=EXTRAPOLATION))

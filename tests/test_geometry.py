@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.spatial import ConvexHull, QhullError
 
 from hyperpolate import (
     AUTOPOLATION,
@@ -20,8 +21,9 @@ from hyperpolate import (
     in_convex_hull,
     project,
 )
+from hyperpolate.geometry import DEFAULT_SUBSPACE_TOL
 
-from _oracles import convex_grid_verdict, convex_min_distance
+from _oracles import convex_grid_verdict, convex_min_distance, reference_classify
 
 
 def line_dataset():
@@ -317,7 +319,7 @@ class TestBatchClassify:
             HYPERPOLATION,
         ]
 
-    def test_lp_runs_only_for_on_hull_non_samples(self, monkeypatch):
+    def test_lp_runs_only_for_non_samples_inside_the_segment(self, monkeypatch):
         import hyperpolate.geometry as geometry
 
         calls = []
@@ -330,9 +332,178 @@ class TestBatchClassify:
         monkeypatch.setattr(geometry, "in_convex_hull", counting)
         data, queries = diagonal_lattice()
         classify(queries, data)
-        x, y = queries.T
-        samples = (x == y) & (x == np.round(x)) & (np.abs(x) <= 20)
-        assert len(calls) == int(((x == y) & ~samples).sum()) == 16
+        # only these can be interpolation: the other on-line non-samples are
+        # past the ends at +-20, which the interval table certifies
+        inside = [-17.5, -12.5, -7.5, -2.5, 2.5, 7.5, 12.5, 17.5]
+        assert np.array_equal(np.array(calls), np.column_stack([inside, inside]))
+
+
+def random_hull_instance(rng):
+    """Samples on a random d-dim affine hull in n dims at a random scale,
+    with jitter below the fit's cut-off half the time, and queries at convex
+    mixtures, within 1e-10 to 1e-6 of a facet on either side, far outside,
+    off the hull and at or near samples."""
+    n = int(rng.integers(1, 6))
+    d = int(rng.integers(0, min(4, n) + 1))
+    m = int(rng.integers(d + 2, d + 10))
+    scale = 10.0 ** rng.uniform(-3, 3)
+    base = rng.uniform(-3, 3, size=n) * scale
+    frame = np.linalg.qr(rng.normal(size=(n, n)))[0].T
+    basis, normal_space = frame[:d], frame[d:]
+    coeffs = rng.uniform(-2, 2, size=(m, d)) * scale
+    locs = base + coeffs @ basis
+    if d and rng.random() < 0.5:
+        locs = locs + rng.normal(size=(m, n)) * scale * 1e-11
+
+    def embed(c):
+        return base + c @ basis
+
+    queries = [locs[0], locs[1] + scale * 1e-10]
+    for _ in range(2):
+        w = rng.dirichlet(np.ones(m)) * (rng.random(m) < 0.5)
+        w = w / w.sum() if w.sum() > 0 else np.eye(m)[0]
+        queries.append(w @ locs)
+    if d == 1:
+        facets = [(np.array([1.0]), coeffs.max()), (np.array([-1.0]), -coeffs.min())]
+        on_facet = [np.array([coeffs.max()]), np.array([coeffs.min()])]
+    elif d >= 2:
+        hull = ConvexHull(coeffs)
+        facets = [(eq[:-1], -eq[-1]) for eq in hull.equations]
+        on_facet = [coeffs[simplex].mean(axis=0) for simplex in hull.simplices]
+    for _ in range(4 if d else 0):
+        j = int(rng.integers(len(facets)))
+        normal = facets[j][0]
+        t = 10.0 ** rng.uniform(-10, -6) * rng.choice([-1.0, 1.0])
+        queries.append(embed(on_facet[j] + t * normal))
+    if d:
+        j = int(rng.integers(len(facets)))
+        queries.append(embed(on_facet[j] + scale * rng.uniform(0.5, 3) * facets[j][0]))
+    mixture = rng.dirichlet(np.ones(m)) @ locs
+    for size in (10.0 ** rng.uniform(-10, -6), scale * rng.uniform(0.1, 3)):
+        if n > d:
+            queries.append(mixture + size * rng.normal(size=n - d) @ normal_space)
+    queries.append(rng.normal(size=n) * 3 * scale + base)
+    return locs, np.array(queries)
+
+
+def regime_bytes(regimes):
+    return [
+        (r.tag, None if r.weights is None else r.weights.tobytes(), repr(r.residual))
+        for r in regimes
+    ]
+
+
+def reference_bytes(locs, queries, tols=Tolerances()):
+    return [
+        (tag, None if w is None else w.tobytes(), repr(res))
+        for tag, w, res in reference_classify(
+            locs, queries, tols.point_tol, tols.hull_tol, tols.subspace_tol
+        )
+    ]
+
+
+class CountedLinprog:
+    def __init__(self, monkeypatch):
+        import hyperpolate.geometry as geometry
+
+        self.calls = 0
+        real = geometry.linprog
+
+        def counted(*args, **kwargs):
+            self.calls += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(geometry, "linprog", counted)
+
+
+class TestFacetCertificate:
+    """The LP is skipped only where it would fail: verdicts, witness weights
+    and residuals equal, byte for byte, those of the classifier that runs it
+    for every non-sample query under the residual rule alone."""
+
+    def test_matches_lp_reference(self, monkeypatch):
+        rng = np.random.default_rng(2026)
+        lp = CountedLinprog(monkeypatch)
+        seen, queries_run = set(), 0
+        for _ in range(48):
+            locs, queries = random_hull_instance(rng)
+            want = reference_bytes(locs, queries)
+            values = np.zeros(len(locs))
+            assert regime_bytes(classify(queries, Dataset(locs, values))) == want
+            data = Dataset(locs, values)
+            assert regime_bytes([classify(q, data) for q in queries]) == want
+            seen.update(tag for tag, _, _ in want)
+            queries_run += 2 * len(queries)
+        assert seen == {AUTOPOLATION, INTERPOLATION, EXTRAPOLATION, HYPERPOLATION}
+        assert lp.calls < queries_run // 2
+
+    def test_jittered_line_matches_reference(self, jittered_line):
+        queries = np.array(
+            [(0, 5e-6), (0.25, 2.5e-6), (0.5, 1e-6), (3, 2e-9), (2000, 0), (0.25, 1),
+             (1000 + 1e-10, 0), (1000 + 1e-7, 0), (-1000 - 1e-9, 3e-9)]
+        )
+        want = reference_bytes(jittered_line.locations, queries)
+        assert regime_bytes(classify(queries, jittered_line)) == want
+
+    def test_lp_runs_once_per_interpolation_verdict_in_3d(self, monkeypatch):
+        import hyperpolate.geometry as geometry
+
+        rng = np.random.default_rng(43)
+        samples = rng.uniform(-1.0, 1.0, size=(60, 3))
+        queries = np.vstack([rng.uniform(-1.3, 1.3, size=(80, 3)), samples[:5]])
+        data = Dataset(samples, np.zeros(60))
+        lp = CountedLinprog(monkeypatch)
+        tags = [r.tag for r in classify(queries, data)]
+        assert geometry._facet_table(data, DEFAULT_SUBSPACE_TOL).normals is not None
+        assert tags.count(EXTRAPOLATION) > 0
+        assert lp.calls == tags.count(INTERPOLATION)
+
+    @staticmethod
+    def check_fallback(monkeypatch, locs, queries):
+        """Without a facet table every on-hull non-sample query runs the LP,
+        and the verdicts still match the reference."""
+        import hyperpolate.geometry as geometry
+
+        data = Dataset(locs, np.zeros(len(locs)))
+        lp = CountedLinprog(monkeypatch)
+        got = regime_bytes(classify(queries, data))
+        table = geometry._facet_table(data, DEFAULT_SUBSPACE_TOL)
+        assert table.normals is None and table.offsets is None
+        assert got == reference_bytes(locs, queries)
+        assert EXTRAPOLATION in {tag for tag, _, _ in got}
+        assert lp.calls == sum(tag != AUTOPOLATION for tag, _, _ in got)
+
+    def cloud(self):
+        rng = np.random.default_rng(47)
+        samples = rng.uniform(-1.0, 1.0, size=(30, 3))
+        return samples, np.vstack([rng.uniform(-1.3, 1.3, size=(12, 3)), samples[:2]])
+
+    def test_four_dimensional_hull_runs_the_lp(self, monkeypatch):
+        rng = np.random.default_rng(53)
+        basis = np.linalg.qr(rng.normal(size=(5, 5)))[0][:, :4].T
+        locs = rng.uniform(-1, 1, size=(12, 4)) @ basis
+        queries = np.vstack([rng.uniform(-1.5, 1.5, size=(8, 4)) @ basis, locs[:1]])
+        self.check_fallback(monkeypatch, locs, queries)
+
+    def test_qhull_failure_runs_the_lp(self, monkeypatch):
+        import hyperpolate.geometry as geometry
+
+        def failing(points):
+            raise QhullError("QH6154 initial simplex is flat")
+
+        monkeypatch.setattr(geometry, "ConvexHull", failing)
+        self.check_fallback(monkeypatch, *self.cloud())
+
+    def test_halfspace_failing_the_build_check_runs_the_lp(self, monkeypatch):
+        import hyperpolate.geometry as geometry
+
+        class Shifted:
+            def __init__(self, points):
+                self.equations = ConvexHull(points).equations.copy()
+                self.equations[0, -1] += 1e-6  # cuts a little into the hull
+
+        monkeypatch.setattr(geometry, "ConvexHull", Shifted)
+        self.check_fallback(monkeypatch, *self.cloud())
 
 
 class TestHyperpolationDistance:
