@@ -76,8 +76,6 @@ from .geometry import (
 )
 from .symbolic import (
     CandidateLifting,
-    SliceFit,
-    fit_slice,
     lift_constants,
     predict_candidate,
     restrict,

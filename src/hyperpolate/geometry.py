@@ -166,8 +166,8 @@ class Dataset:
         if not np.all(np.isfinite(values)):
             raise InvalidInputError("sample values contain non-finite values")
         noise_sigma = float(noise_sigma)
-        if noise_sigma < 0:
-            raise InvalidInputError("noise_sigma must be nonnegative")
+        if not (np.isfinite(noise_sigma) and noise_sigma >= 0):
+            raise InvalidInputError("noise_sigma must be finite and nonnegative")
         if noise_sigma == 0.0:
             _check_strict_duplicates(locations, values)
         self._locations = locations.copy()
@@ -391,7 +391,7 @@ class Tolerances:
 
     def __post_init__(self):
         for name in ("point_tol", "hull_tol", "subspace_tol"):
-            if getattr(self, name) <= 0:
+            if not getattr(self, name) > 0:
                 raise InvalidInputError(f"{name} must be positive")
 
 
@@ -535,8 +535,8 @@ def classify(p, data, tols=None):
     bound exceeds ``hull_tol + 64 (m + n) eps (max_i |x_i| + |q|)`` for m
     samples in n dimensions: the LP's reconstruction rounds by about
     ``(m + n) eps`` of that magnitude and the bound by a few ``n eps``.
-    The halfspaces are the module's facet table.  A skipped LP would have failed, so verdicts and witnesses are those of
-    running it.
+    The halfspaces are the module's facet table.  A skipped LP would have
+    failed, so verdicts and witnesses are those of running it.
     """
     tols = tols or Tolerances()
     queries, single = _as_queries(p, data.ambient_dim)

@@ -56,10 +56,8 @@ from .geometry import AffineSubspace, hull_chart
 __all__ = [
     "STRICT_TOL",
     "SliceFrame",
-    "SliceFit",
     "CandidateLifting",
     "detect_frame",
-    "fit_slice",
     "lift_constants",
     "search_hyperpolation",
     "restrict",
@@ -104,19 +102,6 @@ class SliceFrame:
     @property
     def free_calibration(self):
         return self.mode == "new_dim"
-
-
-@dataclass(frozen=True)
-class SliceFit:
-    """One fitted slice expression (over the intrinsic variable)."""
-
-    expr: tuple
-    residual: float
-    score: float
-
-    @property
-    def rank_key(self):
-        return (quantize_residual(self.residual), self.score, serialize(self.expr))
 
 
 @dataclass(frozen=True)
@@ -749,9 +734,12 @@ def _shape_lower_bound(shape):
 # ---------------------------------------------------------------------------
 
 
-def _iter_fitted(fitter, grammar, budget, strict, score_floor_cb):
-    """Enumerate shapes ascending, fit constants, yield fitted expressions.
+def _qualifying_fits(fitter, grammar, budget, strict, score_floor_cb):
+    """Enumerate shapes ascending, fit constants, return the qualifying
+    (expr, residual) pairs over the fitter's variables.
 
+    The grammar's variables are set to the fitter's; in strict mode only
+    fits with max-abs residual at or below the strict tolerance qualify.
     ``score_floor_cb(expr, residual)`` returns the best achievable ranking
     score for a qualifying fit, used to certify when no later level can
     still contribute; in strict mode shapes whose lower bound exceeds the
@@ -760,6 +748,10 @@ def _iter_fitted(fitter, grammar, budget, strict, score_floor_cb):
     that would not be fitted.  The ``grammar.max_depth`` filter runs only on
     levels above it: an n-node tree is at most n deep.
     """
+    variables = tuple(fitter.envs)
+    grammar = grammar or Grammar(variables=variables)
+    if sorted(grammar.variables) != sorted(variables):
+        grammar = replace(grammar, variables=variables)
     enum = ShapeEnumerator(grammar)
     budget = DEFAULT_BUDGET if budget is None else int(budget)
     best_score = math.inf
@@ -818,55 +810,17 @@ def _iter_fitted(fitter, grammar, budget, strict, score_floor_cb):
             if key in seen:
                 continue
             seen.add(key)
+            if strict:
+                if residual > STRICT_TOL:
+                    continue
+                best_score = min(best_score, score_floor_cb(expr, residual))
             results.append((expr, residual))
-            if strict and residual <= STRICT_TOL:
-                score = score_floor_cb(expr, residual)
-                if score < best_score:
-                    best_score = score
     return results
 
 
 # ---------------------------------------------------------------------------
 # public operations
 # ---------------------------------------------------------------------------
-
-
-def _qualifying_fits(fitter, grammar, budget, strict, score_floor_cb):
-    """Fitted (expr, residual) pairs over the fitter's variables.
-
-    The grammar's variables are set to the fitter's; in strict mode only
-    fits with max-abs residual at or below the strict tolerance qualify.
-    """
-    variables = tuple(fitter.envs)
-    grammar = grammar or Grammar(variables=variables)
-    if sorted(grammar.variables) != sorted(variables):
-        grammar = replace(grammar, variables=variables)
-    results = _iter_fitted(fitter, grammar, budget, strict, score_floor_cb)
-    return [(e, r) for e, r in results if not strict or r <= STRICT_TOL]
-
-
-def fit_slice(data, grammar=None, budget=None):
-    """Fit slice expressions over the intrinsic coordinate t.
-
-    Returns SliceFit records ordered by (residual, score, serialization);
-    in strict mode (noise-free data) only fits with max-abs residual at or
-    below the strict tolerance qualify.  An exhausted budget with no
-    qualifying expression yields an empty list.
-    """
-    frame = detect_frame(data)
-    fitter = _ShapeFitter({"t": _intrinsic_coordinate(data, frame)}, data.values)
-    results = _qualifying_fits(
-        fitter,
-        grammar,
-        budget,
-        data.strict,
-        score_floor_cb=lambda e, r: complexity(e),
-    )
-    fits = [SliceFit(e, r, complexity(e)) for e, r in results]
-    fits.sort(key=lambda f: f.rank_key)
-    if not data.strict:
-        fits = fits[:MAX_SLICE_FITS]
-    return fits
 
 
 def _intrinsic_coordinate(data, frame):
@@ -1050,13 +1004,13 @@ def _search_lifted(data, frame, grammar, budget):
     results = _qualifying_fits(
         fitter, grammar, budget, data.strict, score_floor_cb=best_candidate_score
     )
-    slice_fits = [SliceFit(e, r, complexity(e)) for e, r in results]
-    slice_fits.sort(key=lambda f: f.rank_key)
-    slice_fits = slice_fits[:MAX_SLICE_FITS]
+    # best slice fits first: (residual, slice complexity, serialization)
+    results.sort(
+        key=lambda f: (quantize_residual(f[1]), complexity(f[0]), serialize(f[0]))
+    )
     candidates = []
-    for fit in slice_fits:
-        lifted = lift_constants(fit.expr, frame, residual=fit.residual)
-        for cand in lifted:
+    for expr, slice_residual in results[:MAX_SLICE_FITS]:
+        for cand in lift_constants(expr, frame, residual=slice_residual):
             restricted = restrict(cand)
             residual = fitter.residual_of(
                 substitute(restricted, {frame.slice_var: var("t")})

@@ -56,6 +56,19 @@ class TestClassify:
         assert code == 2
         assert "dimension" in err
 
+    @pytest.mark.parametrize("flag", ["--tol-hull", "--tol-point", "--tol-subspace"])
+    def test_nan_tolerance_exits_2(self, capsys, tmp_path, flag):
+        data = tmp_path / "diag.csv"
+        data.write_text("x1,x2,f\n0,0,0\n1,1,2\n2,2,4\n", encoding="utf-8")
+        queries = tmp_path / "q.csv"
+        queries.write_text("x1,x2\n0.5,0.5\n1,1\n", encoding="utf-8")
+        code, out, err = run(
+            capsys, "classify", "--data", str(data), "--queries", str(queries), flag, "nan"
+        )
+        assert code == 2
+        assert out == ""
+        assert "must be positive" in err
+
     def test_malformed_csv_has_line_number(self, capsys, line_csv, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("x1,x2\n1.0,2.0\noops,3.0\n", encoding="utf-8")
@@ -95,6 +108,15 @@ class TestSearch:
         code, out, _ = run(capsys, "search", "--data", str(data), "--budget", "0")
         assert code == 0
         assert json.loads(out) == []
+
+    def test_nan_sigma_exits_2(self, capsys, tmp_path):
+        data = tmp_path / "lin.csv"
+        rows = "\n".join(f"{x},{2*x}" for x in range(-4, 5))
+        data.write_text("x1,f\n" + rows + "\n", encoding="utf-8")
+        code, out, err = run(capsys, "search", "--data", str(data), "--sigma", "nan")
+        assert code == 2
+        assert out == ""
+        assert "noise_sigma" in err
 
     def test_non_1d_hull_exits_3(self, capsys, tmp_path):
         data = tmp_path / "plane.csv"

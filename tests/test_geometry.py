@@ -43,6 +43,16 @@ class TestTypes:
         d = Dataset([[0.0], [0.0]], [1.0, 2.0], noise_sigma=0.1)
         assert len(d) == 2
 
+    @pytest.mark.parametrize("sigma", [float("nan"), float("inf")])
+    def test_non_finite_noise_sigma_rejected(self, sigma):
+        with pytest.raises(InvalidInputError):
+            Dataset([[0.0], [1.0]], [1.0, 2.0], noise_sigma=sigma)
+
+    @pytest.mark.parametrize("field", ["point_tol", "hull_tol", "subspace_tol"])
+    def test_nan_tolerance_rejected(self, field):
+        with pytest.raises(InvalidInputError):
+            Tolerances(**{field: float("nan")})
+
     def test_immutability(self):
         d = line_dataset()
         with pytest.raises(ValueError):

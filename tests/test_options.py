@@ -63,8 +63,6 @@ OPTIONS = {
     "io.read_dataset_csv(noise_sigma)",
     "symbolic.SliceFrame.chart",
     "symbolic.SliceFrame.parallel_axis",
-    "symbolic.fit_slice(grammar)",
-    "symbolic.fit_slice(budget)",
     "symbolic.lift_constants(slice_hint)",
     "symbolic.lift_constants(residual)",
     "symbolic.search_hyperpolation(grammar)",
@@ -120,4 +118,4 @@ def test_option_set_is_pinned():
     found = library_options()
     assert len(found) == len(set(found))
     assert set(found) == OPTIONS
-    assert len(OPTIONS) == 53
+    assert len(OPTIONS) == 51

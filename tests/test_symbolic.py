@@ -8,13 +8,11 @@ from hyperpolate import (
     Dataset,
     Grammar,
     UnsupportedGeometryError,
-    fit_slice,
     lift_constants,
     parse,
     restrict,
     search_hyperpolation,
     serialize,
-    struct_key,
     tie_sets,
     top_tie_set,
 )
@@ -36,32 +34,32 @@ def small_grammar(max_nodes=5):
 
 
 class TestFitSlice:
+    """The search's slice stage: every kept slice fit is the extrusion
+    candidate, whose restriction is the slice expression."""
+
     def test_constant_data(self):
         x = np.arange(-5.0, 6.0)
         data = Dataset(x[:, None], np.full_like(x, 5.0))
-        fits = fit_slice(data, grammar=small_grammar())
-        assert serialize(fits[0].expr) == "5"
-        assert fits[0].residual <= 1e-12
+        cands = search_hyperpolation(data, grammar=small_grammar())
+        extrusion = [c for c in cands if c.kind == "extrusion"][0]
+        assert serialize(extrusion.expr) == serialize(restrict(extrusion)) == "5"
+        assert extrusion.residual <= 1e-12
 
     def test_linear_data(self):
         x = np.arange(-4.0, 8.0)
         data = Dataset(x[:, None], 2.0 * x)
-        fits = fit_slice(data, grammar=small_grammar())
-        assert serialize(fits[0].expr) in ("mul(t,2)", "add(t,t)")
+        cands = search_hyperpolation(data, grammar=small_grammar())
+        extrusion = [c for c in cands if c.kind == "extrusion"][0]
+        assert serialize(restrict(extrusion)) == "mul(x,2)"
 
-    def test_cone_slice_constant_recovery(self):
-        x = np.arange(-20.0, 21.0)
-        data = Dataset(x[:, None], np.sqrt(x**2 + 1.0))
-        fits = fit_slice(data, grammar=small_grammar(max_nodes=5))
-        top = fits[0]
-        assert struct_key(top.expr) == struct_key(parse("sqrt(add(pow2(t),1))"))
-        c = [v for v in _consts(top.expr)]
-        assert c[0] == pytest.approx(1.0, abs=1e-6)
-
-    def test_budget_zero_empty(self):
-        x = np.arange(0.0, 8.0)
-        data = Dataset(x[:, None], 2.0 * x)
-        assert fit_slice(data, grammar=small_grammar(), budget=0) == []
+    def test_cone_slice_constant_recovery(self, cone_1d_dataset):
+        cands = search_hyperpolation(cone_1d_dataset, grammar=small_grammar(max_nodes=5))
+        top = top_tie_set(cands)
+        assert {(serialize(c.expr), c.y0) for c in top} == {
+            ("sqrt(add(pow2(x),pow2(y)))", -1.0),
+            ("sqrt(add(pow2(x),pow2(y)))", 1.0),
+        }
+        assert {serialize(restrict(c)) for c in top} == {"sqrt(add(pow2(x),1))"}
 
     def test_max_depth_is_enforced(self, monkeypatch):
         fitted = []
@@ -76,7 +74,9 @@ class TestFitSlice:
         rng = np.random.default_rng(0)
         x = np.arange(0.0, 12.0)
         data = Dataset(x[:, None], rng.standard_normal(12))
-        fit_slice(data, grammar=Grammar(variables=("t",), max_nodes=6, max_depth=3))
+        search_hyperpolation(
+            data, grammar=Grammar(variables=("t",), max_nodes=6, max_depth=3)
+        )
         assert max(node_count(s) for s in fitted) == 6
         assert max(expr_depth(s) for s in fitted) == 3
 
@@ -85,19 +85,8 @@ class TestFitSlice:
         rng = np.random.default_rng(0)
         x = np.arange(0.0, 12.0)
         data = Dataset(x[:, None], rng.standard_normal(12))
-        fits = fit_slice(data, grammar=Grammar(variables=("t",), max_nodes=2))
-        assert fits == []
-
-
-def _consts(e):
-    if e[0] == "const":
-        return [e[1]]
-    if e[0] in ("var", "slot"):
-        return []
-    out = []
-    for c in e[1:]:
-        out.extend(_consts(c))
-    return out
+        cands = search_hyperpolation(data, grammar=Grammar(variables=("t",), max_nodes=2))
+        assert cands == []
 
 
 class TestLiftConstants:
