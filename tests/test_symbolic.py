@@ -61,6 +61,20 @@ class TestFitSlice:
         }
         assert {serialize(restrict(c)) for c in top} == {"sqrt(add(pow2(x),1))"}
 
+    def test_budget_zero_empty(self, monkeypatch):
+        fitted = []
+        fit = symbolic._ShapeFitter.fit
+
+        def recording_fit(self, shape):
+            fitted.append(shape)
+            return fit(self, shape)
+
+        monkeypatch.setattr(symbolic._ShapeFitter, "fit", recording_fit)
+        x = np.arange(0.0, 8.0)
+        data = Dataset(x[:, None], 2.0 * x)
+        assert search_hyperpolation(data, grammar=small_grammar(), budget=0) == []
+        assert fitted == []
+
     def test_max_depth_is_enforced(self, monkeypatch):
         fitted = []
         fit = symbolic._ShapeFitter.fit
