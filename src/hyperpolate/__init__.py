@@ -25,7 +25,6 @@ from .baselines import (
     fit_nn_ambient,
     fit_nn_projected,
     fit_slice_interpolant,
-    predict_additive,
 )
 from .benchmark import (
     BenchmarkCase,
@@ -48,7 +47,6 @@ from .errors import (
     UnsupportedGeometryError,
 )
 from .expressions import (
-    ComplexityModel,
     Grammar,
     complexity,
     evaluate,
@@ -63,7 +61,6 @@ from .geometry import (
     INTERPOLATION,
     AffineSubspace,
     Dataset,
-    LabeledSample,
     Point,
     Regime,
     Tolerances,

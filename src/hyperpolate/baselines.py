@@ -1,9 +1,9 @@
 """Non-symbolic polation baselines.
 
 Two nearest-neighbour variants (ambient-nearest sample, and projection onto
-the data subspace followed by a 1D interpolant), a least-squares linear model
-on the subspace, extrusion of a subspace model along the orthogonal
-directions, and the additive lifting f(x, y) = f(x) + f(y) - f(y0).
+the data subspace followed by a 1D interpolant, which is the extrusion of
+that interpolant along the orthogonal directions), a least-squares linear
+model on the subspace, and the additive lifting f(x, y) = f(x) + f(y) - f(y0).
 """
 
 from dataclasses import dataclass
@@ -13,15 +13,16 @@ import numpy as np
 from .errors import (
     ConfigurationError,
     DegenerateFitError,
+    DimensionMismatchError,
+    InvalidInputError,
     UnsupportedGeometryError,
 )
-from .geometry import AffineSubspace, hull_chart
+from .geometry import AffineSubspace, affine_hull, hull_chart
 
 __all__ = [
     "SliceModel",
     "PolationModel",
     "NearestSampleModel",
-    "ExtrusionModel",
     "LinearModel",
     "AdditiveModel",
     "METHOD_NAMES",
@@ -32,19 +33,47 @@ __all__ = [
     "fit_extrusion",
     "fit_additive",
     "fit_method",
-    "predict_additive",
 ]
 
 METHOD_NAMES = ("nn_ambient", "nn_projected", "linear", "extrusion", "additive")
 
 
-@dataclass(frozen=True, eq=False)
-class SliceModel:
-    """A piecewise-linear model of the function along a 1D subspace.
+class PolationModel:
+    """A fitted prediction method; immutable, predictions are pure.
 
-    It interpolates ``values`` at the sorted intrinsic ``knots`` and
-    extrapolates linearly from the two outermost knots; a single knot gives
-    a constant.
+    Use the ``fit_*`` functions (or :func:`fit_method`) to construct one.
+    ``predict`` takes one point (returns a float) or an (n, dim) array of
+    points (returns an (n,) array), in the data's ambient dimension.
+    """
+
+    @property
+    def ambient_dim(self):
+        return self.chart.ambient_dim
+
+    def predict(self, points):
+        points = np.asarray(points, dtype=float)
+        if points.ndim not in (1, 2):
+            raise InvalidInputError(
+                f"predict takes one point or an (n, dim) array, got shape {points.shape}"
+            )
+        if points.shape[-1] != self.ambient_dim:
+            raise DimensionMismatchError(
+                f"point has dimension {points.shape[-1]}, expected {self.ambient_dim}"
+            )
+        scalar = points.ndim == 1
+        out = self._predict(np.atleast_2d(points))
+        return float(out[0]) if scalar else out
+
+
+@dataclass(frozen=True, eq=False)
+class SliceModel(PolationModel):
+    """A piecewise-linear model of the function along a 1D subspace,
+    extruded: constant along every orthogonal direction.
+
+    Called with intrinsic coordinates, it interpolates ``values`` at the
+    sorted ``knots`` and extrapolates linearly from the two outermost knots;
+    a single knot gives a constant.  ``predict`` evaluates it at the
+    query's projection onto the subspace.
     """
 
     chart: AffineSubspace
@@ -74,14 +103,17 @@ class SliceModel:
                 out = np.where(hi, ys[-1] + slope * (t - xs[-1]), out)
         return float(out[0]) if scalar else out
 
+    def _predict(self, pts):
+        return self(self.chart.to_intrinsic(pts)[:, 0])
 
-def fit_slice_interpolant(data, chart=None):
-    """Default inner model: piecewise-linear through the slice samples.
+
+def fit_slice_interpolant(data):
+    """Piecewise-linear model through the slice samples.
 
     Duplicate intrinsic locations are averaged (strict mode guarantees their
     values agree, so averaging is a no-op there).
     """
-    chart = chart or hull_chart(data)
+    chart = hull_chart(data)
     if chart.dim != 1:
         raise UnsupportedGeometryError(
             f"piecewise-linear interpolant needs a 1D hull, got dim {chart.dim}"
@@ -102,21 +134,6 @@ def fit_slice_interpolant(data, chart=None):
     return SliceModel(chart, np.asarray(knots), np.asarray(vals) / np.asarray(counts))
 
 
-class PolationModel:
-    """A fitted prediction method; immutable, predictions are pure.
-
-    Use the ``fit_*`` functions (or :func:`fit_method`) to construct one.
-    ``predict`` takes one point (returns a float) or an (n, dim) array of
-    points (returns an (n,) array).
-    """
-
-    def predict(self, points):
-        points = np.asarray(points, dtype=float)
-        scalar = points.ndim == 1
-        out = self._predict(np.atleast_2d(points))
-        return float(out[0]) if scalar else out
-
-
 @dataclass(frozen=True, eq=False)
 class NearestSampleModel(PolationModel):
     """The value of the Euclidean-nearest sample location."""
@@ -124,22 +141,14 @@ class NearestSampleModel(PolationModel):
     locations: np.ndarray
     values: np.ndarray
 
+    @property
+    def ambient_dim(self):
+        return self.locations.shape[1]
+
     def _predict(self, pts):
         d2 = ((pts[:, None, :] - self.locations[None, :, :]) ** 2).sum(axis=2)
         # argmin takes the first minimum: ties break to the lowest index
         return self.values[np.argmin(d2, axis=1)]
-
-
-@dataclass(frozen=True, eq=False)
-class ExtrusionModel(PolationModel):
-    """A 1D subspace model evaluated at the query's projection."""
-
-    chart: AffineSubspace
-    inner: object
-
-    def _predict(self, pts):
-        t = self.chart.to_intrinsic(pts)[:, 0]
-        return np.atleast_1d(self.inner(t))
 
 
 @dataclass(frozen=True, eq=False)
@@ -156,14 +165,21 @@ class LinearModel(PolationModel):
 
 @dataclass(frozen=True, eq=False)
 class AdditiveModel(PolationModel):
-    """The additive lifting of a slice model; see :func:`predict_additive`."""
+    """The additive lifting f(x) + f(y) - f(y0) of a slice model.
 
-    inner: SliceModel
+    ``inner`` is any callable of the slice coordinate and ``offset`` is the
+    slice's transverse coordinate y0, so the lifting restricts to the slice
+    model exactly.  The sum is symmetric in x and y, so it needs no record
+    of which axis the slice runs along.
+    """
+
+    inner: object
     offset: float
-    literal: bool
+    ambient_dim = 2
 
     def _predict(self, pts):
-        return predict_additive(self.inner, pts, self.offset, self.literal)
+        f = self.inner
+        return np.atleast_1d(f(pts[:, 0])) + np.atleast_1d(f(pts[:, 1])) - f(self.offset)
 
 
 def fit_nn_ambient(data):
@@ -171,36 +187,14 @@ def fit_nn_ambient(data):
     return NearestSampleModel(data.locations, data.values)
 
 
-def _as_inner(inner, chart):
-    if isinstance(inner, SliceModel):
-        model_chart = inner.chart
-        fn = inner
-    elif isinstance(inner, LinearModel):
-        model_chart = inner.chart
-        coeffs = inner.coeffs
-
-        def fn(t):
-            return coeffs[0] + coeffs[1] * np.asarray(t, dtype=float)
-
-    else:
-        raise ConfigurationError(
-            "inner model must be a SliceModel or a fitted 'linear' PolationModel"
-        )
-    if model_chart.dim != chart.dim or not np.allclose(
-        model_chart.basis, chart.basis, atol=1e-9
-    ) or not np.allclose(model_chart.base, chart.base, atol=1e-9):
-        raise ConfigurationError("inner model does not cover the data's affine hull")
-    return fn
-
-
-def fit_nn_projected(data, inner=None):
+def fit_nn_projected(data):
     """Interpolate/extrapolate along the subspace first, then carry those
     values to off-subspace queries at the projected location.
 
     This is extrusion of the slice interpolant: the model is the one
     :func:`fit_extrusion` builds.
     """
-    return fit_extrusion(data, inner)
+    return fit_extrusion(data)
 
 
 def fit_linear(data):
@@ -220,52 +214,22 @@ def fit_linear(data):
     return LinearModel(chart, coeffs)
 
 
-def fit_extrusion(data, inner=None):
-    """Extrude a subspace model: constant along every orthogonal direction."""
-    chart = hull_chart(data)
-    if chart.dim != 1:
+def fit_extrusion(data):
+    """Extrude the slice interpolant: constant along every orthogonal direction."""
+    if affine_hull(data).dim != 1:
         raise UnsupportedGeometryError("extrusion baseline requires a 1D hull")
-    if inner is None:
-        inner_fn = fit_slice_interpolant(data, chart)
-    else:
-        inner_fn = _as_inner(inner, chart)
-    return ExtrusionModel(chart, inner_fn)
+    return fit_slice_interpolant(data)
 
 
-def fit_additive(data, literal=False):
-    """Additive lifting for an axis-aligned slice in a 2D ambient space.
-
-    The default prediction is f(x) + f(y) - f(y0), which restricts to the
-    slice model exactly; ``literal=True`` selects the uncorrected form
-    f(x) + f(y).
-    """
-    chart = hull_chart(data)
-    aligned = chart.axis_aligned_line()
+def fit_additive(data):
+    """Additive lifting for an axis-aligned slice in a 2D ambient space."""
+    aligned = hull_chart(data).axis_aligned_line()
     if aligned is None:
         raise UnsupportedGeometryError(
             "additive lifting needs an axis-aligned 1D slice in a 2D space"
         )
     _, _, offset = aligned
-    inner = fit_slice_interpolant(data, chart)
-    return AdditiveModel(inner, offset, bool(literal))
-
-
-def predict_additive(model_x, p, slice_offset, literal=False):
-    """Additive prediction f(x) + f(y) - f(y0) from a 1D slice model.
-
-    ``model_x`` is evaluated at both coordinates of ``p``, one 2D point or an
-    (n, 2) array of them; the value at ``slice_offset`` is subtracted unless
-    the literal form is requested.  The sum is symmetric in x and y, so it
-    needs no record of which axis the slice runs along.
-    """
-    p = np.asarray(p, dtype=float)
-    if p.ndim not in (1, 2) or p.shape[-1] != 2:
-        raise UnsupportedGeometryError("additive lifting is defined on 2D points")
-    pts = np.atleast_2d(p)
-    out = np.atleast_1d(model_x(pts[:, 0])) + np.atleast_1d(model_x(pts[:, 1]))
-    if not literal:
-        out = out - model_x(slice_offset)
-    return float(out[0]) if p.ndim == 1 else out
+    return AdditiveModel(fit_slice_interpolant(data), offset)
 
 
 def fit_method(name, data):

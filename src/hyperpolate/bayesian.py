@@ -128,20 +128,18 @@ class Posterior:
         idx = int(np.argmax(self.weights))
         return self.hypotheses[idx]
 
-    def to_records(self, data=None):
+    def to_records(self, data):
         """JSON-ready records {expr, weight, residual}.
 
-        The residual is the max-abs mismatch on the samples, or None when a
-        domain error makes it non-finite.
+        The residual is the max-abs mismatch on the samples of ``data``, or
+        None when a domain error makes it non-finite.
         """
         out = []
         for h, w in zip(self.hypotheses, self.weights):
-            rec = {"expr": h.label, "weight": float(w)}
-            if data is not None:
-                vals = h(data.locations)
-                residual = float(np.max(np.abs(vals - data.values)))
-                rec["residual"] = residual if math.isfinite(residual) else None
-            out.append(rec)
+            vals = h(data.locations)
+            residual = float(np.max(np.abs(vals - data.values)))
+            residual = residual if math.isfinite(residual) else None
+            out.append({"expr": h.label, "weight": float(w), "residual": residual})
         return out
 
 
@@ -162,21 +160,21 @@ class PredictiveDistribution:
         return len(self.values)
 
 
-def build_prior(expressions, scorer=None):
+def build_prior(expressions):
     """Prior over hypotheses with weights proportional to 2^(-score).
 
-    ``expressions`` may hold expression trees or Hypothesis objects; the
-    scorer defaults to the description-length complexity.
+    ``expressions`` may hold expression trees, scored by their
+    description-length ``complexity``, or Hypothesis objects, which keep
+    their own score.
     """
     if not expressions:
         raise InvalidInputError("hypothesis family must be nonempty")
-    scorer = scorer or complexity
     hyps = []
     for e in expressions:
         if isinstance(e, Hypothesis):
             hyps.append(e)
         else:
-            hyps.append(Hypothesis(expr=e, score=float(scorer(e))))
+            hyps.append(Hypothesis(expr=e, score=float(complexity(e))))
     log_w = np.array([-h.score * math.log(2.0) for h in hyps])
     return HypothesisFamily(hypotheses=tuple(hyps), weights=_normalized(log_w))
 

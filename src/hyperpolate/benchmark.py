@@ -62,7 +62,6 @@ class BenchmarkCase:
     seed: int = 0
     grid_ranges: tuple = ((-40.0, 40.0), (-40.0, 40.0))
     grid_step: float = 1.0
-    band_edges: tuple = DEFAULT_BAND_EDGES
 
     def truth_expr(self):
         return parse(self.truth)
@@ -257,7 +256,7 @@ def evaluate_methods(
         tag: tags.count(tag)
         for tag in (AUTOPOLATION, INTERPOLATION, EXTRAPOLATION, HYPERPOLATION)
     }
-    edges = case.band_edges
+    edges = DEFAULT_BAND_EDGES
     method_reports = []
     predictions = {}
     for name in methods:

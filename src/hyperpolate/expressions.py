@@ -28,8 +28,11 @@ __all__ = [
     "UNARY_OPS",
     "BINARY_OPS",
     "Grammar",
-    "ComplexityModel",
-    "DEFAULT_COMPLEXITY",
+    "OP_COST",
+    "VAR_COST",
+    "CONST_BASE",
+    "INT_BIT_COST",
+    "NONINT_COST",
     "var",
     "const",
     "node_count",
@@ -500,43 +503,33 @@ def canonical_simplify(e):
     return (op, child)
 
 
-@dataclass(frozen=True)
-class ComplexityModel:
-    """Node costs for the description-length score.
-
-    Integer constants cost ``const_base + int_bit_cost * ceil(log2(|c|+1))``;
-    other reals pay a flat surcharge.  The symbolic search ranks by the
-    default costs only: its pruning (the per-shape lower bound and the
-    level stop) is derived from them.  Other models serve ``complexity()``
-    only.
-    """
-
-    op_cost: float = 1.0
-    var_cost: float = 1.0
-    const_base: float = 1.0
-    int_bit_cost: float = 2.0
-    nonint_cost: float = 64.0
-
-    def const_cost(self, value):
-        if value == int(value) and abs(value) < 2**53:
-            bits = math.ceil(math.log2(abs(value) + 1))
-            return self.const_base + self.int_bit_cost * bits
-        return self.const_base + self.nonint_cost
+# Node costs of the description-length score, by which the search ranks and
+# from which its pruning (the per-shape lower bound and the level stop) is
+# derived.  Integer constants cost CONST_BASE + INT_BIT_COST * ceil(log2(|c|+1));
+# other reals pay a flat surcharge.
+OP_COST = 1.0
+VAR_COST = 1.0
+CONST_BASE = 1.0
+INT_BIT_COST = 2.0
+NONINT_COST = 64.0
 
 
-DEFAULT_COMPLEXITY = ComplexityModel()
+def _const_cost(value):
+    if value == int(value) and abs(value) < 2**53:
+        return CONST_BASE + INT_BIT_COST * math.ceil(math.log2(abs(value) + 1))
+    return CONST_BASE + NONINT_COST
 
 
-def complexity(e, model=DEFAULT_COMPLEXITY):
+def complexity(e):
     """Description-length score of an expression (lower is simpler)."""
     op = e[0]
     if op == "var":
-        return model.var_cost
+        return VAR_COST
     if op == "const":
-        return model.const_cost(e[1])
+        return _const_cost(e[1])
     if op == "slot":
-        return model.const_base
-    return model.op_cost + sum(complexity(c, model) for c in e[1:])
+        return CONST_BASE
+    return OP_COST + sum(complexity(c) for c in e[1:])
 
 
 @dataclass(frozen=True)
@@ -546,7 +539,6 @@ class Grammar:
     variables: tuple = ("t",)
     unary_ops: tuple = UNARY_OPS
     binary_ops: tuple = BINARY_OPS
-    allow_constants: bool = True
     max_nodes: int = 9
     max_depth: int = 8
 
@@ -622,7 +614,7 @@ class ShapeEnumerator:
 
     def _operands(self, size, allow_slot):
         ops = list(self.shapes(size))
-        if allow_slot and size == 1 and self.grammar.allow_constants:
+        if allow_slot and size == 1:
             ops.append(("slot",))
         return ops
 

@@ -46,7 +46,6 @@ from .errors import DimensionMismatchError, InvalidInputError
 
 __all__ = [
     "Point",
-    "LabeledSample",
     "Dataset",
     "AffineSubspace",
     "Regime",
@@ -121,22 +120,6 @@ class Point:
         return np.asarray(self.coords, dtype=float)
 
 
-@dataclass(frozen=True)
-class LabeledSample:
-    """A sample location together with its observed function value."""
-
-    location: Point
-    value: float
-
-    def __post_init__(self):
-        if not isinstance(self.location, Point):
-            object.__setattr__(self, "location", Point(tuple(self.location)))
-        value = float(self.value)
-        if not np.isfinite(value):
-            raise InvalidInputError("sample value is not finite")
-        object.__setattr__(self, "value", value)
-
-
 class Dataset:
     """Immutable collection of labelled samples in a common ambient space.
 
@@ -193,13 +176,6 @@ class Dataset:
     @property
     def strict(self):
         return self.noise_sigma == 0.0
-
-    @property
-    def samples(self):
-        return tuple(
-            LabeledSample(Point(tuple(loc)), val)
-            for loc, val in zip(self._locations, self._values)
-        )
 
     def __len__(self):
         return self._locations.shape[0]
@@ -321,12 +297,16 @@ def _fit_affine_hull(locations, tol):
     else:
         keep = np.zeros(svals.shape, dtype=bool)
     basis = vt[keep]
-    # deterministic sign: first nonzero component of each direction positive
     for i, row in enumerate(basis):
-        nz = np.nonzero(np.abs(row) > 1e-12)[0]
-        if nz.size and row[nz[0]] < 0:
-            basis[i] = -row
+        basis[i] = _canonical_sign(row)
     return AffineSubspace(base=centroid, basis=basis)
+
+
+def _canonical_sign(v):
+    """``v`` or ``-v``, whichever has its first component with |v_i| > 1e-12
+    positive: a deterministic sign for a direction."""
+    nz = np.nonzero(np.abs(v) > 1e-12)[0]
+    return -v if nz.size and v[nz[0]] < 0 else v
 
 
 def hull_chart(data):

@@ -4,7 +4,7 @@ Fits an expression to the data slice by exhaustive shape enumeration with
 least-squares constant fitting, then lifts it off the slice by replacing
 constants with expressions in a transverse coordinate, ranking every
 candidate by (fit residual, description-length score).  The score is
-``complexity`` with the default costs: the pruning is derived from them.
+``complexity``, whose fixed cost table the pruning is derived from.
 
 Three dataset geometries are supported:
 
@@ -31,9 +31,12 @@ import numpy as np
 
 from .errors import DimensionMismatchError, UnsupportedGeometryError
 from .expressions import (
-    DEFAULT_COMPLEXITY,
+    INT_BIT_COST,
+    OP_COST,
+    VAR_COST,
     Grammar,
     ShapeEnumerator,
+    _const_cost,
     _rebuild_chain,
     assign_slots,
     canonical_simplify,
@@ -51,7 +54,7 @@ from .expressions import (
     var,
     variables_of,
 )
-from .geometry import AffineSubspace, hull_chart
+from .geometry import AffineSubspace, _canonical_sign, hull_chart
 
 __all__ = [
     "STRICT_TOL",
@@ -69,6 +72,10 @@ __all__ = [
 
 STRICT_TOL = 1e-9
 INT_SNAP_REL = 1e-6
+# Neither the level stop nor the bound skip applies at or below this level.
+# Above it, strict mode stops at the first level n above the certified best
+# score: this assumes every node costs at least 1 (OP_COST, VAR_COST and
+# CONST_BASE), so that an n-node shape scores at least n.
 ENUM_FLOOR = 4
 DEFAULT_BUDGET = 200_000
 SHIFT_OFFSETS = (-2, -1, 1, 2)
@@ -186,11 +193,7 @@ def detect_frame(data):
 def _line_normal(d):
     """Unit normal of a 2D line with unit direction ``d``, its first nonzero
     component positive."""
-    normal = np.array([-d[1], d[0]])
-    nz = np.nonzero(np.abs(normal) > 1e-12)[0]
-    if nz.size and normal[nz[0]] < 0:
-        normal = -normal
-    return normal
+    return _canonical_sign(np.array([-d[1], d[0]]))
 
 
 # ---------------------------------------------------------------------------
@@ -701,32 +704,37 @@ class _ShapeFitter:
         return float(np.max(np.abs(vals - self.target)))
 
 
+_ZERO_CONST_COST = _const_cost(0)
+_MIN_CONST_COST = _const_cost(1)
+_POW2_VAR_COST = OP_COST + VAR_COST
+
+
 def _shape_lower_bound(shape):
     """Lower bound on any lifted-candidate score from this shape.
 
-    The costs are the default complexity model's, by which the search
-    ranks.  Operators and variables cost one point.  A surviving constant
-    costs at least 3 (|c| >= 1 after identity folding) except in sub-LHS
-    position where 0 survives folding; the cheapest substitution replaces
-    one constant by pow2(y), worth 2 points.
+    The costs are the expression cost table's, by which the search ranks.
+    A shape holds operators, variables and slots.  A surviving constant
+    costs at least ``_const_cost(1)`` (|c| >= 1 after identity folding)
+    except in sub-LHS position, where 0 survives folding; the cheapest
+    substitution replaces one constant by pow2(y).
     """
     slot_mins = []
 
     def walk(node, sub_lhs=False):
         if node[0] == "slot":
-            slot_mins.append(1.0 if sub_lhs else 3.0)
+            slot_mins.append(_ZERO_CONST_COST if sub_lhs else _MIN_CONST_COST)
             return 0.0
-        if node[0] in ("var", "const"):
-            return 1.0
+        if node[0] == "var":
+            return VAR_COST
         if node[0] == "sub":
-            return 1.0 + walk(node[1], sub_lhs=True) + walk(node[2])
-        return 1.0 + sum(walk(c) for c in node[1:])
+            return OP_COST + walk(node[1], sub_lhs=True) + walk(node[2])
+        return OP_COST + sum(walk(c) for c in node[1:])
 
     units = walk(shape)
     if not slot_mins:
         return units
     total = units + sum(slot_mins)
-    return min(total, total - max(slot_mins) + 2.0)
+    return min(total, total - max(slot_mins) + _POW2_VAR_COST)
 
 
 # ---------------------------------------------------------------------------
@@ -784,7 +792,7 @@ def _qualifying_fits(fitter, grammar, budget, strict, score_floor_cb):
             break
         if n == 0:
             # level 0 holds the bare-constant shape; level n the n-node shapes
-            shapes = [("slot",)] if grammar.allow_constants else []
+            shapes = [("slot",)]
         elif n > grammar.max_depth:
             shapes = [s for s in enum.shapes(n) if expr_depth(s) <= grammar.max_depth]
         else:
@@ -904,7 +912,7 @@ def lift_constants(expr, slice_hint=None, residual=0.0):
         if frame.free_calibration and tv in variables_of(e) and not _is_even_in(e, tv):
             # the data cannot orient the new axis: unmirrorable transverse
             # dependence costs one extra bit
-            score += DEFAULT_COMPLEXITY.int_bit_cost
+            score += INT_BIT_COST
         out.append(
             CandidateLifting(
                 expr=e,

@@ -4,6 +4,8 @@ import pytest
 from hyperpolate import (
     ConfigurationError,
     Dataset,
+    DimensionMismatchError,
+    InvalidInputError,
     UnsupportedGeometryError,
     fit_additive,
     fit_extrusion,
@@ -14,8 +16,8 @@ from hyperpolate import (
     fit_slice_interpolant,
     generate_case,
     hull_chart,
-    predict_additive,
 )
+from hyperpolate.baselines import METHOD_NAMES, AdditiveModel
 
 
 def ripple_slice_dataset():
@@ -95,13 +97,6 @@ class TestNearestNeighbourAmbient:
 
 
 class TestNearestNeighbourProjected:
-    def test_linear_inner_projection(self):
-        x = np.arange(0.0, 5.0)
-        data = Dataset(np.column_stack([x, np.zeros_like(x)]), 2.0 * x)
-        inner = fit_linear(data)
-        model = fit_nn_projected(data, inner=inner)
-        assert model.predict([3.0, 7.0]) == pytest.approx(6.0)
-
     def test_on_line_matches_inner(self):
         x = np.arange(0.0, 5.0)
         data = Dataset(np.column_stack([x, np.zeros_like(x)]), x**2)
@@ -117,14 +112,6 @@ class TestNearestNeighbourProjected:
         # projecting (0, 0) lands on the slice at x = 0
         assert model.predict([0.0, 0.0]) == pytest.approx(np.cos(20.0), abs=1e-12)
         assert model.predict([0.0, 0.0]) == pytest.approx(0.40808206, abs=1e-7)
-
-    def test_mismatched_inner_rejected(self):
-        x = np.arange(0.0, 5.0)
-        data = Dataset(np.column_stack([x, np.zeros_like(x)]), 2.0 * x)
-        other = Dataset(np.column_stack([np.zeros_like(x), x]), 2.0 * x)
-        inner = fit_linear(other)
-        with pytest.raises(ConfigurationError):
-            fit_nn_projected(data, inner=inner)
 
 
 class TestLinear:
@@ -201,12 +188,8 @@ class TestAdditive:
 
     def test_square_slice_arithmetic(self):
         # f(t) = t^2 fitted on y0 = 1: prediction 4 + 9 - 1
-        model_x = lambda t: np.asarray(t, dtype=float) ** 2
-        assert predict_additive(model_x, [2.0, 3.0], 1.0) == pytest.approx(12.0)
-
-    def test_literal_form_option(self):
-        model_x = lambda t: np.asarray(t, dtype=float) ** 2
-        assert predict_additive(model_x, [2.0, 3.0], 1.0, literal=True) == pytest.approx(13.0)
+        model = AdditiveModel(lambda t: np.asarray(t, dtype=float) ** 2, 1.0)
+        assert model.predict([2.0, 3.0]) == pytest.approx(12.0)
 
     def test_non_axis_aligned_rejected(self):
         t = np.arange(-3.0, 4.0)
@@ -234,3 +217,16 @@ class TestRegistry:
     def test_unknown_name(self):
         with pytest.raises(ConfigurationError):
             fit_method("kriging", ripple_slice_dataset())
+
+
+class TestPredictValidation:
+    @pytest.mark.parametrize("name", METHOD_NAMES)
+    def test_bad_queries_rejected(self, name):
+        x = np.arange(-5.0, 6.0)
+        model = fit_method(name, Dataset(np.column_stack([x, np.ones_like(x)]), x**2))
+        for query in ([1.0], [1.0, 2.0, 3.0], [[1.0, 2.0, 3.0]]):
+            with pytest.raises(DimensionMismatchError, match="dimension .*, expected 2"):
+                model.predict(query)
+        for shape in ((), (2, 2, 2)):
+            with pytest.raises(InvalidInputError, match="one point or an"):
+                model.predict(np.ones(shape))

@@ -22,14 +22,12 @@ from hyperpolate import (
 
 class TestBuildPrior:
     def test_equal_scores_split_evenly(self):
-        family = build_prior([parse("x"), parse("y")], scorer=lambda e: 3.0)
+        family = build_prior([Hypothesis(parse("x"), 3.0), Hypothesis(parse("y"), 3.0)])
         assert np.allclose(family.weights, [0.5, 0.5])
 
     def test_score_gap_of_one_doubles_weight(self):
-        scores = {"x": 1.0, "pow2(x)": 2.0}
         family = build_prior(
-            [parse("x"), parse("pow2(x)")],
-            scorer=lambda e: scores[_ser(e)],
+            [Hypothesis(parse("x"), 1.0), Hypothesis(parse("pow2(x)"), 2.0)]
         )
         assert family.weights[0] == pytest.approx(2.0 * family.weights[1])
 
@@ -46,7 +44,7 @@ class TestBuildPrior:
         scores = {_ser(c.expr): c.score for c in candidates}
         assert len(set(scores.values())) > 1
         family = family_from_candidates(candidates)
-        prior = build_prior([c.expr for c in candidates], scorer=lambda e: scores[_ser(e)])
+        prior = build_prior([Hypothesis(c.expr, scores[_ser(c.expr)]) for c in candidates])
         assert np.array_equal(family.weights, prior.weights)
         assert [h.candidate for h in family.hypotheses] == candidates
 
@@ -67,7 +65,7 @@ class TestUpdate:
         assert post.weights[_index(post, "x")] == 0.0
 
     def test_flexible_likelihood_prefers_smaller_residual(self):
-        family = build_prior([parse("x"), parse("mul(x,2)")], scorer=lambda e: 1.0)
+        family = build_prior([Hypothesis(parse("x"), 1.0), Hypothesis(parse("mul(x,2)"), 1.0)])
         x = np.linspace(0, 3, 12)
         data = Dataset(x[:, None], 2.0 * x + 0.01, noise_sigma=0.5)
         post = update(family, data)

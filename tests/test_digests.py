@@ -1,38 +1,80 @@
-"""Candidate lists pinned byte for byte.
+"""Library outputs pinned byte for byte against ``golden_digests.json``.
 
-Each digest is the sha256 of ``json.dumps`` of one row per candidate, in
-ranked order: ``[serialize(expr), repr(y0), repr(score), repr(residual),
-kind]``.  The data are perfbench's ``exact_cases()`` and ``noisy_case(1)``
-at budget 5000, and the values are the ``cands_*`` entries of
-``BENCH_9.json``.  A change that alters a search output on purpose updates
-the pinned value and names the old and new digest in CHANGES.md.
+Each entry is a sha256 under its ``BENCH_9.json`` key name, with that file's
+``byte_identity.fields`` definition:
+
+* ``cands_<case>``: ``json.dumps`` of one row per candidate, in ranked
+  order: ``[serialize(expr), repr(y0), repr(score), repr(residual), kind]``.
+  The data are perfbench's ``exact_cases()`` and ``noisy_case(seed)`` at
+  budget 5000.
+* ``noisy1_prior`` / ``noisy1_post_weights``: ``json.dumps`` of the repr of
+  each weight of ``family_from_candidates`` on the first 64 noisy seed 1
+  candidates, and of its update on the data.
+* ``noisy1_records``: ``json.dumps(post.to_records(data))``.
+* ``noisy1_dists``: ``json.dumps`` of ``[values bytes hex, weights bytes hex,
+  repr(mean), repr(map_value)]`` for each point of the 41 x 41 lattice, from
+  one batch ``predict`` (equal to per-point calls).
+* ``bench_<case>_report`` / ``_grid``: ``hyperpolate bench <case> --methods
+  nn_ambient,nn_projected,linear,extrusion,additive`` (diagonal_xy without
+  additive): ``json.dumps([exit code, report with runtime_s zeroed],
+  sort_keys=True)``, and the grid CSV bytes.
+
+``PYTHONPATH=src python tests/test_digests.py`` prints the current digests
+in the golden file's form.  A change that alters an output on purpose
+regenerates the file with it and names the old and new digest in
+CHANGES.md.
 """
 
 import hashlib
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from hyperpolate import Dataset, search_hyperpolation, serialize
+from hyperpolate import (
+    Dataset,
+    cli,
+    family_from_candidates,
+    predict,
+    search_hyperpolation,
+    serialize,
+    update,
+)
 
-DIGESTS = {
-    "ripple1d": "ea260cab6a6ba7e2330532c91e7958ab5254ec1e168f61907d70acfde2ac586b",
-    "cone1d": "3bdab9c3b6edcca47dafa91948e6f272c2e190af5b539a640af35ae2549ae8d9",
-    "cone_axis": "381d7f37cc154a04c4384e14e158662b36fb8b6ce4eacbd54b8246e0ce75f386",
-    "diagonal": "d4dab286eab42949fdb7a5923dcd5f8db8be94b28bc1ba4234d2ed0f88666b5b",
-    "noisy1": "26edf727bf1c0356d4c98b16c5fc74417971bab9ee9897a301e95de85e153e8d",
-}
+GOLDEN_PATH = Path(__file__).parent / "golden_digests.json"
 
 X20 = np.arange(-20.0, 21.0)
+X40 = np.arange(-40.0, 41.0)
+NOISY_BUDGET = 5000
+POSTERIOR_TOP = 64
+BENCH_METHODS = "nn_ambient,nn_projected,linear,extrusion,additive"
+BENCH_CASES = {
+    "cone": BENCH_METHODS,
+    "ripple": BENCH_METHODS,
+    "diagonal_xy": BENCH_METHODS.removesuffix(",additive"),
+}
 
 
-def digest(candidates):
+def sha256(text):
+    return hashlib.sha256(text.encode() if isinstance(text, str) else text).hexdigest()
+
+
+def cands_digest(candidates):
     rows = [
         [serialize(c.expr), repr(c.y0), repr(c.score), repr(c.residual), c.kind]
         for c in candidates
     ]
-    return hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+    return sha256(json.dumps(rows))
+
+
+def ripple1d():
+    return Dataset(X40[:, None], np.cos(np.sqrt(X40 * X40 + 400.0)))
+
+
+def cone1d():
+    return Dataset(X20[:, None], np.sqrt(X20 * X20 + 1.0))
 
 
 def cone_axis():
@@ -43,21 +85,115 @@ def diagonal():
     return Dataset(np.column_stack([X20, X20]), X20 * X20)
 
 
-def test_ripple1d(ripple_search):
-    assert digest(ripple_search[0]) == DIGESTS["ripple1d"]
+EXACT_CASES = {make.__name__: make for make in (ripple1d, cone1d, cone_axis, diagonal)}
 
 
-def test_cone1d(cone_search):
-    assert digest(cone_search[0]) == DIGESTS["cone1d"]
+def noisy_data(seed):
+    rng = np.random.default_rng(seed)
+    values = np.sqrt(X20 * X20 + 1.0) + 0.01 * rng.standard_normal(X20.size)
+    return Dataset(X20[:, None], values, noise_sigma=0.01)
+
+
+def noisy_search(seed):
+    data = noisy_data(seed)
+    return data, search_hyperpolation(data, budget=NOISY_BUDGET)
+
+
+def posterior_digests(data, candidates):
+    prior = family_from_candidates(candidates[:POSTERIOR_TOP])
+    post = update(prior, data)
+    gx, gy = np.meshgrid(X20, X20, indexing="ij")
+    dists = predict(post, np.column_stack([gx.ravel(), gy.ravel()]))
+    rows = [
+        [d.values.tobytes().hex(), d.weights.tobytes().hex(), repr(d.mean), repr(d.map_value)]
+        for d in dists
+    ]
+    return {
+        "noisy1_prior": sha256(json.dumps([repr(w) for w in prior.weights])),
+        "noisy1_post_weights": sha256(json.dumps([repr(w) for w in post.weights])),
+        "noisy1_records": sha256(json.dumps(post.to_records(data))),
+        "noisy1_dists": sha256(json.dumps(rows)),
+    }
+
+
+def bench_digests(case):
+    with tempfile.TemporaryDirectory() as out:
+        code = cli.main(["bench", case, "--methods", BENCH_CASES[case], "--out", out])
+        report = json.loads(Path(out, f"report_{case}.json").read_text())
+        grid = Path(out, f"grid_{case}.csv").read_bytes()
+    for method in report["methods"]:
+        method["runtime_s"] = 0.0
+    return {
+        f"bench_{case}_report": sha256(json.dumps([code, report], sort_keys=True)),
+        f"bench_{case}_grid": sha256(grid),
+    }
+
+
+def current_digests():
+    out = {f"cands_{name}": cands_digest(search_hyperpolation(make()))
+           for name, make in EXACT_CASES.items()}
+    for seed in (1, 2, 3):
+        data, candidates = noisy_search(seed)
+        out[f"cands_noisy{seed}"] = cands_digest(candidates)
+        if seed == 1:
+            out.update(posterior_digests(data, candidates))
+    for case in BENCH_CASES:
+        out.update(bench_digests(case))
+    return dict(sorted(out.items()))
+
+
+@pytest.fixture(scope="module")
+def golden():
+    # read here, not at import, so that the printer below can overwrite it
+    return json.loads(GOLDEN_PATH.read_text())
+
+
+@pytest.fixture(scope="module")
+def noisy1():
+    return noisy_search(1)
+
+
+def test_golden_keys(golden):
+    assert set(golden) == (
+        {f"cands_{name}" for name in EXACT_CASES}
+        | {f"cands_noisy{seed}" for seed in (1, 2, 3)}
+        | {"noisy1_prior", "noisy1_post_weights", "noisy1_records", "noisy1_dists"}
+        | {f"bench_{case}_{part}" for case in BENCH_CASES for part in ("report", "grid")}
+    )
+
+
+def test_ripple1d(golden, ripple_search):
+    assert cands_digest(ripple_search[0]) == golden["cands_ripple1d"]
+
+
+def test_cone1d(golden, cone_search):
+    assert cands_digest(cone_search[0]) == golden["cands_cone1d"]
 
 
 @pytest.mark.parametrize("name, make", [("cone_axis", cone_axis), ("diagonal", diagonal)])
-def test_exact_case(name, make):
-    assert digest(search_hyperpolation(make())) == DIGESTS[name]
+def test_exact_case(golden, name, make):
+    assert cands_digest(search_hyperpolation(make())) == golden[f"cands_{name}"]
 
 
-def test_noisy_seed_1():
-    rng = np.random.default_rng(1)
-    values = np.sqrt(X20 * X20 + 1.0) + 0.01 * rng.standard_normal(X20.size)
-    data = Dataset(X20[:, None], values, noise_sigma=0.01)
-    assert digest(search_hyperpolation(data, budget=5000)) == DIGESTS["noisy1"]
+def test_noisy_seed_1(golden, noisy1):
+    assert cands_digest(noisy1[1]) == golden["cands_noisy1"]
+
+
+@pytest.mark.parametrize("seed", [2, 3])
+def test_noisy_seed(golden, seed):
+    assert cands_digest(noisy_search(seed)[1]) == golden[f"cands_noisy{seed}"]
+
+
+def test_noisy1_posterior(golden, noisy1):
+    got = posterior_digests(*noisy1)
+    assert got == {key: golden[key] for key in got}
+
+
+@pytest.mark.parametrize("case", sorted(BENCH_CASES))
+def test_bench(golden, case):
+    got = bench_digests(case)
+    assert got == {key: golden[key] for key in got}
+
+
+if __name__ == "__main__":
+    print(json.dumps(current_digests(), indent=2))

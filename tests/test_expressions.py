@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from hyperpolate import (
-    ComplexityModel,
     Grammar,
     InvalidInputError,
     complexity,
@@ -259,10 +258,6 @@ class TestComplexity:
 
     def test_nonint_constant_expensive(self):
         assert complexity(var("x")) < complexity(("mul", const(2.71828), var("x")))
-
-    def test_custom_model(self):
-        cheap = ComplexityModel(int_bit_cost=0.0)
-        assert complexity(const(400.0), cheap) == complexity(const(1.0), cheap)
 
 
 class TestEnumeration:

@@ -17,18 +17,10 @@ import hyperpolate
 
 OPTIONS = {
     "bayesian.Hypothesis.candidate",
-    "bayesian.Posterior.to_records(data)",
-    "bayesian.build_prior(scorer)",
-    "baselines.fit_additive(literal)",
-    "baselines.fit_extrusion(inner)",
-    "baselines.fit_nn_projected(inner)",
-    "baselines.fit_slice_interpolant(chart)",
-    "baselines.predict_additive(literal)",
     "benchmark.BenchmarkCase.noise_sigma",
     "benchmark.BenchmarkCase.seed",
     "benchmark.BenchmarkCase.grid_ranges",
     "benchmark.BenchmarkCase.grid_step",
-    "benchmark.BenchmarkCase.band_edges",
     "benchmark.compare_orderings(grammar)",
     "benchmark.compare_orderings(budget)",
     "benchmark.evaluate_methods(dataset)",
@@ -37,18 +29,11 @@ OPTIONS = {
     "benchmark.evaluate_methods(tols)",
     "cli.main(argv)",
     "errors.CsvFormatError.__init__(line)",
-    "expressions.ComplexityModel.op_cost",
-    "expressions.ComplexityModel.var_cost",
-    "expressions.ComplexityModel.const_base",
-    "expressions.ComplexityModel.int_bit_cost",
-    "expressions.ComplexityModel.nonint_cost",
     "expressions.Grammar.variables",
     "expressions.Grammar.unary_ops",
     "expressions.Grammar.binary_ops",
-    "expressions.Grammar.allow_constants",
     "expressions.Grammar.max_nodes",
     "expressions.Grammar.max_depth",
-    "expressions.complexity(model)",
     "expressions.evaluate(slot_values)",
     "geometry.Dataset.__init__(noise_sigma)",
     "geometry.Regime.weights",
@@ -118,4 +103,4 @@ def test_option_set_is_pinned():
     found = library_options()
     assert len(found) == len(set(found))
     assert set(found) == OPTIONS
-    assert len(OPTIONS) == 51
+    assert len(OPTIONS) == 36
