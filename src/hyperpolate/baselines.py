@@ -43,7 +43,8 @@ class PolationModel:
 
     Use the ``fit_*`` functions (or :func:`fit_method`) to construct one.
     ``predict`` takes one point (returns a float) or an (n, dim) array of
-    points (returns an (n,) array), in the data's ambient dimension.
+    points (returns an (n,) array), in the data's ambient dimension, with
+    finite coordinates.
     """
 
     @property
@@ -60,6 +61,8 @@ class PolationModel:
             raise DimensionMismatchError(
                 f"point has dimension {points.shape[-1]}, expected {self.ambient_dim}"
             )
+        if not np.all(np.isfinite(points)):
+            raise InvalidInputError("point has non-finite coordinates")
         scalar = points.ndim == 1
         out = self._predict(np.atleast_2d(points))
         return float(out[0]) if scalar else out

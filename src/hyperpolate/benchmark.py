@@ -8,7 +8,7 @@ wall-clock runtime field.
 """
 
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -148,15 +148,6 @@ class BandError:
     max_abs: float
     count: int
 
-    def to_dict(self):
-        return {
-            "lo": self.lo,
-            "hi": self.hi,
-            "rmse": self.rmse,
-            "max_abs": self.max_abs,
-            "count": self.count,
-        }
-
 
 @dataclass(frozen=True)
 class MethodReport:
@@ -166,15 +157,6 @@ class MethodReport:
     misses: int
     runtime_s: float
 
-    def to_dict(self):
-        return {
-            "name": self.name,
-            "bands": [b.to_dict() for b in self.bands],
-            "regime_counts": dict(self.regime_counts),
-            "misses": self.misses,
-            "runtime_s": self.runtime_s,
-        }
-
 
 @dataclass(frozen=True)
 class Report:
@@ -183,11 +165,7 @@ class Report:
     methods: tuple
 
     def to_dict(self):
-        return {
-            "case": self.case,
-            "seed": self.seed,
-            "methods": [m.to_dict() for m in self.methods],
-        }
+        return asdict(self)
 
     def method(self, name):
         for m in self.methods:

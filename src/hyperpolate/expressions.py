@@ -314,31 +314,26 @@ def _closure(node, counter):
 def compile_shape(e, env):
     """Compile a shape over fixed variable arrays.
 
-    Returns ``(slots, at, at_grid)``: the slot count and two functions of the
-    slot values (a sequence in depth-first order).  ``at(values)`` equals
-    ``evaluate(e, env, values)`` bit for bit.  ``at_grid(values)`` does the
-    same over ``env`` with every 1-D array as an (m, 1) column, so that a
-    slot given a (G,) vector yields an (m, G) table.  Every slot-free subtree
-    is evaluated once, here; a call recomputes only the nodes on the paths
-    from the slots to the root, with the operations ``evaluate`` uses.
-    Calls run under the caller's numpy error state: unlike ``evaluate``,
-    they do not silence domain warnings themselves.
+    Returns ``(slots, at)``: the slot count and a function of the slot
+    values (a sequence in depth-first order).  ``at(values)`` equals
+    ``evaluate(e, env, values)`` bit for bit.  Given each slot's values as
+    an (L, 1) column over 1-D variable arrays of m points, it yields the
+    (L, m) table of the L value points' shape values, one row per point.
+    Every slot-free subtree is evaluated once, here; a call recomputes only
+    the nodes on the paths from the slots to the root, with the operations
+    ``evaluate`` uses.  Calls run under the caller's numpy error state:
+    unlike ``evaluate``, they do not silence domain warnings themselves.
     """
     counter = [0]
     with np.errstate(all="ignore"):
         has_slot, part = _compile(e, env, counter)
     if has_slot:
-        return counter[0], part[0], part[1]
-    value = part
-    return 0, lambda values: value, lambda values: _column(value)
-
-
-def _column(value):
-    return value[:, None] if np.ndim(value) == 1 else value
+        return counter[0], part
+    return 0, lambda values: part
 
 
 def _compile(node, env, counter):
-    """(False, value) for a slot-free node, else (True, (at, at_grid))."""
+    """(False, value) for a slot-free node, else (True, at)."""
     op = node[0]
     if op == "var":
         return False, env[node[1]]
@@ -347,37 +342,21 @@ def _compile(node, env, counter):
     if op == "slot":
         get = operator.itemgetter(counter[0])
         counter[0] += 1
-        return True, (get, get)
+        return True, get
     fn = _OPS.get(op)
     if fn is None:
         raise InvalidInputError(f"unknown operator {op!r}")
     slot_a, a = _compile(node[1], env, counter)
     if len(node) == 2:
-        if not slot_a:
-            return False, fn(a)
-        at, at_grid = a
-        return True, (lambda values: fn(at(values)), lambda values: fn(at_grid(values)))
+        return (True, lambda values: fn(a(values))) if slot_a else (False, fn(a))
     slot_b, b = _compile(node[2], env, counter)
-    if not (slot_a or slot_b):
-        return False, fn(a, b)
-    return True, (_bind(fn, slot_a, a, slot_b, b, 0), _bind(fn, slot_a, a, slot_b, b, 1))
-
-
-def _bind(fn, slot_a, a, slot_b, b, grid):
-    """Binary fn as a function of the slot values (``grid`` picks at_grid)."""
-    a = _operand(slot_a, a, grid)
-    b = _operand(slot_b, b, grid)
     if slot_a and slot_b:
-        return lambda values: fn(a(values), b(values))
+        return True, lambda values: fn(a(values), b(values))
     if slot_a:
-        return lambda values: fn(a(values), b)
-    return lambda values: fn(a, b(values))
-
-
-def _operand(has_slot, part, grid):
-    if has_slot:
-        return part[grid]
-    return _column(part) if grid else part
+        return True, lambda values: fn(a(values), b)
+    if slot_b:
+        return True, lambda values: fn(a, b(values))
+    return False, fn(a, b)
 
 
 def substitute(e, mapping):

@@ -242,69 +242,24 @@ def _linear_split(shape):
     return core, has_mul, has_add
 
 
-def _profiled_sse(u, y, has_mul, has_add):
-    """Least-squares over the profiled (c_a, c_b) given core values u.
-
-    ``u`` may be (m,) or (m, G); returns (sse, c_a, c_b) arrays over G.
-    """
-    u = np.asarray(u, dtype=float)
-    squeeze = u.ndim == 1
-    if squeeze:
-        u = u[:, None]
-    m = u.shape[0]
-    y = y[:, None]
-    bad = ~np.isfinite(u).all(axis=0)
-    with np.errstate(all="ignore"):
-        if has_mul and has_add:
-            um = u.mean(axis=0)
-            ym = y.mean(axis=0)
-            uc = u - um
-            varu = (uc * uc).sum(axis=0)
-            cov = (uc * (y - ym)).sum(axis=0)
-            ca = np.where(varu > 0, cov / np.where(varu > 0, varu, 1.0), 0.0)
-            cb = ym - ca * um
-        elif has_mul:
-            uu = (u * u).sum(axis=0)
-            uy = (u * y).sum(axis=0)
-            ca = np.where(uu > 0, uy / np.where(uu > 0, uu, 1.0), 0.0)
-            cb = np.zeros_like(ca)
-        elif has_add:
-            ca = np.ones(u.shape[1])
-            cb = (y - u).mean(axis=0)
-        else:
-            ca = np.ones(u.shape[1])
-            cb = np.zeros(u.shape[1])
-        resid = u * ca + cb - y if (has_mul or has_add) else u - y
-        sse = (resid * resid).sum(axis=0)
-    sse = np.where(bad | ~np.isfinite(sse), np.inf, sse)
-    if squeeze:
-        return float(sse[0]), float(ca[0]), float(cb[0])
-    return sse, ca, cb
-
-
 class _LaneObjective:
     """The profiled SSE of a shape's core as a function of its slot values,
     for many slot values per call.
 
-    ``at`` and ``at_grid`` are the core's ``compile_shape`` evaluators.
-    Given each slot's values as an (L, 1) column, ``at`` yields the (L, m)
-    table of L lanes' core values, one C-contiguous row per lane.
+    The core is ``u * c_a + c_b`` with the least-squares ``c_a`` and ``c_b``
+    profiled out (linear scaling), each present when the shape has that
+    slot.  ``at`` is the core's ``compile_shape`` evaluator: given each
+    slot's values as an (L, 1) column, it yields the (L, m) table of L
+    lanes' core values, one C-contiguous row per lane.
     """
 
-    def __init__(self, at, at_grid, target, has_mul, has_add):
+    def __init__(self, at, target, has_mul, has_add):
         self.at = at
-        self.at_grid = at_grid
         self.target = target
         self.has_mul = has_mul
         self.has_add = has_add
         self.ym = target.mean()
         self.yc = target - self.ym
-
-    def grid_sse(self, values):
-        """SSE at each entry of the last slot value, a (G,) vector, the
-        others being scalars: the (m, G) column form, for choosing starts."""
-        u = _full(self.at_grid(values), (self.target.size, values[-1].size))
-        return _profiled_sse(u, self.target, self.has_mul, self.has_add)[0]
 
     def __call__(self, points, ceiling=math.inf):
         """SSE at each of L points (slot values: all scalars or all
@@ -313,46 +268,49 @@ class _LaneObjective:
         pts = np.array(points, dtype=float)
         columns = (pts[:, None],) if pts.ndim == 1 else pts.T.copy()[:, :, None]
         u = _full(self.at(tuple(columns)), (len(points), self.target.size))
-        return self.rows_sse(u, ceiling)
+        return self.rows(u, ceiling)[0]
 
     def capped(self, points):
         """``self(points)`` at most 1e300, so that a bounded Brent run sees
         no infinite value."""
         return self(points, 1e300)
 
-    def rows_sse(self, u, ceiling=math.inf):
-        """``min(_profiled_sse(row, target, ...)[0], ceiling)`` for each row
-        of an (L, m) table.
+    def rows(self, u, ceiling=math.inf):
+        """``(sse, c_a, c_b)`` for each row of an (L, m) table of core
+        values: the SSE, at most ``ceiling``, as an (L,) array, and the
+        profiled constants as (L, 1) columns, or 1.0 and 0.0 when absent.
 
-        Each row goes through the numpy operations ``_profiled_sse``
-        applies to one (m, 1) column, in the same order, and a mean is the
-        sum divided by m, as ``ndarray.mean`` computes it.  A row sum is
-        numpy's pairwise sum of that row, as for a single vector, so every
-        lane's SSE is bit-equal to the SSE of that lane alone; the column
-        sums of an (m, L) table add sequentially and are not.  Multiplying
-        by the profiled 1 and adding the profiled 0 are exact and left out.
-        A non-finite core value always makes its row's sum non-finite (nan
-        or inf), which ``fmin`` turns into the ceiling.
+        A mean is the sum divided by m, as ``ndarray.mean`` computes it, and
+        a row sum is numpy's pairwise sum of that row, as for a single
+        vector, so a row's values do not depend on the other rows: the
+        grid SSEs that choose the starts, the lanes' SSEs and the final
+        one-row refit are each bit-equal to the SSE of that point alone.
+        Multiplying by the profiled 1 and adding the profiled 0 are exact
+        and left out.  A non-finite core value always makes its row's sum
+        non-finite (nan or inf), which ``fmin`` turns into the ceiling.
         """
         y = self.target
         m = y.size
+        ca, cb = 1.0, 0.0
         if self.has_mul and self.has_add:
             um = np.add.reduce(u, axis=1, keepdims=True) / m
             uc = u - um
             varu = np.add.reduce(uc * uc, axis=1)
             cov = np.add.reduce(uc * self.yc, axis=1)
             ca = np.where(varu > 0, cov / varu, 0.0)[:, None]
-            resid = u * ca + (self.ym - ca * um) - y
+            cb = self.ym - ca * um
+            resid = u * ca + cb - y
         elif self.has_mul:
             uu = np.add.reduce(u * u, axis=1)
             uy = np.add.reduce(u * y, axis=1)
             ca = np.where(uu > 0, uy / uu, 0.0)[:, None]
             resid = u * ca - y
         elif self.has_add:
-            resid = u + np.add.reduce(y - u, axis=1, keepdims=True) / m - y
+            cb = np.add.reduce(y - u, axis=1, keepdims=True) / m
+            resid = u + cb - y
         else:
             resid = u - y
-        return np.fmin(np.add.reduce(resid * resid, axis=1), ceiling)
+        return np.fmin(np.add.reduce(resid * resid, axis=1), ceiling), ca, cb
 
 
 # The two minimizers below are the loops of scipy 1.17.1's
@@ -610,16 +568,16 @@ class _ShapeFitter:
     def _fit(self, shape):
         target = self.target
         core, has_mul, has_add = _linear_split(shape)
-        k_inner, at, at_grid = compile_shape(core, self.envs)
+        k_inner, at = compile_shape(core, self.envs)
         if k_inner == 0 and not (has_mul or has_add):
             vals = _full(at(()), target.shape)
             if not np.all(np.isfinite(vals)):
                 return None
             resid = vals - target
             return (), float(resid @ resid), float(np.max(np.abs(resid)))
+        lanes = _LaneObjective(at, target, has_mul, has_add)
         inner = ()
         if k_inner:
-            lanes = _LaneObjective(at, at_grid, target, has_mul, has_add)
             if k_inner == 1:
                 inner, sse = self._fit_inner1(lanes)
             elif k_inner == 2:
@@ -628,23 +586,24 @@ class _ShapeFitter:
                 inner, sse = self._fit_inner_many(lanes, k_inner)
             if inner is None or not np.isfinite(sse):
                 return None
-        u = _full(at(inner), target.shape)
-        sse, ca, cb = _profiled_sse(u, target, has_mul, has_add)
-        if not np.isfinite(sse):
+        sse, ca, cb = lanes.rows(_full(at(inner), (1, target.size)))
+        if not np.isfinite(sse[0]):
             return None
-        return self._assemble(inner, ca, cb, has_mul, has_add), sse, None
+        return self._assemble(inner, ca, cb, has_mul, has_add), float(sse[0]), None
 
     def _assemble(self, inner, ca, cb, has_mul, has_add):
+        """The constant vector: ``inner`` then the profiled c_a and c_b
+        present, from ``rows`` of one row."""
         out = list(inner)
         if has_mul:
-            out.append(float(ca))
+            out.append(float(ca[0, 0]))
         if has_add:
-            out.append(float(cb))
+            out.append(float(cb[0, 0]))
         return tuple(out)
 
     def _fit_inner1(self, lanes):
         grid = self.grid
-        sse = lanes.grid_sse((grid,))
+        sse = lanes(grid)
         brackets = []
         for idx in np.argsort(sse, kind="stable")[:3]:
             if not np.isfinite(sse[idx]):
@@ -663,7 +622,7 @@ class _ShapeFitter:
         coarse = self._coarse()
         best = []
         for c1 in coarse:
-            sse = lanes.grid_sse((c1, coarse))
+            sse = lanes([(c1, c2) for c2 in coarse])
             idx = int(np.argmin(sse))
             if np.isfinite(sse[idx]):
                 best.append((float(sse[idx]), float(c1), float(coarse[idx])))

@@ -429,31 +429,32 @@ def eval_expr(e, env, slot_values=()):
 
 
 def profiled_sse(u, y, has_mul, has_add):
-    """SSE of the least-squares profiled (c_a, c_b) in ``u * c_a + c_b``
-    given core values ``u`` of shape (m, G): an array over G."""
-    y = y[:, None]
-    bad = ~np.isfinite(u).all(axis=0)
+    """The least-squares profiled (c_a, c_b) in ``u * c_a + c_b`` given core
+    values ``u`` of shape (L, m), one row each: ``(sse, c_a, c_b)``, the SSE
+    an (L,) array and the constants (L, 1) columns."""
+    y = y[None, :]
+    bad = ~np.isfinite(u).all(axis=1)
+    ones, zeros = np.ones((u.shape[0], 1)), np.zeros((u.shape[0], 1))
     if has_mul and has_add:
-        um = u.mean(axis=0)
-        ym = y.mean(axis=0)
+        um = u.mean(axis=1, keepdims=True)
+        ym = y.mean(axis=1, keepdims=True)
         uc = u - um
-        varu = (uc * uc).sum(axis=0)
-        cov = (uc * (y - ym)).sum(axis=0)
+        varu = (uc * uc).sum(axis=1, keepdims=True)
+        cov = (uc * (y - ym)).sum(axis=1, keepdims=True)
         ca = np.where(varu > 0, cov / np.where(varu > 0, varu, 1.0), 0.0)
         cb = ym - ca * um
     elif has_mul:
-        uu = (u * u).sum(axis=0)
-        uy = (u * y).sum(axis=0)
+        uu = (u * u).sum(axis=1, keepdims=True)
+        uy = (u * y).sum(axis=1, keepdims=True)
         ca = np.where(uu > 0, uy / np.where(uu > 0, uu, 1.0), 0.0)
-        cb = np.zeros_like(ca)
+        cb = zeros
     elif has_add:
-        ca = np.ones(u.shape[1])
-        cb = (y - u).mean(axis=0)
+        ca, cb = ones, (y - u).mean(axis=1, keepdims=True)
     else:
-        ca, cb = np.ones(u.shape[1]), np.zeros(u.shape[1])
+        ca, cb = ones, zeros
     resid = u * ca + cb - y if (has_mul or has_add) else u - y
-    sse = (resid * resid).sum(axis=0)
-    return np.where(bad | ~np.isfinite(sse), np.inf, sse)
+    sse = (resid * resid).sum(axis=1)
+    return np.where(bad | ~np.isfinite(sse), np.inf, sse), ca, cb
 
 
 def profiled_sse_1d(u, y, has_mul, has_add):
@@ -479,14 +480,14 @@ def profiled_sse_1d(u, y, has_mul, has_add):
     return sse if np.isfinite(sse) else np.inf
 
 
-def scipy_fit_inner(k, grid, target, at, at_grid, has_mul, has_add):
+def scipy_fit_inner(k, grid, target, at, has_mul, has_add):
     """(inner constants, SSE) of a shape's core with ``k`` slots, or
     (None, inf): starts chosen on ``grid`` (three bounded-Brent brackets
     for one slot, three Nelder-Mead starts from a coarse grid for two, 64
     fixed starts for more), each refined by its own scipy call on the
-    profiled SSE of ``at(c)``; the first best refinement wins.  ``at`` and
-    ``at_grid`` are a compiled core's evaluators (``at_grid`` maps a (G,)
-    slot vector to an (m, G) table)."""
+    profiled SSE of ``at(c)``; the first best refinement wins.  ``at`` is a
+    compiled core's evaluator: given a slot's (G, 1) column of values, it
+    yields a (G, m) table, one row per value."""
     from scipy.optimize import minimize, minimize_scalar
 
     m = target.size
@@ -496,11 +497,11 @@ def scipy_fit_inner(k, grid, target, at, at_grid, has_mul, has_add):
         return profiled_sse_1d(u, target, has_mul, has_add)
 
     def table_sse(values, n):
-        u = np.broadcast_to(np.asarray(at_grid(values), dtype=float), (m, n))
-        return profiled_sse(u, target, has_mul, has_add)
+        u = np.broadcast_to(np.asarray(at(values), dtype=float), (n, m))
+        return profiled_sse(u, target, has_mul, has_add)[0]
 
     if k == 1:
-        sse = table_sse((grid,), grid.size)
+        sse = table_sse((grid[:, None],), grid.size)
         best_c, best_sse = None, np.inf
         for idx in np.argsort(sse, kind="stable")[:3]:
             if not np.isfinite(sse[idx]):
@@ -520,7 +521,7 @@ def scipy_fit_inner(k, grid, target, at, at_grid, has_mul, has_add):
         coarse = grid[:: max(1, grid.size // 28)]
         best = []
         for c1 in coarse:
-            sse = table_sse((c1, coarse), coarse.size)
+            sse = table_sse((c1, coarse[:, None]), coarse.size)
             idx = int(np.argmin(sse))
             if np.isfinite(sse[idx]):
                 best.append((float(sse[idx]), float(c1), float(coarse[idx])))

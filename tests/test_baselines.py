@@ -230,3 +230,6 @@ class TestPredictValidation:
         for shape in ((), (2, 2, 2)):
             with pytest.raises(InvalidInputError, match="one point or an"):
                 model.predict(np.ones(shape))
+        for query in ([np.nan, 0.0], [np.inf, 1.0], [[0.0, 1.0], [1.0, np.nan]]):
+            with pytest.raises(InvalidInputError, match="non-finite"):
+                model.predict(query)

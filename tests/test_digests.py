@@ -1,7 +1,7 @@
 """Library outputs pinned byte for byte against ``golden_digests.json``.
 
-Each entry is a sha256 under its ``BENCH_9.json`` key name, with that file's
-``byte_identity.fields`` definition:
+Each entry is a sha256 under its ``BENCH_9.json`` or ``BENCH_10.json`` key
+name, with that file's ``byte_identity.fields`` definition:
 
 * ``cands_<case>``: ``json.dumps`` of one row per candidate, in ranked
   order: ``[serialize(expr), repr(y0), repr(score), repr(residual), kind]``.
@@ -18,6 +18,11 @@ Each entry is a sha256 under its ``BENCH_9.json`` key name, with that file's
   nn_ambient,nn_projected,linear,extrusion,additive`` (diagonal_xy without
   additive): ``json.dumps([exit code, report with runtime_s zeroed],
   sort_keys=True)``, and the grid CSV bytes.
+* ``slice_lattice_api`` / ``cloud_classify31``: ``json.dumps`` of ``[tag,
+  weights bytes hex or None, repr(residual)]`` for each query of per-point
+  ``classify`` calls (equal to one batch call on a fresh ``Dataset``): the
+  625-point 2.5-step lattice over [-30, 30]^2 against diagonal_xy's samples
+  t * (1, 1), and perfbench's ``classify_cloud`` queries for seed 31.
 
 ``PYTHONPATH=src python tests/test_digests.py`` prints the current digests
 in the golden file's form.  A change that alters an output on purpose
@@ -35,6 +40,7 @@ import pytest
 
 from hyperpolate import (
     Dataset,
+    classify,
     cli,
     family_from_candidates,
     predict,
@@ -129,6 +135,39 @@ def bench_digests(case):
     }
 
 
+def slice_lattice():
+    t = np.arange(-20.0, 21.0)
+    axis = np.arange(-30.0, 31.0, 2.5)
+    gx, gy = np.meshgrid(axis, axis, indexing="ij")
+    return Dataset(np.column_stack([t, t]), t * t), np.column_stack([gx.ravel(), gy.ravel()])
+
+
+def cloud(seed):
+    """200 samples in the cube [-1, 1]^3, 900 random queries in [-1.3, 1.3]^3
+    and 100 of the samples, shuffled."""
+    rng = np.random.default_rng(seed)
+    samples = rng.uniform(-1.0, 1.0, size=(200, 3))
+    picks = rng.choice(200, size=100, replace=False)
+    queries = np.vstack([rng.uniform(-1.3, 1.3, size=(900, 3)), samples[picks]])
+    return Dataset(samples, samples.sum(axis=1)), queries[rng.permutation(len(queries))]
+
+
+CLASSIFY_CASES = {"slice_lattice_api": slice_lattice, "cloud_classify31": lambda: cloud(31)}
+
+
+def classify_digest(regimes):
+    rows = [
+        [r.tag, None if r.weights is None else r.weights.tobytes().hex(), repr(r.residual)]
+        for r in regimes
+    ]
+    return sha256(json.dumps(rows))
+
+
+def per_point_classify_digest(make):
+    data, queries = make()
+    return classify_digest([classify(q, data) for q in queries])
+
+
 def current_digests():
     out = {f"cands_{name}": cands_digest(search_hyperpolation(make()))
            for name, make in EXACT_CASES.items()}
@@ -139,6 +178,8 @@ def current_digests():
             out.update(posterior_digests(data, candidates))
     for case in BENCH_CASES:
         out.update(bench_digests(case))
+    for name, make in CLASSIFY_CASES.items():
+        out[name] = per_point_classify_digest(make)
     return dict(sorted(out.items()))
 
 
@@ -159,6 +200,7 @@ def test_golden_keys(golden):
         | {f"cands_noisy{seed}" for seed in (1, 2, 3)}
         | {"noisy1_prior", "noisy1_post_weights", "noisy1_records", "noisy1_dists"}
         | {f"bench_{case}_{part}" for case in BENCH_CASES for part in ("report", "grid")}
+        | set(CLASSIFY_CASES)
     )
 
 
@@ -193,6 +235,15 @@ def test_noisy1_posterior(golden, noisy1):
 def test_bench(golden, case):
     got = bench_digests(case)
     assert got == {key: golden[key] for key in got}
+
+
+
+@pytest.mark.parametrize("name", sorted(CLASSIFY_CASES))
+def test_classify(golden, name):
+    make = CLASSIFY_CASES[name]
+    assert per_point_classify_digest(make) == golden[name]
+    data, queries = make()  # a fresh Dataset, so that the batch call builds the hull
+    assert classify_digest(classify(queries, data)) == golden[name]
 
 
 if __name__ == "__main__":

@@ -24,9 +24,9 @@ from hyperpolate.expressions import (
     substitute,
     var,
 )
-from hyperpolate.symbolic import _LaneObjective, _profiled_sse
+from hyperpolate.symbolic import _LaneObjective
 
-from _oracles import eval_expr
+from _oracles import eval_expr, profiled_sse_1d
 
 
 class TestSerializeParse:
@@ -164,10 +164,10 @@ class TestCompileShape:
     def test_matches_evaluate_bit_for_bit(self, samples):
         t = self.SAMPLES[samples]
         y = np.cos(t) + 0.5 * np.arange(t.size)
-        env, col_env = {"t": t}, {"t": t[:, None]}
+        env = {"t": t}
         finite = 0
         for shape in self._shapes():
-            k, at, at_grid = compile_shape(shape, env)
+            k, at = compile_shape(shape, env)
             assert k == slot_count(shape)
             values = list(self.SCALARS[:k])
             with np.errstate(all="ignore"):
@@ -175,11 +175,15 @@ class TestCompileShape:
             want = evaluate(shape, env, values)
             assert np.array_equal(got, want, equal_nan=True), serialize(shape)
             if k:
-                grid_values = values[:-1] + [self.GRID]
+                # the last slot's values as a column: one row per value
                 with np.errstate(all="ignore"):
-                    got_grid = at_grid(grid_values)
-                want_grid = evaluate(shape, col_env, grid_values)
-                assert np.array_equal(got_grid, want_grid, equal_nan=True), serialize(shape)
+                    got_table = at(values[:-1] + [self.GRID[:, None]])
+                want_table = [
+                    np.broadcast_to(evaluate(shape, env, values[:-1] + [g]), t.shape)
+                    for g in self.GRID
+                ]
+                got_table = np.broadcast_to(got_table, (self.GRID.size, t.size))
+                assert np.array_equal(got_table, want_table, equal_nan=True), serialize(shape)
             u = np.broadcast_to(np.asarray(got, dtype=float), t.shape)
             finite += bool(np.all(np.isfinite(u)))
             # lanes: one row per slot-value point, each reduced on its own
@@ -189,18 +193,18 @@ class TestCompileShape:
                 points = [p[0] for p in points]  # bounded Brent's scalar points
             for has_mul in (False, True):
                 for has_add in (False, True):
-                    lanes = _LaneObjective(at, at_grid, y, has_mul, has_add)
+                    lanes = _LaneObjective(at, y, has_mul, has_add)
                     with np.errstate(all="ignore"):
-                        got_rows = lanes.rows_sse(rows)
-                        want_rows = [_profiled_sse(r, y, has_mul, has_add)[0] for r in rows]
+                        got_rows = lanes.rows(rows)[0]
+                        want_rows = [profiled_sse_1d(r, y, has_mul, has_add) for r in rows]
                         assert got_rows.tolist() == want_rows, serialize(shape)
                         if not k:
                             continue
                         got_lanes = lanes(points)
                         want_lanes = [
-                            _profiled_sse(
+                            profiled_sse_1d(
                                 np.broadcast_to(at(np.atleast_1d(p)), t.shape), y, has_mul, has_add
-                            )[0]
+                            )
                             for p in points
                         ]
                     assert got_lanes.tolist() == want_lanes, serialize(shape)

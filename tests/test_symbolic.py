@@ -351,14 +351,15 @@ def _scipy_fit(fitter, shape):
     """``fitter.fit(shape)[:2]`` with the inner constants fitted by the
     scipy reference in ``_oracles``, one minimizer call per start."""
     core, has_mul, has_add = symbolic._linear_split(shape)
-    k, at, at_grid = compile_shape(core, fitter.envs)
+    k, at = compile_shape(core, fitter.envs)
     target = fitter.target
     with np.errstate(all="ignore"):
-        inner, sse = oracles.scipy_fit_inner(k, fitter.grid, target, at, at_grid, has_mul, has_add)
+        inner, sse = oracles.scipy_fit_inner(k, fitter.grid, target, at, has_mul, has_add)
         if inner is None or not np.isfinite(sse):
             return None
-        u = np.broadcast_to(np.asarray(at(inner), dtype=float), target.shape)
-        sse, ca, cb = symbolic._profiled_sse(u, target, has_mul, has_add)
+        u = np.broadcast_to(np.asarray(at(inner), dtype=float), (1, target.size))
+        sse, ca, cb = oracles.profiled_sse(u, target, has_mul, has_add)
+        sse = float(sse[0])
     if not np.isfinite(sse):
         return None
     return fitter._assemble(inner, ca, cb, has_mul, has_add), sse
