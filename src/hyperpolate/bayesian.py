@@ -230,6 +230,8 @@ def predict(post, p):
         raise InvalidInputError(
             f"predict takes one point or an (n, dim) array, got shape {pts.shape}"
         )
+    if not np.all(np.isfinite(pts)):
+        raise InvalidInputError("point has non-finite coordinates")
     if not batch:
         pts = pts[None, :]
     values = np.empty((len(post), pts.shape[0]))

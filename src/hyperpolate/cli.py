@@ -6,6 +6,7 @@ benchmark reports are single JSON documents; grid dumps are CSV.
 """
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -227,20 +228,17 @@ def _load_case_spec(path):
             raise InvalidInputError(
                 f"case spec {path}: {key!r} must be {form}, got {raw[key]!r}"
             )
-    try:
-        return benchmark.BenchmarkCase(
-            name=raw["name"],
-            truth=raw["truth"],
-            slice_base=tuple(raw["slice_base"]),
-            slice_direction=tuple(raw["slice_direction"]),
-            sample_params=tuple(raw["sample_params"]),
-            noise_sigma=raw.get("noise_sigma", 0.0),
-            seed=raw.get("seed", 0),
-            grid_ranges=tuple(tuple(r) for r in raw.get("grid_ranges", ((-40, 40), (-40, 40)))),
-            grid_step=raw.get("grid_step", 1.0),
-        )
-    except KeyError as exc:
-        raise UnknownCaseError(f"case spec missing field {exc}") from None
+    for field in dataclasses.fields(benchmark.BenchmarkCase):
+        if field.default is dataclasses.MISSING and field.name not in raw:
+            raise UnknownCaseError(f"case spec missing field {field.name!r}")
+    # absent fields keep BenchmarkCase's defaults; JSON lists become tuples
+    return benchmark.BenchmarkCase(
+        **{key: _as_tuple(raw[key]) for key in _CASE_SPEC_CHECKS if key in raw}
+    )
+
+
+def _as_tuple(value):
+    return tuple(map(_as_tuple, value)) if isinstance(value, list) else value
 
 
 def cmd_bench(args):
@@ -264,9 +262,9 @@ def cmd_bench(args):
     for spec in names:
         case = benchmark.BUILTIN_CASES[spec] if isinstance(spec, str) else spec
         if args.seed is not None:
-            case = benchmark.BenchmarkCase(**{**case.__dict__, "seed": args.seed})
+            case = dataclasses.replace(case, seed=args.seed)
         if args.sigma is not None:
-            case = benchmark.BenchmarkCase(**{**case.__dict__, "noise_sigma": args.sigma})
+            case = dataclasses.replace(case, noise_sigma=args.sigma)
         report, predictions, truth, queries = benchmark.evaluate_methods(
             methods, case, grammar=grammar, budget=args.budget, tols=tols
         )

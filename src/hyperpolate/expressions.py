@@ -16,6 +16,7 @@ cost more, growing with the integer's bit length, so that removing an
 arbitrary constant in favour of structure is rewarded.
 """
 
+import ast
 import math
 import operator
 from dataclasses import dataclass
@@ -159,93 +160,43 @@ def struct_key(e):
     return f"{op}({','.join(struct_key(c) for c in e[1:])})"
 
 
-class _Parser:
-    def __init__(self, text):
-        self.text = text
-        self.pos = 0
-
-    def error(self, msg):
-        raise InvalidInputError(f"cannot parse expression at index {self.pos}: {msg}")
-
-    def peek(self):
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def skip_ws(self):
-        while self.peek().isspace():
-            self.pos += 1
-
-    def parse(self):
-        e = self.expr()
-        self.skip_ws()
-        if self.pos != len(self.text):
-            self.error("trailing input")
-        return e
-
-    def expr(self):
-        self.skip_ws()
-        ch = self.peek()
-        if ch in "+-0123456789.":
-            return self.number()
-        name = self.identifier()
-        self.skip_ws()
-        if self.peek() != "(":
-            return ("var", name)
-        self.pos += 1
-        args = [self.expr()]
-        self.skip_ws()
-        while self.peek() == ",":
-            self.pos += 1
-            args.append(self.expr())
-            self.skip_ws()
-        if self.peek() != ")":
-            self.error("expected ')'")
-        self.pos += 1
-        return self.node(name, args)
-
-    def number(self):
-        start = self.pos
-        if self.peek() in "+-":
-            self.pos += 1
-        while self.peek() and (self.peek().isdigit() or self.peek() in ".eE+-"):
-            # stop a sign that is not part of an exponent
-            if self.peek() in "+-" and self.text[self.pos - 1] not in "eE":
-                break
-            self.pos += 1
-        try:
-            return const(float(self.text[start : self.pos]))
-        except ValueError:
-            self.error("bad number literal")
-
-    def identifier(self):
-        start = self.pos
-        while self.peek().isalnum() or self.peek() == "_":
-            self.pos += 1
-        if start == self.pos:
-            self.error("expected identifier")
-        return self.text[start : self.pos]
-
-    def node(self, name, args):
+def _tree(node, text):
+    """Expression tree of a node of ``ast.parse(text, mode="eval")``."""
+    if isinstance(node, ast.Call):
+        name = node.func.id if isinstance(node.func, ast.Name) else None
+        if name not in UNARY_OPS + BINARY_OPS:
+            func = ast.get_source_segment(text, node.func)
+            raise InvalidInputError(f"unknown operator {func!r}")
+        if node.keywords:
+            raise InvalidInputError(f"{name} takes positional arguments only")
+        args = [_tree(a, text) for a in node.args]
         if name in UNARY_OPS:
             if len(args) != 1:
-                self.error(f"{name} takes one argument")
+                raise InvalidInputError(f"{name} takes one argument")
             return (name, args[0])
-        if name in ("sub", "div"):
-            if len(args) != 2:
-                self.error(f"{name} takes two arguments")
-            return (name, args[0], args[1])
         if name in _CHAIN_OPS:
             if len(args) < 2:
-                self.error(f"{name} takes at least two arguments")
-            out = args[-1]
-            for a in reversed(args[:-1]):
-                out = (name, a, out)
-            return out
-        self.error(f"unknown operator {name!r}")
+                raise InvalidInputError(f"{name} takes at least two arguments")
+            return _rebuild_chain(name, args)
+        if len(args) != 2:
+            raise InvalidInputError(f"{name} takes two arguments")
+        return (name, *args)
+    if isinstance(node, ast.Name):
+        return var(node.id)
+    return const(float(ast.get_source_segment(text, node)))
 
 
 def parse(text):
-    """Parse a canonical prefix string back into an expression tree."""
-    return canonical_simplify(_Parser(text).parse())
+    """Parse a canonical prefix string back into an expression tree.
+
+    Grammar operators called by name, variable names and numeric literals
+    as ``float`` reads them; anything else raises ``InvalidInputError``.
+    """
+    text = text.strip()
+    try:
+        return canonical_simplify(_tree(ast.parse(text, mode="eval").body, text))
+    except (SyntaxError, ValueError, MemoryError, RecursionError) as exc:
+        raise InvalidInputError(f"cannot parse expression: {exc}") from None
 
 
 # One table for every evaluator, so that compile_expr and compile_shape apply

@@ -620,9 +620,9 @@ class _ShapeFitter:
 
     def _fit_inner2(self, lanes):
         coarse = self._coarse()
+        grid = lanes([(c1, c2) for c1 in coarse for c2 in coarse])
         best = []
-        for c1 in coarse:
-            sse = lanes([(c1, c2) for c2 in coarse])
+        for c1, sse in zip(coarse, grid.reshape(coarse.size, coarse.size)):
             idx = int(np.argmin(sse))
             if np.isfinite(sse[idx]):
                 best.append((float(sse[idx]), float(c1), float(coarse[idx])))
@@ -707,7 +707,7 @@ def _qualifying_fits(fitter, grammar, budget, strict, score_floor_cb):
 
     The grammar's variables are set to the fitter's; in strict mode only
     fits with max-abs residual at or below the strict tolerance qualify.
-    ``score_floor_cb(expr, residual)`` returns the best achievable ranking
+    ``score_floor_cb(expr)`` returns the best achievable ranking
     score for a qualifying fit, used to certify when no later level can
     still contribute; in strict mode shapes whose lower bound exceeds the
     certified best are skipped without fitting.  The certified stop is
@@ -780,7 +780,7 @@ def _qualifying_fits(fitter, grammar, budget, strict, score_floor_cb):
             if strict:
                 if residual > STRICT_TOL:
                     continue
-                best_score = min(best_score, score_floor_cb(expr, residual))
+                best_score = min(best_score, score_floor_cb(expr))
             results.append((expr, residual))
     return results
 
@@ -788,14 +788,6 @@ def _qualifying_fits(fitter, grammar, budget, strict, score_floor_cb):
 # ---------------------------------------------------------------------------
 # public operations
 # ---------------------------------------------------------------------------
-
-
-def _intrinsic_coordinate(data, frame):
-    if frame.mode == "new_dim":
-        return data.locations[:, 0]
-    if frame.mode == "axis":
-        return data.locations[:, frame.parallel_axis]
-    return frame.chart.to_intrinsic(data.locations)[:, 0]
 
 
 def _replace_const_occurrence(expr, index, replacement):
@@ -847,7 +839,7 @@ def _is_even_in(expr, name):
     return bool(np.allclose(a[both], b[both], rtol=1e-9, atol=1e-12))
 
 
-def lift_constants(expr, slice_hint=None, residual=0.0):
+def lift_constants(expr, slice_hint=None):
     """Lift a slice expression into the transverse coordinate.
 
     For each constant occurrence c the menu substitutes c -> y, c -> y^2 and
@@ -857,6 +849,7 @@ def lift_constants(expr, slice_hint=None, residual=0.0):
     reproduce the slice expression; with a fixed frame, substitutions
     inconsistent with the known y0 are dropped.  Pure-constant expressions
     only extrude: there is no structure for a new coordinate to explain.
+    Every candidate's residual is 0; the search measures each one's own.
     """
     frame = slice_hint or SliceFrame(
         mode="new_dim", slice_var="x", transverse_var="y", y0=0.0
@@ -877,7 +870,7 @@ def lift_constants(expr, slice_hint=None, residual=0.0):
                 expr=e,
                 y0=float(y0),
                 score=score,
-                residual=residual,
+                residual=0.0,
                 kind=kind,
                 frame=frame,
             )
@@ -962,11 +955,11 @@ def search_hyperpolation(data, grammar=None, budget=None):
 
 
 def _search_lifted(data, frame, grammar, budget):
-    fitter = _ShapeFitter({"t": _intrinsic_coordinate(data, frame)}, data.values)
+    # a new-dimension frame's slice coordinate is its only axis, 0
+    fitter = _ShapeFitter({"t": data.locations[:, frame.parallel_axis]}, data.values)
 
-    def best_candidate_score(expr, residual):
-        cands = lift_constants(expr, frame, residual=residual)
-        return min(c.score for c in cands)
+    def best_candidate_score(expr):
+        return min(c.score for c in lift_constants(expr, frame))
 
     results = _qualifying_fits(
         fitter, grammar, budget, data.strict, score_floor_cb=best_candidate_score
@@ -976,8 +969,8 @@ def _search_lifted(data, frame, grammar, budget):
         key=lambda f: (quantize_residual(f[1]), complexity(f[0]), serialize(f[0]))
     )
     candidates = []
-    for expr, slice_residual in results[:MAX_SLICE_FITS]:
-        for cand in lift_constants(expr, frame, residual=slice_residual):
+    for expr, _ in results[:MAX_SLICE_FITS]:
+        for cand in lift_constants(expr, frame):
             restricted = restrict(cand)
             residual = fitter.residual_of(
                 substitute(restricted, {frame.slice_var: var("t")})
@@ -997,7 +990,7 @@ def _search_ambient(data, frame, grammar, budget):
         grammar,
         budget,
         data.strict,
-        score_floor_cb=lambda e, r: complexity(e),
+        score_floor_cb=complexity,
     )
     candidates = [
         CandidateLifting(
@@ -1054,27 +1047,22 @@ def _candidate_env(candidate, pts):
     """Variable arrays of ``candidate.expr`` at the rows of a 2-D float array
     (see ``predict_candidate``)."""
     frame = candidate.frame
-    if frame.mode == "new_dim":
+    if frame.mode == "new_dim" and pts.shape[1] <= 2:
         x = pts[:, 0]
         offset = pts[:, 1] if pts.shape[1] > 1 else np.zeros_like(x)
         return {"x": x, "y": candidate.y0 + offset}
-    if pts.shape[1] == 2:
+    if frame.mode != "new_dim" and pts.shape[1] == 2:
         return {"x": pts[:, 0], "y": pts[:, 1]}
+    expected = "1 or 2" if frame.mode == "new_dim" else "2"
     raise DimensionMismatchError(
-        f"points have dimension {pts.shape[1]}, expected 2 for this candidate"
+        f"points have dimension {pts.shape[1]}, expected {expected} for this candidate"
     )
 
 
 def tie_sets(candidates):
     """Group a ranked candidate list into runs of equal (residual, score)."""
-    groups = []
-    for c in candidates:
-        key = (c.residual_rank, c.score)
-        if groups and groups[-1][0] == key:
-            groups[-1][1].append(c)
-        else:
-            groups.append((key, [c]))
-    return [g for _, g in groups]
+    groups = itertools.groupby(candidates, key=lambda c: (c.residual_rank, c.score))
+    return [list(g) for _, g in groups]
 
 
 def top_tie_set(candidates):

@@ -6,6 +6,7 @@ import pytest
 
 from hyperpolate import (
     Dataset,
+    DimensionMismatchError,
     Grammar,
     Hypothesis,
     InvalidInputError,
@@ -154,6 +155,20 @@ class TestPredict:
             return
         with pytest.raises(InvalidInputError):
             predict(post, query)
+
+    @pytest.mark.parametrize("query", [[np.nan, 0.0], [[1.0, 0.0], [np.inf, 0.0]]])
+    def test_non_finite_query_rejected(self, cone_search, cone_1d_dataset, query):
+        candidates, _ = cone_search
+        post = update(family_from_candidates(top_tie_set(candidates)), cone_1d_dataset)
+        with pytest.raises(InvalidInputError, match="non-finite coordinates"):
+            predict(post, query)
+
+    def test_new_dim_query_with_extra_coordinate_rejected(self, cone_search, cone_1d_dataset):
+        candidates, _ = cone_search
+        post = update(family_from_candidates(top_tie_set(candidates)), cone_1d_dataset)
+        with pytest.raises(DimensionMismatchError):
+            predict(post, [3.0, 0.0, 5.0])
+        assert predict(post, [3.0, 0.0]).mean == pytest.approx(np.sqrt(10.0))
 
     def test_mirror_pair_symmetric_query_collapses(self, ripple_search, ripple_1d_dataset):
         candidates, _ = ripple_search

@@ -4,9 +4,9 @@ import json
 import numpy as np
 import pytest
 
-from hyperpolate import Dataset
-from hyperpolate.cli import main
-from hyperpolate.io import read_dataset_csv, write_dataset_csv
+from hyperpolate import BenchmarkCase, CsvFormatError, Dataset, UnknownCaseError
+from hyperpolate.cli import _load_case_spec, main
+from hyperpolate.io import read_dataset_csv, read_queries_csv, write_dataset_csv
 
 
 @pytest.fixture
@@ -144,6 +144,24 @@ class TestSearch:
         assert {c["y0"] for c in payload} == {-1.0, 1.0}
 
 
+    @pytest.mark.parametrize("depth, top", [(3, None), (4, "sqrt(add(pow2(x),pow2(y)))")])
+    def test_grammar_depth_is_honoured(self, capsys, tmp_path, depth, top):
+        data = tmp_path / "cone.csv"
+        lines = ["x1,f"] + [
+            f"{x},{float(np.sqrt(x * x + 1.0))!r}" for x in np.arange(-20.0, 21.0)
+        ]
+        data.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        code, out, _ = run(
+            capsys,
+            "search", "--data", str(data), "--max-nodes", "6",
+            "--grammar-depth", str(depth), "--top", "1",
+        )
+        assert code == 0
+        payload = json.loads(out)
+        # sqrt(add(pow2(t),~)) has depth 4; no shallower shape fits exactly
+        assert (payload[0]["expr"] if payload else None) == top
+
+
 class TestBench:
     def test_unknown_case_exits_4(self, capsys, tmp_path):
         code, _, err = run(capsys, "bench", "martian", "--out", str(tmp_path))
@@ -249,6 +267,68 @@ class TestBench:
         assert err.startswith("error:") and "slice_base" in err
 
 
+    @pytest.mark.parametrize(
+        "truth",
+        ["add(x,y", "pow3(x)", "True", "sqrt(" * 500 + "x" + ")" * 500],
+        ids=["unclosed", "unknown_operator", "bool", "nested_500"],
+    )
+    def test_case_spec_bad_truth_exits_2(self, capsys, tmp_path, truth):
+        spec = {
+            "name": "mini",
+            "truth": truth,
+            "slice_base": [0.0, 0.0],
+            "slice_direction": [1.0, 0.0],
+            "sample_params": [0.0, 1.0, 2.0],
+        }
+        path = tmp_path / "case.json"
+        path.write_text(json.dumps(spec), encoding="utf-8")
+        code, _, err = run(
+            capsys,
+            "bench", str(path), "--methods", "nn_ambient", "--out", str(tmp_path),
+        )
+        assert code == 2
+        assert err.startswith("error:")
+
+    def test_case_spec_defaults_and_missing_field(self, tmp_path):
+        spec = {
+            "name": "mini",
+            "truth": "add(x,y)",
+            "slice_base": [0.0, 0.0],
+            "slice_direction": [1.0, 0.0],
+            "sample_params": [0.0, 1.0, 2.0],
+        }
+        path = tmp_path / "case.json"
+        path.write_text(json.dumps(spec), encoding="utf-8")
+        case = _load_case_spec(str(path))
+        assert case == BenchmarkCase(
+            "mini", "add(x,y)", (0.0, 0.0), (1.0, 0.0), (0.0, 1.0, 2.0)
+        )
+        del spec["truth"]
+        path.write_text(json.dumps(spec), encoding="utf-8")
+        with pytest.raises(UnknownCaseError, match="case spec missing field 'truth'"):
+            _load_case_spec(str(path))
+
+    def test_seed_and_sigma_reach_the_report(self, capsys, tmp_path):
+        reports = {}
+        for sub, flags in {
+            "plain": [],
+            "seed": ["--seed", "7"],
+            "sigma": ["--sigma", "0.5"],
+        }.items():
+            code, _, _ = run(
+                capsys,
+                "bench", "cone", "--methods", "nn_ambient",
+                "--out", str(tmp_path / sub), *flags,
+            )
+            assert code == 0
+            report = json.loads((tmp_path / sub / "report_cone.json").read_text())
+            report["methods"][0]["runtime_s"] = 0.0
+            reports[sub] = report
+        assert reports["plain"]["seed"] == 0 and reports["seed"]["seed"] == 7
+        assert reports["sigma"]["seed"] == 0
+        assert reports["sigma"]["methods"] != reports["plain"]["methods"]
+
+
 class TestConfig:
     def test_json_config_merges_under_flags(self, capsys, line_csv, queries_csv, tmp_path):
         config = tmp_path / "config.json"
@@ -310,6 +390,52 @@ class TestConfig:
 
 
 class TestIO:
+    @pytest.mark.parametrize(
+        "text, line, message",
+        [
+            ("x1,f\n1.0,2.0\n3.0\n", 3, "expected 2 columns, got 1"),
+            ("x1,f\n1.0,2.0\n3.0,4.0,5.0\n", 3, "expected 2 columns, got 3"),
+            ("x1,g\n1.0,2.0\n", 1, "expected header x1,...,xn,f"),
+            ("x2,f\n1.0,2.0\n", 1, "expected coordinate columns"),
+            ("f\n2.0\n", 1, "expected header x1,...,xn,f"),
+            ("", 1, "empty file"),
+            ("x1,f\n", 2, "dataset has no sample rows"),
+            ("x1,f\n\n\n", 2, "dataset has no sample rows"),
+            ("x1,f\n1.0,oops\n", 2, "could not convert"),
+        ],
+    )
+    def test_dataset_csv_errors(self, tmp_path, text, line, message):
+        path = tmp_path / "d.csv"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(CsvFormatError, match=message) as info:
+            read_dataset_csv(str(path))
+        assert info.value.line == line
+
+    @pytest.mark.parametrize(
+        "text, line, message",
+        [
+            ("", 1, "empty file"),
+            ("x1,y\n", 1, "expected coordinate columns"),
+            ("x1,x2\n1.0,2.0\n1.0\n", 3, "expected 2 columns, got 1"),
+        ],
+    )
+    def test_queries_csv_errors(self, tmp_path, text, line, message):
+        path = tmp_path / "q.csv"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(CsvFormatError, match=message) as info:
+            read_queries_csv(str(path))
+        assert info.value.line == line
+
+    def test_blank_lines_are_skipped(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("x1,f\n\n1.0,2.0\n\n3.0,4.0\n\n", encoding="utf-8")
+        data = read_dataset_csv(str(path))
+        assert data.locations.tolist() == [[1.0], [3.0]]
+        assert data.values.tolist() == [2.0, 4.0]
+        queries = tmp_path / "q.csv"
+        queries.write_text("x1,x2\n\n1.0,2.0\n\n", encoding="utf-8")
+        assert read_queries_csv(str(queries)).tolist() == [[1.0, 2.0]]
+
     def test_dataset_round_trip(self, tmp_path):
         data = Dataset([[0.25, -1.5], [3.0, 2.0]], [1.5, -0.125])
         path = tmp_path / "d.csv"

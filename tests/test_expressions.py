@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from hyperpolate.expressions import (
     compile_shape,
     const,
     evaluate,
+    expr_depth,
     node_count,
     slot_count,
     struct_key,
@@ -46,6 +48,46 @@ class TestSerializeParse:
     )
     def test_round_trip(self, text):
         assert serialize(parse(text)) == text
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            # literals that float() does not read, or Python reads otherwise
+            "0x1f", "1j", "True", "False", "None", "-x", "--5", "007", "'5'",
+            # not a call, a name or a literal
+            "", "if", "x y", "x+1", "x.y", "add(x,", "add(x,*y)", "sin(x)(y)",
+            # the whitelist and its arities
+            "foo(x)", "add(x,y=1)", "add(x)", "mul(x)", "sin(x,y)", "sub(x)",
+            "div(x,y,1)",
+        ],
+    )
+    def test_rejections(self, text):
+        with pytest.raises(InvalidInputError):
+            parse(text)
+
+    @pytest.mark.parametrize("depth", [201, 500])
+    def test_nesting_beyond_python_parser_rejected(self, depth):
+        with pytest.raises(InvalidInputError):
+            parse("sqrt(" * depth + "x" + ")" * depth)
+
+    def test_accepted_forms(self):
+        assert math.copysign(1.0, parse("-0")[1]) == -1.0
+        assert parse(" (mul(x, 2.5e-3))  # note") == parse("mul(x,0.0025)")
+        assert parse("add(x,\n y)") == parse("add(y,x)")
+        assert expr_depth(parse("sqrt(" * 200 + "x" + ")" * 200)) == 201
+
+    def test_round_trip_of_simplified_shapes(self):
+        en = ShapeEnumerator(Grammar(variables=("x", "y"), max_nodes=5))
+        fill = itertools.cycle((3.0, -7.0, 5e-324, -2.5e20, -0.0, 0.5, 400.0, -1.0, 1e300))
+        count = 0
+        for n in range(1, 6):
+            for shape in en.shapes(n):
+                for _ in range(2):
+                    consts = [next(fill) for _ in range(slot_count(shape))]
+                    e = canonical_simplify(assign_slots(shape, consts))
+                    assert parse(serialize(e)) == e, serialize(e)
+                    count += 1
+        assert count > 1000
 
     def test_integer_formatting(self):
         assert serialize(const(400.0)) == "400"

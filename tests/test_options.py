@@ -49,7 +49,6 @@ OPTIONS = {
     "symbolic.SliceFrame.chart",
     "symbolic.SliceFrame.parallel_axis",
     "symbolic.lift_constants(slice_hint)",
-    "symbolic.lift_constants(residual)",
     "symbolic.search_hyperpolation(grammar)",
     "symbolic.search_hyperpolation(budget)",
 }
@@ -103,4 +102,4 @@ def test_option_set_is_pinned():
     found = library_options()
     assert len(found) == len(set(found))
     assert set(found) == OPTIONS
-    assert len(OPTIONS) == 36
+    assert len(OPTIONS) == 35

@@ -6,8 +6,10 @@ from scipy.optimize import minimize, minimize_scalar
 
 from hyperpolate import (
     Dataset,
+    DimensionMismatchError,
     Grammar,
     UnsupportedGeometryError,
+    evaluate,
     lift_constants,
     parse,
     restrict,
@@ -162,18 +164,32 @@ class TestRestrict:
         values = np.sqrt(x**2 + 1.0)
         for cand in candidates:
             restricted = restrict(cand)
-            from hyperpolate import evaluate
-
             vals = evaluate(restricted, {"x": x})
             vals = np.broadcast_to(np.asarray(vals, dtype=float), x.shape)
             assert np.max(np.abs(vals - values)) <= max(cand.residual, 1e-12) + 1e-12
 
 
+    def test_general_line_candidates_reproduce_the_data(self, diagonal):
+        data, cands = diagonal
+        t = cands[0].frame.chart.to_intrinsic(data.locations)[:, 0]
+        for cand in cands:
+            vals = evaluate(restrict(cand), {"t": t})
+            vals = np.broadcast_to(np.asarray(vals, dtype=float), t.shape)
+            # the line's unit-speed parametrisation rounds: 1.7e-13 at most
+            assert np.max(np.abs(vals - data.values)) <= 1e-12, serialize(cand.expr)
+
+
+@pytest.fixture(scope="module")
+def diagonal():
+    """f = t² on the line (t, t): a general 2-D line, searched once."""
+    t = np.arange(-20.0, 21.0)
+    data = Dataset(np.column_stack([t, t]), t**2)
+    return data, search_hyperpolation(data)
+
+
 class TestSearch:
-    def test_diagonal_contains_expected_liftings(self):
-        t = np.arange(-20.0, 21.0)
-        data = Dataset(np.column_stack([t, t]), t**2)
-        cands = search_hyperpolation(data)
+    def test_diagonal_contains_expected_liftings(self, diagonal):
+        _, cands = diagonal
         exprs = {serialize(c.expr) for c in cands}
         assert {"mul(x,y)", "pow2(x)", "pow2(y)"} <= exprs
         for c in cands:
@@ -206,6 +222,21 @@ class TestSearch:
             ka = (a[0].residual_rank, a[0].score)
             kb = (b[0].residual_rank, b[0].score)
             assert ka < kb
+
+    def test_noisy_ambient_search_keeps_the_best_ranked(self, monkeypatch):
+        t = np.arange(-20.0, 21.0)
+        rng = np.random.default_rng(3)
+        values = t**2 + 0.01 * rng.standard_normal(t.size)
+        data = Dataset(np.column_stack([t, t]), values, noise_sigma=0.01)
+        cands = search_hyperpolation(data, budget=500)
+        assert cands[0].frame.mode == "ambient"
+        assert len(cands) == symbolic.MAX_SLICE_FITS
+        keys = [c.rank_key for c in cands]
+        assert keys == sorted(keys)
+        monkeypatch.setattr(symbolic, "MAX_SLICE_FITS", 10**6)
+        uncapped = search_hyperpolation(data, budget=500)
+        assert len(uncapped) > len(cands)
+        assert [c.rank_key for c in uncapped[: len(cands)]] == keys
 
     def test_vertical_axis_aligned_hull(self):
         # slice runs along the y axis at x = 3; the slice variable is y
@@ -289,6 +320,15 @@ class TestPrediction:
         pts = np.array([[0.0, 0.0], [3.0, 5.0], [-11.0, -7.0]])
         expected = np.cos(np.sqrt(pts[:, 0] ** 2 + (pts[:, 1] - 20.0) ** 2))
         assert np.allclose(predict_candidate(minus, pts), expected, atol=1e-12)
+
+    def test_new_dim_candidate_rejects_extra_coordinates(self, cone_search):
+        candidates, _ = cone_search
+        cand = top_tie_set(candidates)[0]
+        assert serialize(cand.expr) == "sqrt(add(pow2(x),pow2(y)))"
+        with pytest.raises(DimensionMismatchError):
+            predict_candidate(cand, [[3.0, 0.0, 99.0]])
+        # one coordinate is a point on the slice, at offset 0
+        assert predict_candidate(cand, [[3.0]]) == predict_candidate(cand, [[3.0, 0.0]])
 
 
 def _pointwise(f):
