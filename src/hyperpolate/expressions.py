@@ -45,6 +45,7 @@ __all__ = [
     "evaluate",
     "compile_expr",
     "compile_shape",
+    "compile_interval",
     "substitute",
     "assign_slots",
     "canonical_simplify",
@@ -308,6 +309,194 @@ def _compile(node, env, counter):
     if slot_b:
         return True, lambda values: fn(a, b(values))
     return False, fn(a, b)
+
+
+# Interval counterparts of _OPS, for compile_interval.  An interval is a pair
+# (lo, hi) of broadcastable float arrays over the extended reals; nan in an
+# endpoint marks an empty interval: every value there is nan.  Each operation
+# returns an enclosure of every non-nan value that the numpy operation gives
+# on floats in its operand intervals, in every order of a chain's operands:
+#
+# * every result is widened outward by _REL of its size and at least _TINY
+#   (underflow), far above numpy's rounding (1e-12 is about 4500 ulp);
+# * add/sub widen by _REL of the sum of their operands' magnitudes, which
+#   bounds the rounding of any order of the sum: canonical_simplify may
+#   re-sort a chain once a slot is a number;
+# * mul widens by _REL of the product plus _TINY times the product of the
+#   operand magnitudes (at least 1 each), which bounds any order's rounding
+#   with underflow; above _HUGE some order may overflow, and the result is
+#   the whole line;
+# * sin and cos add _TRIG per unit of argument magnitude (at least 1), which
+#   covers numpy's error near their zeros and at large arguments;
+# * a divisor interval that holds 0 (of either sign) or an infinite endpoint
+#   gives the whole line, so the sign of a zero never matters.
+_REL = 1e-12
+_TINY = 1e-300
+_HUGE = 1e290
+_TRIG = 1e-15
+# sin/cos extremum tests work in turns of 2 pi, with slack for the rounding of
+# x / (2 pi); beyond _TRIG_WIDE the argument is not resolved: [-1, 1]
+_TURN_SLACK = 1e-6
+_TRIG_WIDE = 1e9
+
+
+def _mag(x):
+    """Largest magnitude in an interval (nan when empty)."""
+    return np.maximum(-x[0], x[1])
+
+
+def _outward(lo, hi, pad=_TINY):
+    """[lo, hi] widened by _REL of each endpoint and ``pad``; infinite
+    endpoints stay as they are."""
+    return (
+        np.minimum(lo * (1.0 - _REL), lo * (1.0 + _REL)) - pad,
+        np.maximum(hi * (1.0 - _REL), hi * (1.0 + _REL)) + pad,
+    )
+
+
+def _whole_where(mask, lo, hi):
+    return np.where(mask, -np.inf, lo), np.where(mask, np.inf, hi)
+
+
+def _iadd(*xs):
+    lo, hi = xs[0]
+    scale = _mag(xs[0])
+    for x in xs[1:]:
+        lo = lo + x[0]
+        hi = hi + x[1]
+        scale = scale + _mag(x)
+    pad = scale * _REL + _TINY
+    return _whole_where(scale > _HUGE, lo - pad, hi + pad)
+
+
+def _isub(x, y):
+    return _iadd(x, (-y[1], -y[0]))
+
+
+def _imul(*xs):
+    lo, hi = xs[0]
+    scale = np.maximum(_mag(xs[0]), 1.0)
+    for a, b in xs[1:]:
+        p, q, r, s = lo * a, lo * b, hi * a, hi * b
+        lo = np.minimum(np.minimum(p, q), np.minimum(r, s))
+        hi = np.maximum(np.maximum(p, q), np.maximum(r, s))
+        scale = scale * np.maximum(_mag((a, b)), 1.0)
+    lo, hi = _outward(lo, hi, scale * _TINY)
+    return _whole_where(scale > _HUGE, lo, hi)
+
+
+def _idiv(x, y):
+    (a, b), (c, d) = x, y
+    p, q, r, s = a / c, a / d, b / c, b / d
+    lo, hi = _outward(
+        np.minimum(np.minimum(p, q), np.minimum(r, s)),
+        np.maximum(np.maximum(p, q), np.maximum(r, s)),
+    )
+    return _whole_where(((c <= 0) & (d >= 0)) | (_mag(x) + _mag(y) == np.inf), lo, hi)
+
+
+def _iabs(x):
+    # exact: no rounding to cover
+    return np.maximum(np.maximum(x[0], -x[1]), 0.0), _mag(x)
+
+
+def _ipow2(x):
+    low, high = _iabs(x)
+    return _outward(low * low, high * high)
+
+
+def _isqrt(x):
+    # an upper end below 0 gives nan there: empty
+    return _outward(np.sqrt(np.maximum(x[0], 0.0)), np.sqrt(x[1]))
+
+
+def _iexp(x):
+    return _outward(np.exp(x[0]), np.exp(x[1]))
+
+
+def _periodic(fn, peak, x):
+    """sin or cos over an interval: ``fn`` has its maxima at peak + k turns
+    and its minima half a turn further."""
+    lo, hi = x
+    f_lo, f_hi = fn(lo), fn(hi)
+    low, high = np.minimum(f_lo, f_hi), np.maximum(f_lo, f_hi)
+    turn_lo = lo * (0.5 / math.pi) - peak
+    turn_hi = hi * (0.5 / math.pi) - peak
+    has_max = np.floor(turn_hi + _TURN_SLACK) > np.floor(turn_lo - _TURN_SLACK)
+    has_min = np.floor(turn_hi + (0.5 + _TURN_SLACK)) > np.floor(turn_lo + (0.5 - _TURN_SLACK))
+    size = _mag(x)
+    wide = size > _TRIG_WIDE
+    high = np.where(has_max | wide, 1.0, high)
+    low = np.where(has_min | wide, -1.0, low)
+    return _outward(low, high, np.maximum(size, 1.0) * _TRIG)
+
+
+_INTERVAL_OPS = {
+    "add": _iadd,
+    "sub": _isub,
+    "mul": _imul,
+    "div": _idiv,
+    "pow2": _ipow2,
+    "sqrt": _isqrt,
+    "sin": lambda x: _periodic(np.sin, 0.25, x),
+    "cos": lambda x: _periodic(np.cos, 0.0, x),
+    "exp": _iexp,
+    "abs": _iabs,
+}
+
+
+def compile_interval(e, env):
+    """Interval counterpart of ``compile_shape``.
+
+    Returns ``(slots, at)``: the slot count and a function of one (lo, hi)
+    interval per slot, in depth-first order.  ``at(boxes)`` gives a (lo, hi)
+    pair that encloses, at each point, every non-nan value of ``evaluate(e,
+    env, values)`` for slot values inside the boxes, and also of the
+    expression that ``canonical_simplify(assign_slots(e, values))`` makes of
+    it, whose chains may be re-sorted (see ``_INTERVAL_OPS``).  Given each
+    slot's interval as (B, 1) columns over 1-D variable arrays of m points,
+    it yields (B, m) arrays, one row per box.  Every slot-free subtree is
+    evaluated once, here, as points, with the operations ``evaluate`` uses;
+    chains are enclosed whole.  Calls run under the caller's numpy error
+    state.
+    """
+    counter = [0]
+    with np.errstate(all="ignore"):
+        has_slot, part = _compile_interval(e, env, counter)
+    if has_slot:
+        return counter[0], part
+    return 0, lambda boxes: (part, part)
+
+
+def _compile_interval(node, env, counter):
+    """(False, value) for a slot-free node, else (True, at)."""
+    op = node[0]
+    if op in _CHAIN_OPS:
+        parts = [_compile_interval(el, env, counter) for el in chain_elements(node)]
+        if not any(has_slot for has_slot, _ in parts):
+            # right-nested, as the tree is
+            value = parts[-1][1]
+            for _, v in reversed(parts[:-1]):
+                value = _OPS[op](v, value)
+            return False, value
+        fn = _INTERVAL_OPS[op]
+        fixed = [(v, v) for has_slot, v in parts if not has_slot]
+        moving = [at for has_slot, at in parts if has_slot]
+        return True, lambda boxes: fn(*fixed, *(at(boxes) for at in moving))
+    if op in ("var", "const"):
+        return _compile(node, env, counter)
+    if op == "slot":
+        get = operator.itemgetter(counter[0])
+        counter[0] += 1
+        return True, get
+    fn = _INTERVAL_OPS.get(op)
+    if fn is None:
+        raise InvalidInputError(f"unknown operator {op!r}")
+    kids = [_compile_interval(c, env, counter) for c in node[1:]]
+    if not any(has_slot for has_slot, _ in kids):
+        return False, _OPS[op](*(v for _, v in kids))
+    ats = [at if has_slot else (lambda boxes, v=at: (v, v)) for has_slot, at in kids]
+    return True, lambda boxes: fn(*(at(boxes) for at in ats))
 
 
 def substitute(e, mapping):

@@ -20,6 +20,12 @@ Three dataset geometries are supported:
 * ambient dimension 2 with a general 1D hull ("ambient"): candidates are
   enumerated directly over both ambient variables and fitted against the
   samples.
+
+In strict (noise-free) mode only fits within ``STRICT_TOL`` of every sample
+are kept, and most shapes cannot get there.  A shape with one constant and no
+profiled linear wrap is ruled out before bounded Brent runs when interval
+evaluation (``expressions.compile_interval``) shows that no constant in its
+Brent brackets can bring it within the tolerance; see ``_qualifying_fits``.
 """
 
 import itertools
@@ -42,6 +48,7 @@ from .expressions import (
     canonical_simplify,
     chain_elements,
     compile_expr,
+    compile_interval,
     compile_shape,
     complexity,
     const,
@@ -72,10 +79,17 @@ __all__ = [
 
 STRICT_TOL = 1e-9
 INT_SNAP_REL = 1e-6
+# The strict-mode screen of one-slot shapes halves its brackets for at most
+# SCREEN_LEVELS levels and SCREEN_BOXES boxes before it lets Brent run.
+SCREEN_LEVELS = 16
+SCREEN_BOXES = 64
 # Neither the level stop nor the bound skip applies at or below this level.
 # Above it, strict mode stops at the first level n above the certified best
 # score: this assumes every node costs at least 1 (OP_COST, VAR_COST and
-# CONST_BASE), so that an n-node shape scores at least n.
+# CONST_BASE), so that every candidate lifted from an n-node shape scores at
+# least n.  The bound skip also drops shapes whose _shape_lower_bound exceeds
+# the best score, but that bound is not always a lower bound (see there), so
+# the skip can drop a candidate that would tie the best.
 ENUM_FLOOR = 4
 DEFAULT_BUDGET = 200_000
 SHIFT_OFFSETS = (-2, -1, 1, 2)
@@ -551,12 +565,18 @@ def _first_best(runs):
 
 
 class _ShapeFitter:
-    """Fits constant slots of shapes against targets over fixed sample envs."""
+    """Fits constant slots of shapes against targets over fixed sample envs.
 
-    def __init__(self, envs, target):
+    A ``strict`` fitter serves a strict-mode search, which keeps only fits
+    within ``STRICT_TOL``: it returns None for one-slot shapes that the
+    interval screen (``_cannot_qualify``) shows cannot give such a fit.
+    """
+
+    def __init__(self, envs, target, strict=False):
         self.envs = {k: np.asarray(v, dtype=float) for k, v in envs.items()}
         self.target = np.asarray(target, dtype=float)
         self.grid = _scale_grid(self.envs, self.target)
+        self.strict = strict
 
     def fit(self, shape):
         """Return (const_vector, sse, max_abs) or None when no finite fit
@@ -579,7 +599,8 @@ class _ShapeFitter:
         inner = ()
         if k_inner:
             if k_inner == 1:
-                inner, sse = self._fit_inner1(lanes)
+                screen = self.strict and not (has_mul or has_add)
+                inner, sse = self._fit_inner1(lanes, core if screen else None)
             elif k_inner == 2:
                 inner, sse = self._fit_inner2(lanes)
             else:
@@ -601,7 +622,19 @@ class _ShapeFitter:
             out.append(float(cb[0, 0]))
         return tuple(out)
 
-    def _fit_inner1(self, lanes):
+    def _fit_inner1(self, lanes, core=None):
+        """Bounded Brent over ``_brackets``; given ``core``, the shape's
+        slot-bearing part, only when the interval screen cannot rule the
+        brackets out."""
+        brackets = self._brackets(lanes)
+        if core is not None and brackets and self._cannot_qualify(core, brackets):
+            return None, np.inf
+        runs = [_bounded_brent(lo, hi) for lo, hi in brackets]
+        return _first_best(_lockstep(runs, lanes.capped))
+
+    def _brackets(self, lanes):
+        """The grid neighbours around each of the three best grid points
+        with a finite SSE."""
         grid = self.grid
         sse = lanes(grid)
         brackets = []
@@ -611,8 +644,42 @@ class _ShapeFitter:
             lo = grid[idx - 1] if idx > 0 else grid[idx] - 1.0
             hi = grid[idx + 1] if idx + 1 < grid.size else grid[idx] + 1.0
             brackets.append((float(lo), float(hi)))
-        runs = [_bounded_brent(lo, hi) for lo, hi in brackets]
-        return _first_best(_lockstep(runs, lanes.capped))
+        return brackets
+
+    def _cannot_qualify(self, core, brackets):
+        """True when no constant in the brackets, moved by up to two snap
+        steps, makes the one-slot ``core`` reproduce every target within
+        ``2 * STRICT_TOL``.
+
+        Bounded Brent evaluates only inside its bracket, ``_first_best``
+        returns one of its points and ``snap`` moves that by at most one
+        snap step; the boxes leave room for two.
+        ``compile_interval`` encloses the core's values over each box, and
+        also those of its ``canonical_simplify`` form, whose residual the
+        search reads.  A box is ruled out when, at some sample, its
+        enclosure misses the target's band or is empty (every value nan).
+        Boxes that survive are halved until a level rules none out, or up
+        to ``SCREEN_LEVELS`` levels and ``SCREEN_BOXES`` boxes.
+        """
+        _, at = compile_interval(core, self.envs)
+        lo, hi = np.array(brackets).T
+        pad = 2.0 * INT_SNAP_REL * np.maximum(1.0, np.maximum(np.abs(lo), np.abs(hi)))
+        lo, hi = lo - pad, hi + pad
+        band_lo = self.target - 2.0 * STRICT_TOL
+        band_hi = self.target + 2.0 * STRICT_TOL
+        for level in range(SCREEN_LEVELS):
+            v_lo, v_hi = at(((lo[:, None], hi[:, None]),))
+            live = ((v_hi >= band_lo) & (v_lo <= band_hi)).all(axis=1)
+            if not live.any():
+                return True
+            if level and live.all():
+                return False  # halving ruled nothing out; deeper levels seldom do
+            lo, hi = lo[live], hi[live]
+            if 2 * lo.size > SCREEN_BOXES:
+                return False
+            mid = 0.5 * (lo + hi)
+            lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
+        return False
 
     def _coarse(self):
         g = self.grid
@@ -669,13 +736,22 @@ _POW2_VAR_COST = OP_COST + VAR_COST
 
 
 def _shape_lower_bound(shape):
-    """Lower bound on any lifted-candidate score from this shape.
+    """Intended lower bound on any lifted-candidate score from this shape,
+    which the strict search's bound skip compares with the best score.
 
     The costs are the expression cost table's, by which the search ranks.
     A shape holds operators, variables and slots.  A surviving constant
     costs at least ``_const_cost(1)`` (|c| >= 1 after identity folding)
     except in sub-LHS position, where 0 survives folding; the cheapest
-    substitution replaces one constant by pow2(y).
+    substitution is priced as pow2(y), two points.
+
+    It is not a true lower bound: ``c -> y`` costs one point, and it is
+    free of the orientation surcharge when the lift is even in ``y`` (a new
+    dimension: ``abs(cos(mul(t,~)))`` lifts to ``abs(cos(mul(x,y)))`` at 5
+    against a bound of 6) or when c equals the frame's y0 (``abs(add(pow2(t),
+    ~))`` at c = y0 = 3 lifts to ``abs(add(pow2(x),y))`` at 5, bound 6).  So
+    the skip can drop a candidate that would tie the certified best; the
+    level stop does not depend on this bound.
     """
     slot_mins = []
 
@@ -714,6 +790,18 @@ def _qualifying_fits(fitter, grammar, budget, strict, score_floor_cb):
     checked before a level is built, so the enumerator never builds a level
     that would not be fitted.  The ``grammar.max_depth`` filter runs only on
     levels above it: an n-node tree is at most n deep.
+
+    A strict fitter returns no fit for a one-slot shape without a linear
+    wrap when its interval screen rules out every Brent bracket
+    (``_ShapeFitter._cannot_qualify``).  The output is the same as without
+    the screen.  Brent evaluates only inside its brackets, the fit is one
+    of its points, and ``snap`` moves it by at most one snap step, which
+    the screened boxes include.  The screen encloses the values of the
+    simplified expression whose residual is read here, chains re-sorted
+    included, so a ruled-out fit would not have qualified.  Such a fit
+    would only have been marked ``seen`` and dropped, and a qualifying fit
+    of the same expression has the same residual, so dropping it earlier
+    hides no qualifying fit.
     """
     variables = tuple(fitter.envs)
     grammar = grammar or Grammar(variables=variables)
@@ -956,7 +1044,9 @@ def search_hyperpolation(data, grammar=None, budget=None):
 
 def _search_lifted(data, frame, grammar, budget):
     # a new-dimension frame's slice coordinate is its only axis, 0
-    fitter = _ShapeFitter({"t": data.locations[:, frame.parallel_axis]}, data.values)
+    fitter = _ShapeFitter(
+        {"t": data.locations[:, frame.parallel_axis]}, data.values, data.strict
+    )
 
     def best_candidate_score(expr):
         return min(c.score for c in lift_constants(expr, frame))
@@ -983,7 +1073,7 @@ def _search_lifted(data, frame, grammar, budget):
 
 def _search_ambient(data, frame, grammar, budget):
     fitter = _ShapeFitter(
-        {"x": data.locations[:, 0], "y": data.locations[:, 1]}, data.values
+        {"x": data.locations[:, 0], "y": data.locations[:, 1]}, data.values, data.strict
     )
     results = _qualifying_fits(
         fitter,

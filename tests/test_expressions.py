@@ -1,5 +1,6 @@
 import itertools
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from hyperpolate.expressions import (
     assign_slots,
     canonical_simplify,
     compile_expr,
+    compile_interval,
     compile_shape,
     const,
     evaluate,
@@ -26,6 +28,7 @@ from hyperpolate.expressions import (
     substitute,
     var,
 )
+from hyperpolate import expressions
 from hyperpolate.symbolic import _LaneObjective
 
 from _oracles import eval_expr, profiled_sse_1d
@@ -255,6 +258,164 @@ class TestCompileShape:
     def test_unknown_operator(self):
         with pytest.raises(InvalidInputError):
             compile_shape(("tan", ("slot",)), {})
+
+
+_PI = Decimal(
+    "3.14159265358979323846264338327950288419716939937510582097494459230781640628620899863"
+)
+
+
+def _taylor_sin(x):
+    """sin of a Decimal to the context's precision: reduced to [-pi, pi]."""
+    r = x.remainder_near(2 * _PI)
+    term, total, k = r, r, 1
+    while abs(term) > Decimal(10) ** (-70):
+        term = -term * r * r / ((2 * k) * (2 * k + 1))
+        total += term
+        k += 1
+    return total
+
+
+_REFERENCES = {
+    "sqrt": lambda x: x.sqrt(),
+    "exp": lambda x: x.exp(),
+    "sin": _taylor_sin,
+    "cos": lambda x: _taylor_sin(x + _PI / 2),
+    "add": lambda a, b: a + b,
+    "sub": lambda a, b: a - b,
+    "mul": lambda a, b: a * b,
+    "div": lambda a, b: a / b,
+}
+
+
+def _arguments(op, rng, n=2500):
+    """Arguments where numpy's float result is hardest to enclose."""
+    if op == "sqrt":
+        tiny = [5e-324, 1e-320, 2.2250738585072014e-308, 1e-300, 0.0]
+        return np.concatenate([tiny, 10.0 ** rng.uniform(-300, 300, n - 5)])
+    if op == "exp":
+        edges = [-745.0, -708.5, 709.7, 709.78, 1e-300, -1e-300]
+        return np.concatenate([edges, rng.uniform(-745, 709.7, n // 2), 10.0 ** rng.uniform(-20, 1, n // 2)])
+    # sin and cos: the floats nearest their zeros, up to 1e6 turns, and wide arguments
+    k = np.concatenate([np.arange(1, 200), rng.integers(200, 6_000_000, n // 2 - 199)])
+    zeros = k * np.pi if op == "sin" else (k + 0.5) * np.pi
+    return np.concatenate([zeros, -zeros[:50], rng.uniform(-1e5, 1e5, n // 2 - 50)])
+
+
+def _pairs(rng, n=2500):
+    """Operand pairs of every magnitude and sign, and near-cancelling ones."""
+    a = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-300, 300, n)
+    b = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-300, 300, n)
+    b[: n // 4] = -a[: n // 4] * (1 + rng.uniform(-1e-12, 1e-12, n // 4))
+    b[n // 4 : n // 2] = rng.uniform(-1e3, 1e3, n // 4)
+    a[n // 4 : n // 2] = rng.uniform(-1e3, 1e3, n // 4)
+    return a, b
+
+
+class TestIntervals:
+    """``compile_interval`` encloses what numpy computes: each widened
+    interval operation holds the exact value (50-digit decimal references),
+    a chain's enclosure holds every order of its float evaluation, and a
+    shape's enclosure holds the values of its simplified filled form."""
+
+    @pytest.mark.parametrize("op", ["sqrt", "exp", "sin", "cos"])
+    def test_unary_widening_holds_the_exact_value(self, op):
+        x = _arguments(op, np.random.default_rng(7))
+        with np.errstate(all="ignore"):
+            lo, hi = expressions._INTERVAL_OPS[op]((x, x))
+        with localcontext() as ctx:
+            ctx.prec = 50
+            for xi, l, h in zip(x.tolist(), lo.tolist(), hi.tolist()):
+                exact = _REFERENCES[op](Decimal(xi))
+                assert Decimal(l) <= exact <= Decimal(h) or (op == "exp" and h == math.inf), xi
+
+    @pytest.mark.parametrize("op", ["add", "sub", "mul", "div"])
+    def test_binary_widening_holds_the_exact_value(self, op):
+        a, b = _pairs(np.random.default_rng(8))
+        with np.errstate(all="ignore"):
+            lo, hi = expressions._INTERVAL_OPS[op]((a, a), (b, b))
+        with localcontext() as ctx:
+            ctx.prec = 50
+            for ai, bi, l, h in zip(a.tolist(), b.tolist(), lo.tolist(), hi.tolist()):
+                exact = _REFERENCES[op](Decimal(ai), Decimal(bi))
+                assert Decimal(l) <= exact <= Decimal(h) or math.inf in (-l, h), (ai, bi)
+
+    def test_chains_hold_every_order(self):
+        # canonical_simplify may re-sort a chain once a slot is a number: the
+        # enclosure of the operands holds each order's float sum and product
+        rng = np.random.default_rng(9)
+        cases = [
+            (1e16, 1.0, -1e16, 3.0),
+            (1e-200, 1e-200, 1e250),  # one order underflows to 0
+            (1e200, 1e200, 1e-300),  # one order overflows: the whole line
+            (-0.0, 5.0, 1e-310),
+        ]
+        cases += [tuple(rng.choice([-1, 1], 4) * 10.0 ** rng.uniform(-8, 8, 4)) for _ in range(300)]
+        cases += [tuple(rng.uniform(-3, 3, 3)) for _ in range(300)]
+        for ops in cases:
+            points = [(np.float64(v), np.float64(v)) for v in ops]
+            with np.errstate(all="ignore"):
+                for op, fn in (("add", np.add), ("mul", np.multiply)):
+                    lo, hi = expressions._INTERVAL_OPS[op](*points)
+                    for order in itertools.permutations(ops):
+                        value = np.float64(order[-1])
+                        for v in reversed(order[:-1]):
+                            value = fn(np.float64(v), value)
+                        assert lo <= value <= hi or math.isnan(value), (op, order)
+
+    def test_shapes_hold_their_simplified_values(self):
+        """Every one-slot shape of at most 5 nodes over x and y, boxes around
+        constants that fold, snap or re-sort the simplified form."""
+        x = np.array([-3.0, -1.0, -0.5, 0.0, 0.5, 2.0, 7.0])
+        env = {"x": x, "y": np.array([2.0, -1.0, 0.0, 3.0, -0.25, 1.0, 5.0])}
+        en = ShapeEnumerator(Grammar(variables=("x", "y")))
+        shapes = [s for n in range(1, 6) for s in en.shapes(n) if slot_count(s) == 1]
+        checked = 0
+        for shape in shapes:
+            _, at = compile_interval(shape, env)
+            for c in (-3.0, -1.0, -0.5, 0.0, 0.25, 1.0, 2.0, 400.0):
+                lo, hi = np.array([c - 1e-3, c, c - 0.5]), np.array([c, c + 1e-6, c + 0.5])
+                with np.errstate(all="ignore"):
+                    box_lo, box_hi = at(((lo[:, None], hi[:, None]),))
+                for i, v in enumerate((lo[0] + 5e-4, c, c + 0.25)):
+                    filled = canonical_simplify(assign_slots(shape, [v]))
+                    got = np.broadcast_to(evaluate(filled, env), x.shape)
+                    ok = np.isnan(got) | ((box_lo[i] <= got) & (got <= box_hi[i]))
+                    assert ok.all(), (serialize(shape), v, serialize(filled))
+                    checked += 1
+        assert len(shapes) > 800 and checked > 15000
+
+    def test_re_sorted_chains(self):
+        # canonical shapes whose filled forms re-sort a chain; -1 becomes sub(0, u)
+        t = np.linspace(-3.0, 4.0, 15)
+        env = {"x": t, "y": t[::-1] * 1e3, "t": t}
+        slot, x, y = ("slot",), var("x"), var("y")
+        cases = [
+            (("add", ("mul", x, y), ("add", ("mul", x, slot), y)), 3.0, "add(mul(x,3),mul(x,y),y)"),
+            (("add", ("mul", var("t"), slot), ("add", ("sin", var("t")), var("t"))), -1.0,
+             "add(sin(t),sub(0,t),t)"),
+        ]
+        for shape, c, filled_text in cases:
+            assert canonical_simplify(shape) == shape
+            filled = canonical_simplify(assign_slots(shape, [c]))
+            assert serialize(filled) == filled_text
+            _, at = compile_interval(shape, env)
+            lo, hi = at(((np.array([[c]]), np.array([[c]])),))
+            got = evaluate(filled, env)
+            assert np.all((lo <= got) & (got <= hi))
+
+    def test_domain_errors_are_empty(self):
+        env = {"t": np.array([-4.0, 1.0])}
+        _, at = compile_interval(("sqrt", ("add", ("var", "t"), ("slot",))), env)
+        with np.errstate(all="ignore"):
+            lo, hi = at(((np.array([[-2.0]]), np.array([[2.0]])),))
+        # sqrt(t + c) with t + c in [-6, -2] is nan throughout: empty
+        assert np.isnan(hi[0, 0]) and 1.0 <= hi[0, 1] <= 1.8
+        _, at = compile_interval(("div", ("var", "t"), ("add", ("var", "t"), ("slot",))), env)
+        with np.errstate(all="ignore"):
+            lo, hi = at(((np.array([[3.0]]), np.array([[5.0]])),))
+        # the divisor t + c holds 0 at t = -4: the whole line
+        assert (lo[0, 0], hi[0, 0]) == (-math.inf, math.inf)
 
 
 class TestCompileExpr:

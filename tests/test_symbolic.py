@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -18,9 +19,13 @@ from hyperpolate import (
     tie_sets,
     top_tie_set,
 )
-from hyperpolate import symbolic
+from hyperpolate import expressions, symbolic
 from hyperpolate.expressions import (
+    BINARY_OPS,
+    UNARY_OPS,
     ShapeEnumerator,
+    assign_slots,
+    canonical_simplify,
     compile_shape,
     expr_depth,
     node_count,
@@ -288,6 +293,29 @@ class TestSearch:
         monkeypatch.setattr(symbolic, "ENUM_FLOOR", grammar.max_nodes)
         assert top() == certified == {("mul(x,y)", 3.0)}
 
+    def test_level_stop_invariant(self):
+        """Strict mode stops at the first level above the certified best
+        score, which needs every candidate lifted from an n-node shape's fit
+        to score at least n.  Fits that fold to fewer nodes are dropped."""
+        enum = ShapeEnumerator(Grammar(variables=("t",)))
+        shapes = [s for n in range(1, 6) for s in enum.shapes(n) if slot_count(s)]
+        # the tight cases: lifts even in a new y, c = 0, and c = y0 on an axis
+        frames = [symbolic.SliceFrame("new_dim", "x", "y", 0.0)] + [
+            symbolic.SliceFrame("axis", "x", "y", y0) for y0 in (1.0, 3.0)
+        ]
+        checks = 0
+        for shape in shapes:
+            n = node_count(shape)
+            for fill in itertools.product((0.0, 1.0, 3.0, 20.0, 0.5, -2.0), repeat=slot_count(shape)):
+                expr = canonical_simplify(assign_slots(shape, fill))
+                if node_count(expr) < n:
+                    continue
+                for frame in frames:
+                    for cand in lift_constants(expr, frame):
+                        assert cand.score >= n, (serialize(shape), fill, serialize(cand.expr))
+                        checks += 1
+        assert checks > 55_000
+
     def test_budget_zero(self):
         x = np.arange(0.0, 8.0)
         data = Dataset(x[:, None], 2.0 * x)
@@ -472,3 +500,87 @@ class TestLockstepFitting:
         assert consts == ()
         assert repr(max_abs) == repr(fitter.residual_of(shape))
         assert fitter.fit(("add", ("var", "t"), ("slot",)))[2] is None
+
+
+def _one_slot_shapes(max_nodes):
+    """The bare slot and every shape of at most ``max_nodes`` nodes over t
+    with one inner slot and no profiled (linear) slot."""
+    enum = ShapeEnumerator(Grammar(variables=("t",)))
+    shapes = [("slot",)] + [s for n in range(1, max_nodes + 1) for s in enum.shapes(n)]
+    out = []
+    for shape in shapes:
+        core, has_mul, has_add = symbolic._linear_split(shape)
+        if slot_count(core) == 1 and not (has_mul or has_add):
+            out.append(shape)
+    return out
+
+
+def _qualifies(fitter, shape, fit):
+    """Whether the search would keep this fit in strict mode: snapped,
+    simplified, and within the strict tolerance on every sample.  (The
+    search also drops fits that fold to fewer nodes; this does not.)"""
+    if fit is None:
+        return False
+    consts, _ = fitter.snap(shape, *fit[:2])
+    expr = canonical_simplify(assign_slots(shape, consts))
+    return fitter.residual_of(expr) <= symbolic.STRICT_TOL
+
+
+class TestStrictScreen:
+    """In strict mode a one-slot shape whose interval enclosure misses the
+    targets over every Brent bracket is not fitted; that never drops a fit
+    the search would keep."""
+
+    def test_interval_table_covers_the_grammar(self):
+        assert set(expressions._INTERVAL_OPS) == set(expressions._OPS)
+        assert set(expressions._OPS) == set(UNARY_OPS + BINARY_OPS)
+
+    def test_boxes_reach_one_snap_step_and_the_tolerance(self):
+        t = np.arange(-3.0, 4.0)
+        shape = ("add", ("var", "t"), ("slot",))
+        fitter = symbolic._ShapeFitter({"t": t}, t + 5.0, strict=True)
+        # Brent ends within 4e-6 of 5 on this bracket, and snap rounds to 5
+        sse = _pointwise(lambda c: float(np.sum((t + c - fitter.target) ** 2)))
+        ((x, fx),) = symbolic._lockstep([symbolic._bounded_brent(3.0, 5.0 - 4e-6)], sse)
+        assert 5.0 - 5e-6 < x < 5.0
+        assert _qualifies(fitter, shape, ((x,), fx))
+        assert not fitter._cannot_qualify(shape, [(3.0, 5.0 - 4e-6)])
+        assert fitter._cannot_qualify(shape, [(3.0, 4.99)])
+        # a residual within the tolerance at a sample that no constant moves
+        shape = ("mul", ("var", "t"), ("slot",))
+        y = 2.0 * t
+        y[3] = 0.5 * symbolic.STRICT_TOL  # t = 0
+        fitter = symbolic._ShapeFitter({"t": t}, y, strict=True)
+        assert _qualifies(fitter, shape, ((2.0,), 0.0))
+        assert not fitter._cannot_qualify(shape, [(1.5, 2.5)])
+
+    def test_never_rules_out_a_qualifying_fit(self):
+        # each shape is fitted to its own values at c, so that it can
+        # qualify; the second sample set holds 0 and negatives, where sqrt,
+        # div and exp give nan or inf at some constants of the brackets
+        samples = (np.arange(-20.0, 21.0), np.array([-6.0, -2.0, -1.0, -0.25, 0.0, 0.5, 1.0, 3.0]))
+        constants = (-3.0, -0.5, 0.25, 2.0, 7.0, 400.0)
+        shapes = _one_slot_shapes(5)
+        ruled_out = kept = 0
+        for t in samples:
+            for shape in shapes:
+                for c in constants:
+                    y = np.broadcast_to(evaluate(shape, {"t": t}, [c]), t.shape)
+                    # the start grid squares the largest magnitude: keep it finite
+                    if not np.all(np.abs(y) < 1e150):
+                        continue
+                    strict = symbolic._ShapeFitter({"t": t}, y, strict=True)
+                    _, at = compile_shape(shape, strict.envs)
+                    lanes = symbolic._LaneObjective(at, strict.target, False, False)
+                    with np.errstate(all="ignore"):
+                        brackets = strict._brackets(lanes)
+                        if not (brackets and strict._cannot_qualify(shape, brackets)):
+                            kept += 1
+                            continue
+                    assert strict.fit(shape) is None
+                    # the fit the screen spared: Brent over the same brackets
+                    loose = symbolic._ShapeFitter({"t": t}, y)
+                    assert not _qualifies(loose, shape, loose.fit(shape)), (serialize(shape), c)
+                    ruled_out += 1
+        assert len(shapes) > 300
+        assert ruled_out > 50 and kept > 1000, (ruled_out, kept)
