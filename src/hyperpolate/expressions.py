@@ -200,10 +200,11 @@ def parse(text):
         raise InvalidInputError(f"cannot parse expression: {exc}") from None
 
 
-# One table for every evaluator, so that compile_expr and compile_shape apply
-# the same numpy operation to each node (pow2 is a*a, not np.square).  div is
-# the ufunc, so that two float constants divide by zero to inf/nan as arrays
-# do, instead of raising ZeroDivisionError.
+# The point operation of each operator.  _walk applies it to every node of
+# evaluate, compile_expr and compile_shape, and to the slot-free subtrees of
+# compile_interval, so all four agree bit for bit (pow2 is a*a, not np.square).
+# div is the ufunc, so that two float constants divide by zero to inf/nan as
+# arrays do, instead of raising ZeroDivisionError.
 _OPS = {
     "add": operator.add,
     "sub": operator.sub,
@@ -222,10 +223,14 @@ def evaluate(e, env, slot_values=None):
     """Evaluate over numpy arrays; domain errors surface as nan/inf.
 
     ``env`` maps variable names to arrays (broadcastable); ``slot_values``
-    supplies constants for slot leaves in depth-first order.
+    supplies constants for slot leaves in depth-first order.  One eager
+    ``_walk``, with the operations of every compiled form.
     """
     with np.errstate(all="ignore"):
-        return compile_expr(e)(env, slot_values)
+        late, value = _walk(e, env, slot_values, _OPS, [0])
+        # late only when slots have no values: the call raises as it would
+        # in compile_expr's form
+        return value(slot_values) if late else value
 
 
 def compile_expr(e):
@@ -233,34 +238,17 @@ def compile_expr(e):
 
     ``fn`` reads its variables from ``env`` and its slot constants from
     ``slot_values`` (depth-first order, fixed here) at call time, so one
-    compiled form serves any points.  It is one closure per node, applying
-    the node's ``_OPS`` entry to its children's values, left child first.
-    Calls run under the caller's numpy error state; ``evaluate`` silences
-    domain warnings around its call.
+    compiled form serves any points.  Variable-free subtrees are computed
+    here; ``fn`` applies each other node's ``_OPS`` entry to its children's
+    values, left child first (see ``_walk``).  Calls run under the caller's
+    numpy error state; ``evaluate`` silences domain warnings around its
+    call.
     """
-    return _closure(e, [0])
-
-
-def _closure(node, counter):
-    op = node[0]
-    if op == "var":
-        name = node[1]
-        return lambda env, slot_values=None: env[name]
-    if op == "const":
-        value = node[1]
-        return lambda env, slot_values=None: value
-    if op == "slot":
-        idx = counter[0]
-        counter[0] += 1
-        return lambda env, slot_values=None: slot_values[idx]
-    fn = _OPS.get(op)
-    if fn is None:
-        raise InvalidInputError(f"unknown operator {op!r}")
-    a = _closure(node[1], counter)
-    if len(node) == 3:
-        b = _closure(node[2], counter)
-        return lambda env, slot_values=None: fn(a(env, slot_values), b(env, slot_values))
-    return lambda env, slot_values=None: fn(a(env, slot_values))
+    with np.errstate(all="ignore"):
+        late, part = _walk(e, None, None, _OPS, [0])
+    if late:
+        return lambda env, slot_values=None: part((env, slot_values))
+    return lambda env, slot_values=None: part
 
 
 def compile_shape(e, env):
@@ -272,43 +260,86 @@ def compile_shape(e, env):
     an (L, 1) column over 1-D variable arrays of m points, it yields the
     (L, m) table of the L value points' shape values, one row per point.
     Every slot-free subtree is evaluated once, here; a call recomputes only
-    the nodes on the paths from the slots to the root, with the operations
-    ``evaluate`` uses.  Calls run under the caller's numpy error state:
-    unlike ``evaluate``, they do not silence domain warnings themselves.
+    the nodes on the paths from the slots to the root (see ``_walk``).
+    Calls run under the caller's numpy error state: unlike ``evaluate``,
+    they do not silence domain warnings themselves.
     """
+    return _compile_over(e, env, _OPS)
+
+
+def _compile_over(e, env, ops):
+    """``compile_shape`` (``ops`` is ``_OPS``) or ``compile_interval``."""
     counter = [0]
     with np.errstate(all="ignore"):
-        has_slot, part = _compile(e, env, counter)
-    if has_slot:
+        late, part = _walk(e, env, None, ops, counter)
+    if late:
         return counter[0], part
+    if ops is _INTERVAL_OPS:
+        part = (part, part)
     return 0, lambda values: part
 
 
-def _compile(node, env, counter):
-    """(False, value) for a slot-free node, else (True, at)."""
+def _walk(node, env, values, ops, counter):
+    """The one evaluator: (False, value) for a node known during the walk,
+    else (True, at), where ``at`` computes it at call time.
+
+    Variables come from ``env``, or at call time when it is None: ``at``
+    then takes the pair (env, slot values), else the slot values alone.
+    Slots, numbered depth-first by ``counter``, come from ``values``, or at
+    call time when it is None.  Known subtrees are computed with ``_OPS``;
+    other nodes apply their ``ops`` entry to their children's values, left
+    child first.  With ``_INTERVAL_OPS`` a known child enters as the
+    interval (v, v), and a chain is enclosed whole (``_enclose_chain``).
+    """
     op = node[0]
     if op == "var":
+        if env is None:
+            # defaults, not closure cells: a cell costs every call of _walk
+            return True, lambda x, name=node[1]: x[0][name]
         return False, env[node[1]]
     if op == "const":
         return False, node[1]
     if op == "slot":
-        get = operator.itemgetter(counter[0])
+        idx = counter[0]
         counter[0] += 1
-        return True, get
-    fn = _OPS.get(op)
+        if values is not None:
+            return False, values[idx]
+        return True, operator.itemgetter(idx) if env is not None else lambda x, i=idx: x[1][i]
+    fn = ops.get(op)
     if fn is None:
         raise InvalidInputError(f"unknown operator {op!r}")
-    slot_a, a = _compile(node[1], env, counter)
+    if ops is _INTERVAL_OPS and op in _CHAIN_OPS:
+        return _enclose_chain(node, env, values, counter)
+    late_a, a = _walk(node[1], env, values, ops, counter)
     if len(node) == 2:
-        return (True, lambda values: fn(a(values))) if slot_a else (False, fn(a))
-    slot_b, b = _compile(node[2], env, counter)
-    if slot_a and slot_b:
-        return True, lambda values: fn(a(values), b(values))
-    if slot_a:
-        return True, lambda values: fn(a(values), b)
-    if slot_b:
-        return True, lambda values: fn(a, b(values))
-    return False, fn(a, b)
+        return (True, lambda x: fn(a(x))) if late_a else (False, _OPS[op](a))
+    late_b, b = _walk(node[2], env, values, ops, counter)
+    if not (late_a or late_b):
+        return False, _OPS[op](a, b)
+    if ops is _INTERVAL_OPS:
+        a, b = (a if late_a else (a, a)), (b if late_b else (b, b))
+    if not late_b:
+        return True, lambda x: fn(a(x), b)
+    if not late_a:
+        return True, lambda x: fn(a, b(x))
+    return True, lambda x: fn(a(x), b(x))
+
+
+def _enclose_chain(node, env, values, counter):
+    """``_walk`` of an add/mul chain with ``_INTERVAL_OPS``: the chain is
+    enclosed whole, its known operands first, as degenerate intervals."""
+    op = node[0]
+    parts = [_walk(el, env, values, _INTERVAL_OPS, counter) for el in chain_elements(node)]
+    if not any(late for late, _ in parts):
+        # right-nested, as the tree is
+        value = parts[-1][1]
+        for _, v in reversed(parts[:-1]):
+            value = _OPS[op](v, value)
+        return False, value
+    fn = _INTERVAL_OPS[op]
+    fixed = [(v, v) for late, v in parts if not late]
+    moving = [at for late, at in parts if late]
+    return True, lambda x: fn(*fixed, *(at(x) for at in moving))
 
 
 # Interval counterparts of _OPS, for compile_interval.  An interval is a pair
@@ -455,48 +486,12 @@ def compile_interval(e, env):
     expression that ``canonical_simplify(assign_slots(e, values))`` makes of
     it, whose chains may be re-sorted (see ``_INTERVAL_OPS``).  Given each
     slot's interval as (B, 1) columns over 1-D variable arrays of m points,
-    it yields (B, m) arrays, one row per box.  Every slot-free subtree is
-    evaluated once, here, as points, with the operations ``evaluate`` uses;
-    chains are enclosed whole.  Calls run under the caller's numpy error
-    state.
+    it yields (B, m) arrays, one row per box.  The same walk as
+    ``compile_shape``: every slot-free subtree is evaluated once, here, as
+    points with ``_OPS``; chains are enclosed whole (see ``_walk``).  Calls
+    run under the caller's numpy error state.
     """
-    counter = [0]
-    with np.errstate(all="ignore"):
-        has_slot, part = _compile_interval(e, env, counter)
-    if has_slot:
-        return counter[0], part
-    return 0, lambda boxes: (part, part)
-
-
-def _compile_interval(node, env, counter):
-    """(False, value) for a slot-free node, else (True, at)."""
-    op = node[0]
-    if op in _CHAIN_OPS:
-        parts = [_compile_interval(el, env, counter) for el in chain_elements(node)]
-        if not any(has_slot for has_slot, _ in parts):
-            # right-nested, as the tree is
-            value = parts[-1][1]
-            for _, v in reversed(parts[:-1]):
-                value = _OPS[op](v, value)
-            return False, value
-        fn = _INTERVAL_OPS[op]
-        fixed = [(v, v) for has_slot, v in parts if not has_slot]
-        moving = [at for has_slot, at in parts if has_slot]
-        return True, lambda boxes: fn(*fixed, *(at(boxes) for at in moving))
-    if op in ("var", "const"):
-        return _compile(node, env, counter)
-    if op == "slot":
-        get = operator.itemgetter(counter[0])
-        counter[0] += 1
-        return True, get
-    fn = _INTERVAL_OPS.get(op)
-    if fn is None:
-        raise InvalidInputError(f"unknown operator {op!r}")
-    kids = [_compile_interval(c, env, counter) for c in node[1:]]
-    if not any(has_slot for has_slot, _ in kids):
-        return False, _OPS[op](*(v for _, v in kids))
-    ats = [at if has_slot else (lambda boxes, v=at: (v, v)) for has_slot, at in kids]
-    return True, lambda boxes: fn(*(at(boxes) for at in ats))
+    return _compile_over(e, env, _INTERVAL_OPS)
 
 
 def substitute(e, mapping):

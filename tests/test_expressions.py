@@ -258,6 +258,8 @@ class TestCompileShape:
     def test_unknown_operator(self):
         with pytest.raises(InvalidInputError):
             compile_shape(("tan", ("slot",)), {})
+        with pytest.raises(InvalidInputError):
+            compile_interval(("tan", ("slot",)), {})
 
 
 _PI = Decimal(
@@ -384,6 +386,27 @@ class TestIntervals:
                     assert ok.all(), (serialize(shape), v, serialize(filled))
                     checked += 1
         assert len(shapes) > 800 and checked > 15000
+
+    def test_degenerate_boxes_hold_the_point_values(self):
+        """At boxes (v, v), the enclosure of every shape of at most 5 nodes
+        over x and y, with any number of slots, holds compile_shape's values
+        at v: the point and interval walks number the slots alike."""
+        x = np.array([-3.0, -1.0, -0.5, 0.0, 0.5, 2.0, 7.0])
+        env = {"x": x, "y": np.array([2.0, -1.0, 0.0, 3.0, -0.25, 1.0, 5.0])}
+        en = ShapeEnumerator(Grammar(variables=("x", "y")))
+        shapes = [s for n in range(1, 6) for s in en.shapes(n)]
+        slots = [slot_count(s) for s in shapes]
+        for shape in shapes:
+            k, at = compile_shape(shape, env)
+            k_box, box_at = compile_interval(shape, env)
+            assert k_box == k
+            for values in ([-1.5, 0.75, 2.0], [3.0, -0.25, 0.5]):
+                with np.errstate(all="ignore"):
+                    got = np.broadcast_to(at(values[:k]), x.shape)
+                    lo, hi = box_at([(v, v) for v in values[:k]])
+                ok = np.isnan(got) | ((lo <= got) & (got <= hi))
+                assert ok.all(), (serialize(shape), values[:k])
+        assert len(shapes) > 4000 and slots.count(2) > 10
 
     def test_re_sorted_chains(self):
         # canonical shapes whose filled forms re-sort a chain; -1 becomes sub(0, u)
