@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import InvalidInputError, NoPredictionError
 from .expressions import compile_expr, complexity, serialize
-from .symbolic import STRICT_TOL, CandidateLifting, _candidate_env, predict_candidate
+from .symbolic import STRICT_TOL, CandidateLifting, _candidate_env
 
 __all__ = [
     "Hypothesis",
@@ -57,8 +57,6 @@ class Hypothesis:
 
     def __call__(self, points):
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        if self.candidate is not None:
-            return predict_candidate(self.candidate, pts)
         with np.errstate(all="ignore"):
             vals = self._values(pts)
         return np.broadcast_to(np.asarray(vals, dtype=float), (pts.shape[0],)).copy()

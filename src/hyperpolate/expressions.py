@@ -111,7 +111,8 @@ def slot_count(e):
         return 1
     if is_leaf(e):
         return 0
-    return sum(slot_count(c) for c in e[1:])
+    kids = chain_elements(e) if e[0] in _CHAIN_OPS else e[1:]
+    return sum(slot_count(c) for c in kids)
 
 
 def chain_elements(e):
@@ -553,8 +554,23 @@ def canonical_simplify(e):
     """
     if is_leaf(e):
         return e
+    if e[0] not in _CHAIN_OPS:
+        return _simplify_node(e, [canonical_simplify(c) for c in e[1:]])
+    # the right spine of a chain is simplified bottom-up in a loop, node by
+    # node as the recursion would, so that a chain of any length simplifies
+    spine = [e]
+    while spine[-1][2][0] == e[0]:
+        spine.append(spine[-1][2])
+    out = canonical_simplify(spine[-1][2])
+    for node in reversed(spine):
+        out = _simplify_node(node, [canonical_simplify(node[1]), out])
+    return out
+
+
+def _simplify_node(e, kids):
+    """``canonical_simplify`` of a non-leaf node whose children simplify to
+    ``kids``."""
     op = e[0]
-    kids = [canonical_simplify(c) for c in e[1:]]
     if all(is_const(k) for k in kids) and slot_count(e) == 0:
         value = evaluate((op,) + tuple(kids), {})
         if np.isfinite(value):

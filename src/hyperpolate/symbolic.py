@@ -35,7 +35,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DimensionMismatchError, UnsupportedGeometryError
+from .errors import DimensionMismatchError, InvalidInputError, UnsupportedGeometryError
 from .expressions import (
     INT_BIT_COST,
     OP_COST,
@@ -221,7 +221,16 @@ def _scale_grid(envs, target):
     for arr in envs.values():
         mags.append(float(np.max(np.abs(arr))) if arr.size else 1.0)
     mags.append(float(np.max(np.abs(target))) if target.size else 1.0)
-    top = 4.0 * max(1.0, max(mags)) ** 2
+    mag = max(1.0, max(mags))
+    try:
+        top = 4.0 * mag**2
+    except OverflowError:
+        top = math.inf
+    if not math.isfinite(top):
+        raise InvalidInputError(
+            f"symbolic search: data magnitude {mag:.3g} is above about 6.7e+153, where "
+            "the top of the constant fitting grid, 4 * magnitude^2, is not finite"
+        )
     geo = np.geomspace(1e-2, top, 56)
     lin = np.linspace(top / 64.0, top, 24)
     grid = np.unique(np.concatenate([[0.0], geo, -geo, lin, -lin]))

@@ -129,6 +129,15 @@ class TestSearch:
         code, _, err = run(capsys, "search", "--data", str(data))
         assert code == 3
 
+    def test_magnitude_beyond_the_start_grid_exits_2(self, capsys, tmp_path):
+        data = tmp_path / "huge.csv"
+        rows = "\n".join(f"{x},{x}e160" for x in range(-4, 5))
+        data.write_text("x1,f\n" + rows + "\n", encoding="utf-8")
+        code, out, err = run(capsys, "search", "--data", str(data))
+        assert code == 2
+        assert out == ""
+        assert "6.7e+153" in err
+
     def test_top_keeps_tie_sets_whole(self, capsys, tmp_path):
         data = tmp_path / "cone.csv"
         lines = ["x1,f"] + [

@@ -92,6 +92,16 @@ class TestSerializeParse:
                     count += 1
         assert count > 1000
 
+    @pytest.mark.parametrize("op", ["add", "mul"])
+    def test_long_chain_round_trip(self, op):
+        # simplified node by node along the chain, not one recursion per operand
+        names = ",".join(f"x{i:04d}" for i in range(1000))
+        text = f"{op}({names})"
+        assert serialize(parse(text)) == text
+        # mul(-1, ...) is re-simplified whole as sub(0, mul(...))
+        want = f"sub(0,{text})" if op == "mul" else f"add({names},-1)"
+        assert serialize(parse(f"{op}(-1,{names})")) == want
+
     def test_integer_formatting(self):
         assert serialize(const(400.0)) == "400"
         assert serialize(const(-20.0)) == "-20"

@@ -9,6 +9,7 @@ from hyperpolate import (
     Dataset,
     DimensionMismatchError,
     Grammar,
+    InvalidInputError,
     UnsupportedGeometryError,
     evaluate,
     lift_constants,
@@ -261,6 +262,15 @@ class TestSearch:
         rng = np.random.default_rng(1)
         data = Dataset(rng.normal(size=(6, 2)), rng.normal(size=6))  # 2D hull
         with pytest.raises(UnsupportedGeometryError):
+            search_hyperpolation(data)
+
+    @pytest.mark.parametrize("top", [1e154, 1e160])
+    def test_magnitude_beyond_the_start_grid_is_invalid_input(self, top):
+        # the start grid reaches 4 * top^2: inf above about 6.7e153, and the
+        # square itself overflows above about 1.34e154
+        x = np.arange(-5.0, 6.0)
+        data = Dataset(x[:, None], top * (x + 5.0) / 10.0)
+        with pytest.raises(InvalidInputError, match="6.7e\\+153"):
             search_hyperpolation(data)
 
     def test_certified_stop_builds_no_further_level(self, monkeypatch, cone_1d_dataset):
