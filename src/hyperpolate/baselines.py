@@ -10,14 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    ConfigurationError,
-    DegenerateFitError,
-    DimensionMismatchError,
-    InvalidInputError,
-    UnsupportedGeometryError,
-)
-from .geometry import AffineSubspace, affine_hull, hull_chart
+from .errors import ConfigurationError, DegenerateFitError, UnsupportedGeometryError
+from .geometry import AffineSubspace, _as_points, hull_chart
 
 __all__ = [
     "SliceModel",
@@ -52,20 +46,9 @@ class PolationModel:
         return self.chart.ambient_dim
 
     def predict(self, points):
-        points = np.asarray(points, dtype=float)
-        if points.ndim not in (1, 2):
-            raise InvalidInputError(
-                f"predict takes one point or an (n, dim) array, got shape {points.shape}"
-            )
-        if points.shape[-1] != self.ambient_dim:
-            raise DimensionMismatchError(
-                f"point has dimension {points.shape[-1]}, expected {self.ambient_dim}"
-            )
-        if not np.all(np.isfinite(points)):
-            raise InvalidInputError("point has non-finite coordinates")
-        scalar = points.ndim == 1
-        out = self._predict(np.atleast_2d(points))
-        return float(out[0]) if scalar else out
+        pts, single = _as_points(points, self.ambient_dim)
+        out = self._predict(pts)
+        return float(out[0]) if single else out
 
 
 @dataclass(frozen=True, eq=False)
@@ -219,8 +202,6 @@ def fit_linear(data):
 
 def fit_extrusion(data):
     """Extrude the slice interpolant: constant along every orthogonal direction."""
-    if affine_hull(data).dim != 1:
-        raise UnsupportedGeometryError("extrusion baseline requires a 1D hull")
     return fit_slice_interpolant(data)
 
 

@@ -14,6 +14,7 @@ import numpy as np
 
 from .errors import InvalidInputError, NoPredictionError
 from .expressions import compile_expr, complexity, serialize
+from .geometry import _as_points
 from .symbolic import STRICT_TOL, CandidateLifting, _candidate_env
 
 __all__ = [
@@ -56,7 +57,7 @@ class Hypothesis:
         return compile_expr(self.expr)
 
     def __call__(self, points):
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
+        pts, _ = _as_points(points)
         with np.errstate(all="ignore"):
             vals = self._values(pts)
         return np.broadcast_to(np.asarray(vals, dtype=float), (pts.shape[0],)).copy()
@@ -222,16 +223,7 @@ def predict(post, p):
     """
     if post.is_empty:
         raise NoPredictionError("cannot predict from an empty posterior")
-    pts = np.asarray(p, dtype=float)
-    batch = pts.ndim == 2
-    if pts.ndim not in (1, 2) or pts.shape[-1] == 0:
-        raise InvalidInputError(
-            f"predict takes one point or an (n, dim) array, got shape {pts.shape}"
-        )
-    if not np.all(np.isfinite(pts)):
-        raise InvalidInputError("point has non-finite coordinates")
-    if not batch:
-        pts = pts[None, :]
+    pts, single = _as_points(p)
     values = np.empty((len(post), pts.shape[0]))
     with np.errstate(all="ignore"):
         for i, h in enumerate(post.hypotheses):
@@ -239,7 +231,7 @@ def predict(post, p):
     # one contiguous row per point, so that its weighted sum is the
     # per-point one bit for bit
     dists = [_distribution(row, post.weights) for row in values.T.copy()]
-    return dists if batch else dists[0]
+    return dists[0] if single else dists
 
 
 def _distribution(values, weights):

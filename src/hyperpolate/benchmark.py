@@ -22,6 +22,7 @@ from .geometry import (
     INTERPOLATION,
     Dataset,
     Tolerances,
+    _as_points,
     classify,
     hyperpolation_distance,
 )
@@ -324,7 +325,7 @@ class _IntrinsicCandidateMethod:
         self.normal = _line_normal(direction / np.linalg.norm(direction))
 
     def predict(self, points):
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
+        pts, _ = _as_points(points, self.base.size)
         rel = pts - self.base
         t = rel @ self.direction / (self.direction @ self.direction)
         offset = rel @ self.normal

@@ -8,6 +8,7 @@ benchmark reports are single JSON documents; grid dumps are CSV.
 import argparse
 import dataclasses
 import json
+import os
 import sys
 
 from . import benchmark
@@ -19,7 +20,13 @@ from .errors import (
 )
 from .expressions import Grammar
 from .geometry import HYPERPOLATION, INTERPOLATION, Tolerances, classify, hyperpolation_distance
-from .io import read_dataset_csv, read_queries_csv, write_grid_csv, write_json
+from .io import (
+    atomic_write_text,
+    read_dataset_csv,
+    read_queries_csv,
+    write_grid_csv,
+    write_json,
+)
 from .symbolic import candidate_to_dict, search_hyperpolation, tie_sets
 
 EXIT_OK = 0
@@ -142,8 +149,6 @@ def _grammar(args):
 
 def _emit(text, out_path):
     if out_path:
-        from .io import atomic_write_text
-
         atomic_write_text(out_path, text)
     else:
         sys.stdout.write(text)
@@ -242,8 +247,6 @@ def _as_tuple(value):
 
 
 def cmd_bench(args):
-    import os
-
     if args.case == "all":
         names = sorted(benchmark.BUILTIN_CASES)
     elif args.case in benchmark.BUILTIN_CASES:
@@ -294,10 +297,7 @@ def main(argv=None):
     except UnknownCaseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNKNOWN_CASE
-    except (InvalidInputError, OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except HyperpolateError as exc:
+    except (HyperpolateError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -76,26 +76,28 @@ DEFAULT_SUBSPACE_TOL = 1e-8
 _ROUNDING = 64.0 * np.finfo(float).eps
 
 
-def _as_coords(p, dim):
-    """Coerce a Point/sequence/ndarray into a finite 1-D float array."""
-    if isinstance(p, Point):
-        arr = np.asarray(p.coords, dtype=float)
-    else:
-        arr = np.asarray(p, dtype=float)
-    if arr.ndim != 1:
-        raise InvalidInputError(f"expected a single point, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+def _as_points(p, dim=None):
+    """(pts, single): a Point, one point or an (n, dim) array as a finite 2-D
+    float array ``dim`` wide (at least 1 wide when ``dim`` is None), and
+    whether it was one point.  The one query check of every classifier and
+    predictor."""
+    arr = np.asarray(p.coords if isinstance(p, Point) else p, dtype=float)
+    if arr.ndim not in (1, 2) or (dim is None and arr.shape[-1] == 0):
+        raise InvalidInputError(f"one point or an (n, dim) array, got shape {arr.shape}")
+    if dim is not None and arr.shape[-1] != dim:
+        raise DimensionMismatchError(f"point has dimension {arr.shape[-1]}, expected {dim}")
+    if not np.isfinite(arr).all():
         raise InvalidInputError("point has non-finite coordinates")
-    if arr.size != dim:
-        raise DimensionMismatchError(f"point has dimension {arr.size}, expected {dim}")
-    return arr
+    single = arr.ndim == 1
+    return (arr[None, :] if single else arr), single
 
 
-def _as_queries(p, dim):
-    """(rows, single): one point as one row, or each row of an (n, dim) array."""
-    if isinstance(p, Point) or np.ndim(p) != 2:
-        return [_as_coords(p, dim)], True
-    return [_as_coords(q, dim) for q in np.asarray(p, dtype=float)], False
+def _as_coords(p, dim):
+    """One point as a finite 1-D float array of width ``dim``."""
+    pts, single = _as_points(p, dim)
+    if not single:
+        raise InvalidInputError(f"expected a single point, got shape {pts.shape}")
+    return pts[0]
 
 
 @dataclass(frozen=True)
@@ -519,7 +521,7 @@ def classify(p, data, tols=None):
     failed, so verdicts and witnesses are those of running it.
     """
     tols = tols or Tolerances()
-    queries, single = _as_queries(p, data.ambient_dim)
+    queries, single = _as_points(p, data.ambient_dim)
     table = None
     regimes = []
     for q in queries:
@@ -546,7 +548,7 @@ def hyperpolation_distance(p, data, tol=DEFAULT_SUBSPACE_TOL):
 
     Zero (up to projection round-off) for every non-hyperpolation query.
     """
-    queries, single = _as_queries(p, data.ambient_dim)
+    queries, single = _as_points(p, data.ambient_dim)
     sub = affine_hull(data, tol=tol)
     dists = np.array([project(sub, q)[1] for q in queries])
     return float(dists[0]) if single else dists

@@ -37,37 +37,39 @@ def _parse_row(row, width, line_no):
         raise CsvFormatError(str(exc), line=line_no) from None
 
 
-def _check_coord_header(header, line_no):
-    coords = header
-    expected = [f"x{i + 1}" for i in range(len(coords))]
-    if coords != expected:
-        raise CsvFormatError(
-            f"expected coordinate columns {expected}, got {coords}", line=line_no
-        )
+def _read_csv(path, with_values):
+    """The rows of an ``x1,...,xn`` CSV, with a last ``f`` column when
+    ``with_values``, as an (n, columns) float array; blank lines are
+    skipped."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = [h.strip() for h in next(reader)]
+        except StopIteration:
+            raise CsvFormatError("empty file", line=1) from None
+        coords = header
+        if with_values:
+            if len(header) < 2 or header[-1] != "f":
+                raise CsvFormatError(f"expected header x1,...,xn,f, got {header}", line=1)
+            coords = header[:-1]
+        expected = [f"x{i + 1}" for i in range(len(coords))]
+        if coords != expected:
+            raise CsvFormatError(
+                f"expected coordinate columns {expected}, got {coords}", line=1
+            )
+        rows = [
+            _parse_row(row, len(header), line_no)
+            for line_no, row in enumerate(reader, start=2)
+            if row
+        ]
+    return np.asarray(rows, dtype=float).reshape(len(rows), len(header))
 
 
 def read_dataset_csv(path, noise_sigma=0.0):
     """Read a labelled dataset from ``x1,...,xn,f`` CSV."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise CsvFormatError("empty file", line=1) from None
-        header = [h.strip() for h in header]
-        if len(header) < 2 or header[-1] != "f":
-            raise CsvFormatError(
-                f"expected header x1,...,xn,f, got {header}", line=1
-            )
-        _check_coord_header(header[:-1], 1)
-        rows = []
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            rows.append(_parse_row(row, len(header), line_no))
-    if not rows:
+    arr = _read_csv(path, with_values=True)
+    if not len(arr):
         raise CsvFormatError("dataset has no sample rows", line=2)
-    arr = np.asarray(rows, dtype=float)
     return Dataset(arr[:, :-1], arr[:, -1], noise_sigma=noise_sigma)
 
 
@@ -82,20 +84,7 @@ def write_dataset_csv(path, data):
 
 def read_queries_csv(path):
     """Read query points from ``x1,...,xn`` CSV (zero rows is fine)."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise CsvFormatError("empty file", line=1) from None
-        header = [h.strip() for h in header]
-        _check_coord_header(header, 1)
-        rows = []
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            rows.append(_parse_row(row, len(header), line_no))
-    return np.asarray(rows, dtype=float).reshape(len(rows), len(header))
+    return _read_csv(path, with_values=False)
 
 
 def atomic_write_text(path, text):

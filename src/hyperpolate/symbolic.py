@@ -61,7 +61,7 @@ from .expressions import (
     var,
     variables_of,
 )
-from .geometry import AffineSubspace, _canonical_sign, hull_chart
+from .geometry import AffineSubspace, _as_points, _canonical_sign, hull_chart
 
 __all__ = [
     "STRICT_TOL",
@@ -588,9 +588,10 @@ class _ShapeFitter:
         self.strict = strict
 
     def fit(self, shape):
-        """Return (const_vector, sse, max_abs) or None when no finite fit
-        exists.  ``max_abs`` is the max-abs residual of a slot-free shape,
-        whose values the fit computes anyway, and None for other shapes."""
+        """Return (const_vector, sse, max_abs) or None when no fit with
+        finite constants and a finite SSE exists.  ``max_abs`` is the
+        max-abs residual of a slot-free shape, whose values the fit computes
+        anyway, and None for other shapes."""
         with np.errstate(all="ignore"):
             return self._fit(shape)
 
@@ -617,9 +618,10 @@ class _ShapeFitter:
             if inner is None or not np.isfinite(sse):
                 return None
         sse, ca, cb = lanes.rows(_full(at(inner), (1, target.size)))
-        if not np.isfinite(sse[0]):
+        consts = self._assemble(inner, ca, cb, has_mul, has_add)
+        if not (np.isfinite(sse[0]) and all(map(math.isfinite, consts))):
             return None
-        return self._assemble(inner, ca, cb, has_mul, has_add), float(sse[0]), None
+        return consts, float(sse[0]), None
 
     def _assemble(self, inner, ca, cb, has_mul, has_add):
         """The constant vector: ``inner`` then the profiled c_a and c_b
@@ -1136,7 +1138,7 @@ def predict_candidate(candidate, points):
     embedding where the slice sits at offset 0; the candidate's own frame
     places the slice at y0, so the transverse coordinate is y0 + offset.
     """
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    pts, _ = _as_points(points)
     with np.errstate(all="ignore"):
         vals = candidate.compiled(_candidate_env(candidate, pts))
     return np.broadcast_to(np.asarray(vals, dtype=float), (pts.shape[0],)).copy()

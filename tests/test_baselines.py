@@ -5,8 +5,12 @@ from hyperpolate import (
     ConfigurationError,
     Dataset,
     DimensionMismatchError,
+    Grammar,
+    Hypothesis,
     InvalidInputError,
     UnsupportedGeometryError,
+    build_prior,
+    classify,
     fit_additive,
     fit_extrusion,
     fit_linear,
@@ -16,6 +20,12 @@ from hyperpolate import (
     fit_slice_interpolant,
     generate_case,
     hull_chart,
+    hyperpolation_distance,
+    parse,
+    predict,
+    predict_candidate,
+    search_hyperpolation,
+    update,
 )
 from hyperpolate.baselines import METHOD_NAMES, AdditiveModel
 
@@ -214,22 +224,63 @@ class TestRegistry:
             fit_method("extrusion", data).predict(grid),
         )
 
+    @pytest.mark.parametrize("name", ["nn_projected", "extrusion"])
+    def test_slice_methods_need_a_1d_hull(self, name):
+        rng = np.random.default_rng(0)
+        data = Dataset(rng.normal(size=(6, 2)), rng.normal(size=6))
+        with pytest.raises(UnsupportedGeometryError, match="needs a 1D hull, got dim 2"):
+            fit_method(name, data)
+
     def test_unknown_name(self):
         with pytest.raises(ConfigurationError):
             fit_method("kriging", ripple_slice_dataset())
 
 
+# every public entry that takes query points, besides the baselines' predict
+POINT_ENTRIES = (
+    "classify",
+    "hyperpolation_distance",
+    "bayesian.predict",
+    "Hypothesis",
+    "predict_candidate",
+)
+
+
+@pytest.fixture(scope="module")
+def point_entries():
+    """name -> (one-argument entry, whether it knows the query width: 2)."""
+    x = np.arange(-5.0, 6.0)
+    data = Dataset(np.column_stack([x, np.ones_like(x)]), x**2)
+    entries = {name: (fit_method(name, data).predict, True) for name in METHOD_NAMES}
+    post = update(build_prior([parse("pow2(x)")]), data)
+    candidate = search_hyperpolation(data, grammar=Grammar(variables=("t",), max_nodes=3))[0]
+    entries.update(
+        {
+            "classify": (lambda q: classify(q, data), True),
+            "hyperpolation_distance": (lambda q: hyperpolation_distance(q, data), True),
+            "bayesian.predict": (lambda q: predict(post, q), False),
+            "Hypothesis": (Hypothesis(parse("pow2(x)"), 1.0), False),
+            # an axis-frame candidate binds x and y
+            "predict_candidate": (lambda q: predict_candidate(candidate, q), True),
+        }
+    )
+    return entries
+
+
 class TestPredictValidation:
-    @pytest.mark.parametrize("name", METHOD_NAMES)
-    def test_bad_queries_rejected(self, name):
-        x = np.arange(-5.0, 6.0)
-        model = fit_method(name, Dataset(np.column_stack([x, np.ones_like(x)]), x**2))
-        for query in ([1.0], [1.0, 2.0, 3.0], [[1.0, 2.0, 3.0]]):
-            with pytest.raises(DimensionMismatchError, match="dimension .*, expected 2"):
-                model.predict(query)
+    @pytest.mark.parametrize("name", METHOD_NAMES + POINT_ENTRIES)
+    def test_bad_queries_rejected(self, name, point_entries):
+        entry, knows_dim = point_entries[name]
+        if knows_dim:
+            for query in ([1.0], [1.0, 2.0, 3.0], [[1.0, 2.0, 3.0]]):
+                with pytest.raises(DimensionMismatchError, match="dimension .*, expected 2"):
+                    entry(query)
         for shape in ((), (2, 2, 2)):
             with pytest.raises(InvalidInputError, match="one point or an"):
-                model.predict(np.ones(shape))
+                entry(np.ones(shape))
         for query in ([np.nan, 0.0], [np.inf, 1.0], [[0.0, 1.0], [1.0, np.nan]]):
             with pytest.raises(InvalidInputError, match="non-finite"):
-                model.predict(query)
+                entry(query)
+        for query in ([], [[]]):
+            with pytest.raises(InvalidInputError):
+                entry(query)

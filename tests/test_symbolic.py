@@ -511,6 +511,15 @@ class TestLockstepFitting:
         assert repr(max_abs) == repr(fitter.residual_of(shape))
         assert fitter.fit(("add", ("var", "t"), ("slot",)))[2] is None
 
+    def test_fit_with_an_infinite_constant_is_dropped(self):
+        # Nelder-Mead runs the second constant off to -inf, where exp(t + c)
+        # is 0 and the shape is the constant c1 at a finite SSE; neither snap
+        # nor serialize can take an infinite constant
+        x = np.arange(-5.0, 6.0)
+        fitter = symbolic._ShapeFitter({"t": x}, 1e150 * (x + 5.0) / 10.0, strict=True)
+        shape = ("sub", ("slot",), ("exp", ("add", ("var", "t"), ("slot",))))
+        assert fitter.fit(shape) is None
+
 
 def _one_slot_shapes(max_nodes):
     """The bare slot and every shape of at most ``max_nodes`` nodes over t
