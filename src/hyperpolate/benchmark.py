@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .baselines import fit_method
-from .errors import UnknownCaseError
+from .errors import NoPredictionError, UnknownCaseError
 from .expressions import evaluate, parse, struct_key
 from .geometry import (
     AUTOPOLATION,
@@ -190,7 +190,7 @@ class _SymbolicMethod:
     def __init__(self, data, grammar, budget):
         top = top_tie_set(search_hyperpolation(data, grammar=grammar, budget=budget))
         if not top:
-            raise UnknownCaseError("symbolic search returned no candidate")
+            raise NoPredictionError("symbolic search returned no candidate")
         self.candidate = top[0]
 
     def predict(self, points):

@@ -139,7 +139,7 @@ def _tolerances(args):
 
 
 def _grammar(args):
-    kwargs = {"variables": ("t",)}
+    kwargs = {}
     if getattr(args, "max_nodes", None) is not None:
         kwargs["max_nodes"] = args.max_nodes
     if getattr(args, "grammar_depth", None) is not None:

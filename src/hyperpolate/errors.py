@@ -30,7 +30,8 @@ class UnsupportedGeometryError(HyperpolateError):
 
 
 class NoPredictionError(HyperpolateError):
-    """Prediction requested from an empty posterior."""
+    """Nothing to predict from: an empty posterior, or a search that
+    returned no candidate."""
 
 
 class CsvFormatError(InvalidInputError):

@@ -495,27 +495,48 @@ def compile_interval(e, env):
     return _compile_over(e, env, _INTERVAL_OPS)
 
 
+def _map_leaves(e, fn):
+    """``e`` rebuilt with each leaf replaced by ``fn(leaf)``, called in DFS
+    order."""
+    if is_leaf(e):
+        return fn(e)
+    return (e[0],) + tuple(_map_leaves(c, fn) for c in e[1:])
+
+
 def substitute(e, mapping):
     """Replace variables by expressions (other nodes rebuilt unchanged)."""
-    if is_var(e):
-        return mapping.get(e[1], e)
-    if is_leaf(e):
-        return e
-    return (e[0],) + tuple(substitute(c, mapping) for c in e[1:])
+    return _map_leaves(e, lambda node: mapping.get(node[1], node) if is_var(node) else node)
 
 
 def assign_slots(e, values):
-    """Turn a shape into a literal expression, filling slots in DFS order."""
+    """Turn a shape into a literal expression, filling slots in DFS order.
+
+    A number fills its slot as a constant leaf; an expression tree (a
+    tuple) is inserted as it is.
+    """
     it = iter(values)
 
-    def rec(node):
-        if is_slot(node):
-            return const(next(it))
-        if is_leaf(node):
+    def fill(node):
+        if not is_slot(node):
             return node
-        return (node[0],) + tuple(rec(c) for c in node[1:])
+        value = next(it)
+        return value if isinstance(value, tuple) else const(value)
 
-    return rec(e)
+    return _map_leaves(e, fill)
+
+
+def _split_constants(e):
+    """``(shape, values)``: ``e`` with each constant leaf made a slot, and
+    the constants in DFS order; ``assign_slots(shape, values) == e``."""
+    values = []
+
+    def take(node):
+        if not is_const(node):
+            return node
+        values.append(node[1])
+        return ("slot",)
+
+    return _map_leaves(e, take), values
 
 
 def _sort_key(e):

@@ -44,6 +44,7 @@ from .expressions import (
     ShapeEnumerator,
     _const_cost,
     _rebuild_chain,
+    _split_constants,
     assign_slots,
     canonical_simplify,
     chain_elements,
@@ -814,10 +815,7 @@ def _qualifying_fits(fitter, grammar, budget, strict, score_floor_cb):
     of the same expression has the same residual, so dropping it earlier
     hides no qualifying fit.
     """
-    variables = tuple(fitter.envs)
-    grammar = grammar or Grammar(variables=variables)
-    if sorted(grammar.variables) != sorted(variables):
-        grammar = replace(grammar, variables=variables)
+    grammar = replace(grammar or Grammar(), variables=tuple(fitter.envs))
     enum = ShapeEnumerator(grammar)
     budget = DEFAULT_BUDGET if budget is None else int(budget)
     best_score = math.inf
@@ -889,33 +887,6 @@ def _qualifying_fits(fitter, grammar, budget, strict, score_floor_cb):
 # ---------------------------------------------------------------------------
 
 
-def _replace_const_occurrence(expr, index, replacement):
-    """Replace the index-th constant leaf (DFS order) by an expression."""
-    counter = [0]
-
-    def rec(node):
-        if node[0] == "const":
-            i = counter[0]
-            counter[0] += 1
-            return replacement if i == index else node
-        if node[0] in ("var", "slot"):
-            return node
-        return (node[0],) + tuple(rec(c) for c in node[1:])
-
-    return rec(expr)
-
-
-def _const_values(expr):
-    if expr[0] == "const":
-        return [expr[1]]
-    if expr[0] in ("var", "slot"):
-        return []
-    out = []
-    for c in expr[1:]:
-        out.extend(_const_values(c))
-    return out
-
-
 def _is_even_in(expr, name):
     """Numeric evenness check of expr in one variable (nan-tolerant)."""
     others = sorted(v for v in variables_of(expr) if v != name)
@@ -938,23 +909,60 @@ def _is_even_in(expr, name):
     return bool(np.allclose(a[both], b[both], rtol=1e-9, atol=1e-12))
 
 
+def _substitutions(c, frame):
+    """``lift_constants``'s menu for one constant c: ``(body, y0, kind)``
+    triples, where ``body`` at the calibration ``y0`` equals c."""
+    y = var(frame.transverse_var)
+    free, y0_fixed = frame.free_calibration, frame.y0
+    if free or math.isclose(c, y0_fixed, rel_tol=1e-9, abs_tol=1e-9):
+        yield y, c if free else y0_fixed, "sub_y"
+    try:
+        square = y0_fixed**2
+    except OverflowError:
+        square = None  # beyond every finite c - b
+    for b in (0,) + SHIFT_OFFSETS:
+        disc = c - b
+        if disc < 0:
+            continue
+        root = math.sqrt(disc)
+        body = _plus(("pow2", y), b)
+        if free:
+            for y0 in [0.0] if root == 0.0 else [-root, root]:
+                yield body, y0, "sub_y2"
+            continue
+        if square is not None and math.isclose(square, disc, rel_tol=1e-9, abs_tol=1e-9):
+            yield body, y0_fixed, "sub_y2"
+        # shifted square (y - a)^2 + b with the frame pinning a
+        for a in sorted({y0_fixed - root, y0_fixed + root}):
+            if abs(a) <= 1e-12:
+                continue  # plain y^2 handled above
+            if abs(a - round(a)) <= 1e-9:
+                a = float(round(a))
+            yield _plus(("pow2", ("sub", y, const(a))), b), y0_fixed, "sub_shift"
+
+
+def _plus(body, b):
+    return ("add", body, const(b)) if b else body
+
+
 def lift_constants(expr, slice_hint=None):
     """Lift a slice expression into the transverse coordinate.
 
-    For each constant occurrence c the menu substitutes c -> y, c -> y^2 and
-    c -> y^2 + b over small integer offsets b, plus the identity (extrusion)
-    lifting; the slice variable t is renamed to the ambient one.  Every
-    candidate records the calibration y0 that makes its restriction
-    reproduce the slice expression; with a fixed frame, substitutions
-    inconsistent with the known y0 are dropped.  Pure-constant expressions
-    only extrude: there is no structure for a new coordinate to explain.
-    Every candidate's residual is 0; the search measures each one's own.
+    The slice variable t is renamed to the ambient one; that is the identity
+    (extrusion) lifting.  Each constant occurrence c is then replaced in
+    turn by c -> y, and by c -> y^2 + b for b in 0 and ``SHIFT_OFFSETS``
+    with c - b >= 0.  A new dimension calibrates y0 at each root of y0^2 = c
+    - b.  A fixed frame keeps only the substitutions that its y0 satisfies,
+    and adds the shifted squares c -> (y - a)^2 + b whose roots a +- sqrt(c
+    - b) include its y0.  Pure-constant expressions only extrude: there is
+    no structure for a new coordinate to explain.  Every candidate's
+    residual is 0; the search measures each one's own.
     """
     frame = slice_hint or SliceFrame(
         mode="new_dim", slice_var="x", transverse_var="y", y0=0.0
     )
-    sv, tv = frame.slice_var, frame.transverse_var
-    renamed = canonical_simplify(substitute(expr, {"t": var(sv)}))
+    tv = frame.transverse_var
+    renamed = canonical_simplify(substitute(expr, {"t": var(frame.slice_var)}))
     out = []
 
     def emit(e, y0, kind):
@@ -978,52 +986,10 @@ def lift_constants(expr, slice_hint=None):
     emit(renamed, frame.y0 if not frame.free_calibration else 0.0, "extrusion")
     if not variables_of(renamed):
         return _dedupe(out)
-
-    free = frame.free_calibration
-    y0_fixed = frame.y0
-    for index, c in enumerate(_const_values(renamed)):
-        # c -> y
-        if free or math.isclose(c, y0_fixed, rel_tol=1e-9, abs_tol=1e-9):
-            emit(
-                _replace_const_occurrence(renamed, index, var(tv)),
-                c if free else y0_fixed,
-                "sub_y",
-            )
-        # c -> y^2 (+ integer offsets); skipped when c - b < 0
-        for b in (0,) + SHIFT_OFFSETS:
-            disc = c - b
-            if disc < 0:
-                continue
-            body = ("pow2", var(tv))
-            if b:
-                body = ("add", body, const(b))
-            if free:
-                root = math.sqrt(disc)
-                calibrations = [0.0] if root == 0.0 else [-root, root]
-                for y0 in calibrations:
-                    emit(_replace_const_occurrence(renamed, index, body), y0, "sub_y2")
-            else:
-                if math.isclose(y0_fixed**2, disc, rel_tol=1e-9, abs_tol=1e-9):
-                    emit(
-                        _replace_const_occurrence(renamed, index, body),
-                        y0_fixed,
-                        "sub_y2",
-                    )
-                # shifted square (y - a)^2 + b with the frame pinning a
-                root = math.sqrt(disc)
-                for a in sorted({y0_fixed - root, y0_fixed + root}):
-                    if abs(a) <= 1e-12:
-                        continue  # plain y^2 handled above
-                    if abs(a - round(a)) <= 1e-9:
-                        a = float(round(a))
-                    shifted = ("pow2", ("sub", var(tv), const(a)))
-                    if b:
-                        shifted = ("add", shifted, const(b))
-                    emit(
-                        _replace_const_occurrence(renamed, index, shifted),
-                        y0_fixed,
-                        "sub_shift",
-                    )
+    shape, values = _split_constants(renamed)
+    for index, c in enumerate(values):
+        for body, y0, kind in _substitutions(c, frame):
+            emit(assign_slots(shape, values[:index] + [body] + values[index + 1:]), y0, kind)
     return _dedupe(out)
 
 

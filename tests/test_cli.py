@@ -212,6 +212,17 @@ class TestBench:
             tmp_path / "b" / "grid_cone.csv"
         ).read_text()
 
+    def test_bench_symbolic_without_candidate_exits_2(self, capsys, tmp_path):
+        code, _, err = run(
+            capsys,
+            "bench", "cone",
+            "--methods", "symbolic",
+            "--budget", "0",
+            "--out", str(tmp_path),
+        )
+        assert code == 2
+        assert "no candidate" in err
+
     def test_bench_all_writes_one_report_per_case(self, capsys, tmp_path):
         code, _, _ = run(
             capsys,

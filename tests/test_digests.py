@@ -18,6 +18,12 @@ name, with that file's ``byte_identity.fields`` definition:
   nn_ambient,nn_projected,linear,extrusion,additive`` (diagonal_xy without
   additive): ``json.dumps([exit code, report with runtime_s zeroed],
   sort_keys=True)``, and the grid CSV bytes.
+* ``lift_menu``: ``json.dumps`` of one list per (expression, frame) pair
+  of ``[serialize(expr), repr(y0), repr(score), kind]`` rows, one per
+  ``lift_constants`` candidate.  The expressions are every t-grammar shape
+  of at most 4 nodes with each slot filled by every product of
+  ``LIFT_MENU_FILLS``, simplified; the frames are the new-dimension frame
+  and axis frames at each of ``LIFT_MENU_Y0``.
 * ``slice_lattice_api`` / ``cloud_classify31``: ``json.dumps`` of ``[tag,
   weights bytes hex or None, repr(residual)]`` for each query of per-point
   ``classify`` calls (equal to one batch call on a fresh ``Dataset``): the
@@ -31,7 +37,9 @@ CHANGES.md.
 """
 
 import hashlib
+import itertools
 import json
+import math
 import tempfile
 from pathlib import Path
 
@@ -40,14 +48,18 @@ import pytest
 
 from hyperpolate import (
     Dataset,
+    Grammar,
     classify,
     cli,
     family_from_candidates,
+    lift_constants,
     predict,
     search_hyperpolation,
     serialize,
     update,
 )
+from hyperpolate.expressions import ShapeEnumerator, assign_slots, canonical_simplify, slot_count
+from hyperpolate.symbolic import SliceFrame
 
 GOLDEN_PATH = Path(__file__).parent / "golden_digests.json"
 
@@ -168,6 +180,32 @@ def per_point_classify_digest(make):
     return classify_digest([classify(q, data) for q in queries])
 
 
+LIFT_MENU_FILLS = (0.0, 1.0, 3.0, 20.0, 0.5, -2.0, 2.25)
+LIFT_MENU_Y0 = (1.0, 3.0, -2.0, math.sqrt(2.0))
+
+
+def lift_menu_exprs():
+    enum = ShapeEnumerator(Grammar())
+    return [
+        canonical_simplify(assign_slots(shape, fill))
+        for n in range(1, 5)
+        for shape in enum.shapes(n)
+        for fill in itertools.product(LIFT_MENU_FILLS, repeat=slot_count(shape))
+    ]
+
+
+def lift_menu_digest():
+    frames = [None] + [
+        SliceFrame(mode="axis", slice_var="x", transverse_var="y", y0=y0) for y0 in LIFT_MENU_Y0
+    ]
+    lists = [
+        [[serialize(c.expr), repr(c.y0), repr(c.score), c.kind] for c in lift_constants(e, frame)]
+        for e in lift_menu_exprs()
+        for frame in frames
+    ]
+    return sha256(json.dumps(lists))
+
+
 def current_digests():
     out = {f"cands_{name}": cands_digest(search_hyperpolation(make()))
            for name, make in EXACT_CASES.items()}
@@ -180,6 +218,7 @@ def current_digests():
         out.update(bench_digests(case))
     for name, make in CLASSIFY_CASES.items():
         out[name] = per_point_classify_digest(make)
+    out["lift_menu"] = lift_menu_digest()
     return dict(sorted(out.items()))
 
 
@@ -201,6 +240,7 @@ def test_golden_keys(golden):
         | {"noisy1_prior", "noisy1_post_weights", "noisy1_records", "noisy1_dists"}
         | {f"bench_{case}_{part}" for case in BENCH_CASES for part in ("report", "grid")}
         | set(CLASSIFY_CASES)
+        | {"lift_menu"}
     )
 
 
@@ -236,6 +276,9 @@ def test_bench(golden, case):
     got = bench_digests(case)
     assert got == {key: golden[key] for key in got}
 
+
+def test_lift_menu(golden):
+    assert lift_menu_digest() == golden["lift_menu"]
 
 
 @pytest.mark.parametrize("name", sorted(CLASSIFY_CASES))

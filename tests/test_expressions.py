@@ -32,6 +32,7 @@ from hyperpolate import expressions
 from hyperpolate.symbolic import _LaneObjective
 
 from _oracles import eval_expr, profiled_sse_1d
+from test_digests import lift_menu_exprs
 
 
 class TestSerializeParse:
@@ -200,6 +201,21 @@ class TestEvaluate:
         e = parse("cos(sqrt(add(pow2(x),pow2(y))))")
         restricted = canonical_simplify(substitute(e, {"y": const(-20.0)}))
         assert serialize(restricted) == "cos(sqrt(add(pow2(x),400)))"
+
+
+class TestSlots:
+    def test_split_constants_inverts_assign_slots(self):
+        for e in lift_menu_exprs():
+            shape, values = expressions._split_constants(e)
+            assert slot_count(shape) == len(values)
+            assert assign_slots(shape, values) == e
+
+    def test_tree_values_are_inserted_unchanged(self):
+        shape = parse("add(t,1)")
+        body = ("pow2", ("sub", var("y"), const(2.0)))
+        filled = assign_slots(expressions._split_constants(shape)[0], [body])
+        assert filled == ("add", var("t"), body)
+        assert assign_slots(("slot",), [3]) == const(3.0)
 
 
 class TestCompileShape:

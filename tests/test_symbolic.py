@@ -147,6 +147,15 @@ class TestLiftConstants:
         assert sorted(c.y0 for c in squares) == [-20.0, 20.0]
         assert squares[0].score == squares[1].score
 
+    def test_axis_frame_whose_square_overflows(self):
+        # y0^2 is out of float range: no plain square can match, but the
+        # shifted squares and the extrusion still lift
+        x = np.arange(-5.0, 6.0)
+        data = Dataset(np.column_stack([x, np.full_like(x, 2.0**520)]), x + 1.0)
+        cands = search_hyperpolation(data)
+        assert len(cands) == 5
+        assert serialize(cands[0].expr) == "add(x,1)"
+
 
 class TestRestrict:
     def test_cone_candidate(self, cone_search):
