@@ -685,17 +685,27 @@ def complexity(e):
 
 @dataclass(frozen=True)
 class Grammar:
-    """Search-space definition for the symbolic fit."""
+    """Search-space definition for the symbolic fit: its operators and
+    sizes.  The variables come from the data (see ``ShapeEnumerator``)."""
 
-    variables: tuple = ("t",)
     unary_ops: tuple = UNARY_OPS
     binary_ops: tuple = BINARY_OPS
     max_nodes: int = 9
     max_depth: int = 8
 
     def __post_init__(self):
-        if not self.variables:
-            raise InvalidInputError("grammar needs at least one variable")
+        for name, known in (("unary_ops", UNARY_OPS), ("binary_ops", BINARY_OPS)):
+            ops = getattr(self, name)
+            if not isinstance(ops, tuple) or not all(op in known for op in ops):
+                raise InvalidInputError(
+                    f"grammar {name} must be a tuple of names from {known}, got {ops!r}"
+                )
+        for name in ("max_nodes", "max_depth"):
+            size = getattr(self, name)
+            if isinstance(size, bool) or not isinstance(size, (int, np.integer)) or size < 0:
+                raise InvalidInputError(
+                    f"grammar {name} must be a non-negative integer, got {size!r}"
+                )
         if not (self.unary_ops or self.binary_ops):
             raise InvalidInputError("grammar needs at least one operator")
 
@@ -714,11 +724,13 @@ class ShapeEnumerator:
     and division never carry a constant on a side a cheaper form could
     absorb, and even/nonnegative compositions (cos(abs u), sqrt(pow2 u), ...)
     are pruned.  Equal chain operands are only allowed when they contain a
-    slot, since slot-free duplicates fold to a smaller shape.
+    slot, since slot-free duplicates fold to a smaller shape.  The variable
+    leaves are ``variables``, a tuple of names; the grammar gives the rest.
     """
 
-    def __init__(self, grammar):
+    def __init__(self, grammar, variables):
         self.grammar = grammar
+        self.variables = variables
         self._memo = {}
 
     def shapes(self, n):
@@ -728,7 +740,7 @@ class ShapeEnumerator:
         g = self.grammar
         out = []
         if n == 1:
-            out = [var(v) for v in g.variables]
+            out = [var(v) for v in self.variables]
         else:
             for op in g.unary_ops:
                 for child in self.shapes(n - 1):

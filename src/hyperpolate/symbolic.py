@@ -789,19 +789,21 @@ def _shape_lower_bound(shape):
 # ---------------------------------------------------------------------------
 
 
-def _qualifying_fits(fitter, grammar, budget, strict, score_floor_cb):
-    """Enumerate shapes ascending, fit constants, return the qualifying
-    (expr, residual) pairs over the fitter's variables.
+def _qualifying_fits(fitter, grammar, budget, lift):
+    """Enumerate shapes over the fitter's variables, which the frame sets,
+    in ascending size, fit constants, and return the qualifying
+    (expr, residual) pairs.
 
-    The grammar's variables are set to the fitter's; in strict mode only
-    fits with max-abs residual at or below the strict tolerance qualify.
-    ``score_floor_cb(expr)`` returns the best achievable ranking
-    score for a qualifying fit, used to certify when no later level can
-    still contribute; in strict mode shapes whose lower bound exceeds the
-    certified best are skipped without fitting.  The certified stop is
-    checked before a level is built, so the enumerator never builds a level
-    that would not be fitted.  The ``grammar.max_depth`` filter runs only on
-    levels above it: an n-node tree is at most n deep.
+    A strict fitter (``fitter.strict``) keeps only fits with max-abs
+    residual at or below the strict tolerance.  The least score of a
+    qualifying fit's candidates, ``min(c.score for c in lift(expr))``,
+    certifies when no later level can still contribute; in strict mode
+    shapes whose lower bound exceeds the certified best are skipped without
+    fitting.  The certified stop is checked before a level is built, so the
+    enumerator never builds a level that would not be fitted.  The
+    ``grammar.max_depth`` filter runs only on levels above it: an n-node
+    tree is at most n deep.  The caller lifts only the best
+    ``MAX_SLICE_FITS`` of the fits, in every frame and mode.
 
     A strict fitter returns no fit for a one-slot shape without a linear
     wrap when its interval screen rules out every Brent bracket
@@ -815,8 +817,9 @@ def _qualifying_fits(fitter, grammar, budget, strict, score_floor_cb):
     of the same expression has the same residual, so dropping it earlier
     hides no qualifying fit.
     """
-    grammar = replace(grammar or Grammar(), variables=tuple(fitter.envs))
-    enum = ShapeEnumerator(grammar)
+    grammar = grammar or Grammar()
+    enum = ShapeEnumerator(grammar, tuple(fitter.envs))
+    strict = fitter.strict
     budget = DEFAULT_BUDGET if budget is None else int(budget)
     best_score = math.inf
     seen = set()
@@ -877,7 +880,7 @@ def _qualifying_fits(fitter, grammar, budget, strict, score_floor_cb):
             if strict:
                 if residual > STRICT_TOL:
                     continue
-                best_score = min(best_score, score_floor_cb(expr))
+                best_score = min(best_score, min(c.score for c in lift(expr)))
             results.append((expr, residual))
     return results
 
@@ -936,6 +939,9 @@ def _substitutions(c, frame):
         for a in sorted({y0_fixed - root, y0_fixed + root}):
             if abs(a) <= 1e-12:
                 continue  # plain y^2 handled above
+            shift = y0_fixed - a  # squared by multiplying, which cannot raise
+            if not math.isclose(shift * shift, disc, rel_tol=1e-9, abs_tol=1e-9):
+                continue  # a rounded to y0, or near it: the square misses c - b
             if abs(a - round(a)) <= 1e-9:
                 a = float(round(a))
             yield _plus(("pow2", ("sub", y, const(a))), b), y0_fixed, "sub_shift"
@@ -1005,75 +1011,47 @@ def _dedupe(cands):
 def search_hyperpolation(data, grammar=None, budget=None):
     """Full search: slice fit composed with constant lifting, ranked.
 
-    Returns candidates ordered by (residual, score) with deterministic
-    tie-breaking on (serialized expression, y0); reflected-symmetry pairs
-    carry identical scores and co-occur.  On a general (non-axis-aligned)
-    2D hull, candidates are enumerated directly over the ambient variables.
+    The frame sets the fitter's variables: ``t`` along the slice axis for a
+    new dimension or an axis frame, whose fits ``lift_constants`` carries
+    off the slice, and ``x`` and ``y`` for a general (non-axis-aligned) 2D
+    hull, whose fits are enumerated directly over the ambient variables and
+    each become one ``direct`` candidate.  In every frame and mode the best
+    ``MAX_SLICE_FITS`` fits by (residual, slice complexity, serialization)
+    are lifted, and each lifted candidate's residual is that of its slice
+    restriction (a direct candidate keeps its fit's).  Returns candidates
+    ordered by (residual, score) with deterministic tie-breaking on
+    (serialized expression, y0); reflected-symmetry pairs carry identical
+    scores and co-occur.
     """
     frame = detect_frame(data)
     if frame.mode == "ambient":
-        candidates = _search_ambient(data, frame, grammar, budget)
+        envs = {"x": data.locations[:, 0], "y": data.locations[:, 1]}
+
+        def lift(expr):
+            return [CandidateLifting(expr, frame.y0, complexity(expr), 0.0, "direct", frame)]
+
     else:
-        candidates = _search_lifted(data, frame, grammar, budget)
+        # a new-dimension frame's slice coordinate is its only axis, 0
+        envs = {"t": data.locations[:, frame.parallel_axis]}
+
+        def lift(expr):
+            return lift_constants(expr, frame)
+
+    fitter = _ShapeFitter(envs, data.values, data.strict)
+    fits = _qualifying_fits(fitter, grammar, budget, lift)
+    fits.sort(key=lambda f: (quantize_residual(f[1]), complexity(f[0]), serialize(f[0])))
+    candidates = []
+    for expr, fit_residual in fits[:MAX_SLICE_FITS]:
+        for cand in lift(expr):
+            residual = fit_residual
+            if cand.kind != "direct":
+                restricted = substitute(restrict(cand), {frame.slice_var: var("t")})
+                residual = fitter.residual_of(restricted)
+            if np.isfinite(residual):
+                candidates.append(replace(cand, residual=residual))
+    candidates = _dedupe(candidates)
     candidates.sort(key=lambda c: c.rank_key)
     return candidates
-
-
-def _search_lifted(data, frame, grammar, budget):
-    # a new-dimension frame's slice coordinate is its only axis, 0
-    fitter = _ShapeFitter(
-        {"t": data.locations[:, frame.parallel_axis]}, data.values, data.strict
-    )
-
-    def best_candidate_score(expr):
-        return min(c.score for c in lift_constants(expr, frame))
-
-    results = _qualifying_fits(
-        fitter, grammar, budget, data.strict, score_floor_cb=best_candidate_score
-    )
-    # best slice fits first: (residual, slice complexity, serialization)
-    results.sort(
-        key=lambda f: (quantize_residual(f[1]), complexity(f[0]), serialize(f[0]))
-    )
-    candidates = []
-    for expr, _ in results[:MAX_SLICE_FITS]:
-        for cand in lift_constants(expr, frame):
-            restricted = restrict(cand)
-            residual = fitter.residual_of(
-                substitute(restricted, {frame.slice_var: var("t")})
-            )
-            if not np.isfinite(residual):
-                continue
-            candidates.append(replace(cand, residual=residual))
-    return _dedupe(candidates)
-
-
-def _search_ambient(data, frame, grammar, budget):
-    fitter = _ShapeFitter(
-        {"x": data.locations[:, 0], "y": data.locations[:, 1]}, data.values, data.strict
-    )
-    results = _qualifying_fits(
-        fitter,
-        grammar,
-        budget,
-        data.strict,
-        score_floor_cb=complexity,
-    )
-    candidates = [
-        CandidateLifting(
-            expr=expr,
-            y0=frame.y0,
-            score=complexity(expr),
-            residual=residual,
-            kind="direct",
-            frame=frame,
-        )
-        for expr, residual in results
-    ]
-    if not data.strict:
-        candidates.sort(key=lambda c: c.rank_key)
-        candidates = candidates[:MAX_SLICE_FITS]
-    return _dedupe(candidates)
 
 
 def restrict(candidate):

@@ -362,7 +362,7 @@ class TestCriterion7PropertySuites:
     @staticmethod
     def _search_determinism():
         rng = np.random.default_rng(29)
-        grammar = Grammar(variables=("t",), max_nodes=3)
+        grammar = Grammar(max_nodes=3)
         datasets = []
         for _ in range(100):
             m = int(rng.integers(5, 10))

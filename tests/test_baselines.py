@@ -253,7 +253,7 @@ def point_entries():
     data = Dataset(np.column_stack([x, np.ones_like(x)]), x**2)
     entries = {name: (fit_method(name, data).predict, True) for name in METHOD_NAMES}
     post = update(build_prior([parse("pow2(x)")]), data)
-    candidate = search_hyperpolation(data, grammar=Grammar(variables=("t",), max_nodes=3))[0]
+    candidate = search_hyperpolation(data, grammar=Grammar(max_nodes=3))[0]
     entries.update(
         {
             "classify": (lambda q: classify(q, data), True),

@@ -137,7 +137,7 @@ class TestEvaluate:
 
 class TestCompareOrderings:
     def test_cone_pipelines_agree_structurally(self):
-        grammar = Grammar(variables=("t",), max_nodes=6)
+        grammar = Grammar(max_nodes=6)
         comp = compare_orderings("cone", grammar=grammar, budget=13000)
         assert comp.same_top_structure()
         assert serialize(comp.top_a.expr) == "sqrt(add(pow2(x),pow2(y)))"
@@ -148,7 +148,7 @@ class TestCompareOrderings:
         case = BenchmarkCase(
             **{**BUILTIN_CASES["ripple"].__dict__, "noise_sigma": 0.05, "seed": 3}
         )
-        grammar = Grammar(variables=("t",), max_nodes=5)
+        grammar = Grammar(max_nodes=5)
         comp = compare_orderings(case, grammar=grammar, budget=2000)
         assert comp.pipeline_a.methods and comp.pipeline_b.methods
         assert comp.pipeline_a.case == comp.pipeline_b.case == "ripple"
@@ -162,7 +162,7 @@ class TestCompareOrderings:
             sample_params=(0.0, 1.0),
             grid_ranges=((-2.0, 2.0), (-2.0, 2.0)),
         )
-        grammar = Grammar(variables=("t",), max_nodes=5)
+        grammar = Grammar(max_nodes=5)
         comp = compare_orderings(case, grammar=grammar, budget=2000)
         dense = comp.resampled
         # resampling two points is the straight line through them

@@ -138,6 +138,16 @@ class TestSearch:
         assert out == ""
         assert "6.7e+153" in err
 
+    @pytest.mark.parametrize("flag", ["--max-nodes", "--grammar-depth"])
+    def test_negative_grammar_size_exits_2(self, capsys, tmp_path, flag):
+        data = tmp_path / "lin.csv"
+        rows = "\n".join(f"{x},{2*x}" for x in range(-4, 5))
+        data.write_text("x1,f\n" + rows + "\n", encoding="utf-8")
+        code, out, err = run(capsys, "search", "--data", str(data), flag, "-1")
+        assert code == 2
+        assert out == ""
+        assert "non-negative integer" in err
+
     def test_top_keeps_tie_sets_whole(self, capsys, tmp_path):
         data = tmp_path / "cone.csv"
         lines = ["x1,f"] + [

@@ -185,7 +185,7 @@ LIFT_MENU_Y0 = (1.0, 3.0, -2.0, math.sqrt(2.0))
 
 
 def lift_menu_exprs():
-    enum = ShapeEnumerator(Grammar())
+    enum = ShapeEnumerator(Grammar(), ("t",))
     return [
         canonical_simplify(assign_slots(shape, fill))
         for n in range(1, 5)

@@ -81,7 +81,7 @@ class TestSerializeParse:
         assert expr_depth(parse("sqrt(" * 200 + "x" + ")" * 200)) == 201
 
     def test_round_trip_of_simplified_shapes(self):
-        en = ShapeEnumerator(Grammar(variables=("x", "y"), max_nodes=5))
+        en = ShapeEnumerator(Grammar(max_nodes=5), ("x", "y"))
         fill = itertools.cycle((3.0, -7.0, 5e-324, -2.5e20, -0.0, 0.5, 400.0, -1.0, 1e300))
         count = 0
         for n in range(1, 6):
@@ -152,7 +152,7 @@ class TestSimplify:
         assert canonical_simplify(e) == e
 
     def test_idempotent_on_small_fitted_shapes(self):
-        en = ShapeEnumerator(Grammar(variables=("t",)))
+        en = ShapeEnumerator(Grammar(), ("t",))
         for n in range(1, 6):
             for shape in en.shapes(n):
                 for consts in itertools.product(
@@ -228,7 +228,7 @@ class TestCompileShape:
     }
 
     def _shapes(self):
-        en = ShapeEnumerator(Grammar(variables=("t",)))
+        en = ShapeEnumerator(Grammar(), ("t",))
         return [("slot",)] + [s for n in range(1, 6) for s in en.shapes(n)]
 
     @pytest.mark.parametrize("samples", sorted(SAMPLES))
@@ -396,7 +396,7 @@ class TestIntervals:
         constants that fold, snap or re-sort the simplified form."""
         x = np.array([-3.0, -1.0, -0.5, 0.0, 0.5, 2.0, 7.0])
         env = {"x": x, "y": np.array([2.0, -1.0, 0.0, 3.0, -0.25, 1.0, 5.0])}
-        en = ShapeEnumerator(Grammar(variables=("x", "y")))
+        en = ShapeEnumerator(Grammar(), ("x", "y"))
         shapes = [s for n in range(1, 6) for s in en.shapes(n) if slot_count(s) == 1]
         checked = 0
         for shape in shapes:
@@ -419,7 +419,7 @@ class TestIntervals:
         at v: the point and interval walks number the slots alike."""
         x = np.array([-3.0, -1.0, -0.5, 0.0, 0.5, 2.0, 7.0])
         env = {"x": x, "y": np.array([2.0, -1.0, 0.0, 3.0, -0.25, 1.0, 5.0])}
-        en = ShapeEnumerator(Grammar(variables=("x", "y")))
+        en = ShapeEnumerator(Grammar(), ("x", "y"))
         shapes = [s for n in range(1, 6) for s in en.shapes(n)]
         slots = [slot_count(s) for s in shapes]
         for shape in shapes:
@@ -473,7 +473,7 @@ class TestCompileExpr:
 
     @staticmethod
     def _shapes(variables, max_nodes):
-        en = ShapeEnumerator(Grammar(variables=variables))
+        en = ShapeEnumerator(Grammar(), variables)
         return [("slot",)] + [s for n in range(1, max_nodes + 1) for s in en.shapes(n)]
 
     @pytest.mark.parametrize("variables, max_nodes", [(("t",), 5), (("x", "y"), 4)])
@@ -516,37 +516,60 @@ class TestComplexity:
         assert complexity(var("x")) < complexity(("mul", const(2.71828), var("x")))
 
 
+class TestGrammar:
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"binary_ops": ("pow",)},
+            {"unary_ops": "sqrt"},
+            {"unary_ops": ["sqrt"]},
+            {"max_nodes": 2.5},
+            {"max_nodes": -1},
+            {"max_depth": -1},
+            {"max_depth": True},
+        ],
+    )
+    def test_rejects_bad_fields(self, kwargs):
+        with pytest.raises(InvalidInputError, match="grammar"):
+            Grammar(**kwargs)
+
+    def test_holds_no_variables(self):
+        # the search takes its variables from the data
+        with pytest.raises(TypeError):
+            Grammar(variables=("q",))
+
+
 class TestEnumeration:
     def test_counts_deterministic(self):
-        g = Grammar(variables=("t",))
-        counts = [len(ShapeEnumerator(g).shapes(n)) for n in range(1, 7)]
-        counts2 = [len(ShapeEnumerator(g).shapes(n)) for n in range(1, 7)]
+        g = Grammar()
+        counts = [len(ShapeEnumerator(g, ("t",)).shapes(n)) for n in range(1, 7)]
+        counts2 = [len(ShapeEnumerator(g, ("t",)).shapes(n)) for n in range(1, 7)]
         assert counts == counts2
         assert counts[0] == 1
         assert all(b > a for a, b in zip(counts, counts2[1:]))
 
     def test_shapes_are_canonical(self):
-        g = Grammar(variables=("t",))
-        shapes = ShapeEnumerator(g).shapes(5)
+        g = Grammar()
+        shapes = ShapeEnumerator(g, ("t",)).shapes(5)
         keys = [serialize(s) for s in shapes]
         assert keys == sorted(keys)
         assert len(set(keys)) == len(keys)
 
     def test_every_shape_contains_a_variable(self):
-        g = Grammar(variables=("t",))
-        en = ShapeEnumerator(g)
+        g = Grammar()
+        en = ShapeEnumerator(g, ("t",))
         for n in range(1, 6):
             for s in en.shapes(n):
                 assert node_count(s) == n
                 assert slot_count(s) < n
 
     def test_ripple_shape_present(self):
-        g = Grammar(variables=("t",))
-        keys = {serialize(s) for s in ShapeEnumerator(g).shapes(6)}
+        g = Grammar()
+        keys = {serialize(s) for s in ShapeEnumerator(g, ("t",)).shapes(6)}
         assert "cos(sqrt(add(pow2(t),~)))" in keys
 
     def test_depth_and_ops_respected(self):
-        g = Grammar(variables=("t",), unary_ops=("cos",), binary_ops=("add",))
-        shapes = ShapeEnumerator(g).shapes(3)
+        g = Grammar(unary_ops=("cos",), binary_ops=("add",))
+        shapes = ShapeEnumerator(g, ("t",)).shapes(3)
         for s in shapes:
             assert s[0] in ("cos", "add")

@@ -29,7 +29,6 @@ OPTIONS = {
     "benchmark.evaluate_methods(tols)",
     "cli.main(argv)",
     "errors.CsvFormatError.__init__(line)",
-    "expressions.Grammar.variables",
     "expressions.Grammar.unary_ops",
     "expressions.Grammar.binary_ops",
     "expressions.Grammar.max_nodes",
@@ -102,4 +101,4 @@ def test_option_set_is_pinned():
     found = library_options()
     assert len(found) == len(set(found))
     assert set(found) == OPTIONS
-    assert len(OPTIONS) == 35
+    assert len(OPTIONS) == 34

@@ -38,7 +38,7 @@ import _oracles as oracles
 
 
 def small_grammar(max_nodes=5):
-    return Grammar(variables=("t",), max_nodes=max_nodes)
+    return Grammar(max_nodes=max_nodes)
 
 
 class TestFitSlice:
@@ -97,7 +97,7 @@ class TestFitSlice:
         x = np.arange(0.0, 12.0)
         data = Dataset(x[:, None], rng.standard_normal(12))
         search_hyperpolation(
-            data, grammar=Grammar(variables=("t",), max_nodes=6, max_depth=3)
+            data, grammar=Grammar(max_nodes=6, max_depth=3)
         )
         assert max(node_count(s) for s in fitted) == 6
         assert max(expr_depth(s) for s in fitted) == 3
@@ -107,7 +107,7 @@ class TestFitSlice:
         rng = np.random.default_rng(0)
         x = np.arange(0.0, 12.0)
         data = Dataset(x[:, None], rng.standard_normal(12))
-        cands = search_hyperpolation(data, grammar=Grammar(variables=("t",), max_nodes=2))
+        cands = search_hyperpolation(data, grammar=Grammar(max_nodes=2))
         assert cands == []
 
 
@@ -153,8 +153,18 @@ class TestLiftConstants:
         x = np.arange(-5.0, 6.0)
         data = Dataset(np.column_stack([x, np.full_like(x, 2.0**520)]), x + 1.0)
         cands = search_hyperpolation(data)
-        assert len(cands) == 5
+        assert len(cands) == 2
+        assert all(c.residual <= symbolic.STRICT_TOL for c in cands)
         assert serialize(cands[0].expr) == "add(x,1)"
+
+    def test_axis_frame_far_out_keeps_only_shifts_that_restrict(self):
+        # at y0 = 1e16, a = y0 +- sqrt(c - b) rounds to y0 or its neighbours,
+        # so (y - a)^2 + b would miss c at the slice
+        x = np.arange(-5.0, 6.0)
+        data = Dataset(np.column_stack([x, np.full_like(x, 1e16)]), x + 1.0)
+        cands = search_hyperpolation(data)
+        assert [serialize(c.expr) for c in cands] == ["add(x,1)", "add(pow2(add(y,-1e+16)),x,1)"]
+        assert all(c.residual <= symbolic.STRICT_TOL for c in cands)
 
 
 class TestRestrict:
@@ -259,7 +269,7 @@ class TestSearch:
         locs = np.column_stack([np.full_like(t, 3.0), t])
         data = Dataset(locs, t**2)
         cands = search_hyperpolation(
-            data, grammar=Grammar(variables=("t",), max_nodes=4)
+            data, grammar=Grammar(max_nodes=4)
         )
         assert serialize(cands[0].expr) == "pow2(y)"
         pts = np.array([[0.0, 2.0], [5.0, -3.0]])
@@ -316,7 +326,7 @@ class TestSearch:
         """Strict mode stops at the first level above the certified best
         score, which needs every candidate lifted from an n-node shape's fit
         to score at least n.  Fits that fold to fewer nodes are dropped."""
-        enum = ShapeEnumerator(Grammar(variables=("t",)))
+        enum = ShapeEnumerator(Grammar(), ("t",))
         shapes = [s for n in range(1, 6) for s in enum.shapes(n) if slot_count(s)]
         # the tight cases: lifts even in a new y, c = 0, and c = y0 on an axis
         frames = [symbolic.SliceFrame("new_dim", "x", "y", 0.0)] + [
@@ -342,7 +352,7 @@ class TestSearch:
 
     def test_determinism_across_repeat_runs(self):
         rng = np.random.default_rng(9)
-        grammar = Grammar(variables=("t",), max_nodes=4)
+        grammar = Grammar(max_nodes=4)
         datasets = []
         for case in range(20):
             x = np.sort(rng.uniform(-5, 5, size=8))
@@ -487,7 +497,7 @@ class TestLockstepFitting:
         """Every shape of at most 6 nodes with one or two inner slots."""
         t, y = data()
         fitter = symbolic._ShapeFitter({"t": t}, y)
-        enum = ShapeEnumerator(Grammar(variables=("t",)))
+        enum = ShapeEnumerator(Grammar(), ("t",))
         counts = {1: 0, 2: 0}
         for shape in (s for n in range(1, 7) for s in enum.shapes(n)):
             k = slot_count(symbolic._linear_split(shape)[0])
@@ -533,7 +543,7 @@ class TestLockstepFitting:
 def _one_slot_shapes(max_nodes):
     """The bare slot and every shape of at most ``max_nodes`` nodes over t
     with one inner slot and no profiled (linear) slot."""
-    enum = ShapeEnumerator(Grammar(variables=("t",)))
+    enum = ShapeEnumerator(Grammar(), ("t",))
     shapes = [("slot",)] + [s for n in range(1, max_nodes + 1) for s in enum.shapes(n)]
     out = []
     for shape in shapes:
