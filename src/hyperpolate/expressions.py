@@ -702,12 +702,17 @@ class Grammar:
                 )
         for name in ("max_nodes", "max_depth"):
             size = getattr(self, name)
-            if isinstance(size, bool) or not isinstance(size, (int, np.integer)) or size < 0:
+            if not _is_count(size):
                 raise InvalidInputError(
                     f"grammar {name} must be a non-negative integer, got {size!r}"
                 )
         if not (self.unary_ops or self.binary_ops):
             raise InvalidInputError("grammar needs at least one operator")
+
+
+def _is_count(value):
+    """True for a non-negative integer (Python or numpy) that is not a bool."""
+    return not isinstance(value, bool) and isinstance(value, (int, np.integer)) and value >= 0
 
 
 def _chain_has_bare_slot(e):

@@ -320,8 +320,19 @@ def hull_chart(data):
     embedding is the identity on the subspace.
     """
     sub = affine_hull(data)
-    base, _ = project(sub, np.zeros(sub.ambient_dim))
-    return AffineSubspace(base=base, basis=sub.basis)
+    _, onto = _offsets(sub, np.zeros(sub.ambient_dim))
+    return AffineSubspace(base=sub.base + onto, basis=sub.basis)
+
+
+def _offsets(sub, coords):
+    """``(rel, onto)``: the offset of ``coords`` from ``sub.base`` and its
+    orthogonal projection onto the span of ``sub.basis``."""
+    rel = coords - sub.base
+    if sub.dim:
+        onto = rel @ sub.basis.T @ sub.basis
+    else:
+        onto = np.zeros_like(rel)
+    return rel, onto
 
 
 def project(sub, p):
@@ -333,15 +344,8 @@ def project(sub, p):
         The projected point and the Euclidean residual distance.  Projecting
         the returned point again is a no-op.
     """
-    coords = _as_coords(p, sub.ambient_dim)
-    rel = coords - sub.base
-    if sub.dim:
-        onto = rel @ sub.basis.T @ sub.basis
-    else:
-        onto = np.zeros_like(rel)
-    projected = sub.base + onto
-    residual = float(np.linalg.norm(rel - onto))
-    return projected, residual
+    rel, onto = _offsets(sub, _as_coords(p, sub.ambient_dim))
+    return sub.base + onto, float(np.linalg.norm(rel - onto))
 
 
 @dataclass(frozen=True)

@@ -23,9 +23,15 @@ Three dataset geometries are supported:
 
 In strict (noise-free) mode only fits within ``STRICT_TOL`` of every sample
 are kept, and most shapes cannot get there.  A shape with one constant and no
-profiled linear wrap is ruled out before bounded Brent runs when interval
-evaluation (``expressions.compile_interval``) shows that no constant in its
-Brent brackets can bring it within the tolerance; see ``_qualifying_fits``.
+profiled linear wrap is ruled out when interval evaluation
+(``expressions.compile_interval``) shows that no constant can bring it within
+the tolerance: first over one box spanning the whole start grid, before the
+grid pass that picks the Brent brackets, then over those brackets, before
+Brent runs; see ``_qualifying_fits``.
+
+Constants are fitted by bounded Brent (one slot) and Nelder-Mead (more),
+scipy's loops written as generators and run in lockstep; Nelder-Mead works
+on Python floats.
 """
 
 import itertools
@@ -43,6 +49,7 @@ from .expressions import (
     Grammar,
     ShapeEnumerator,
     _const_cost,
+    _is_count,
     _rebuild_chain,
     _split_constants,
     assign_slots,
@@ -346,7 +353,14 @@ class _LaneObjective:
 # Messages, callbacks and result objects are left out; every iterate is
 # computed as scipy computes it.  In the Brent loop numpy's scalar ``abs``,
 # ``sign`` and ``maximum`` are Python's ``abs``, a sign test and ``max``,
-# which give the same floats on Python floats, faster.
+# which give the same floats on Python floats, faster.  Nelder-Mead keeps its
+# simplex as lists of Python floats, with scipy's operations in scipy's
+# order: the centroid is the row sum taken left to right, then divided by
+# N; the coefficients at rho = 1, chi = 2, psi = sigma = 0.5 are 2 and 1
+# (reflection), 3 and 2 (expansion), 1.5 and 0.5 (contraction); and each
+# convergence test reads ``all(d <= tol)``, which a nan d fails as it fails
+# ``np.max(d) <= tol``.  Simplex values are ordered as ``np.argsort`` orders
+# them: its sort need not be stable, so ties and nans take numpy's order.
 
 
 def _bounded_brent(x1, x2, xatol=1e-12, maxfun=500):
@@ -444,56 +458,53 @@ def _bounded_brent(x1, x2, xatol=1e-12, maxfun=500):
 
 
 def _nelder_mead(x0, xatol=1e-10, fatol=1e-14, maxiter=400):
-    """Nelder-Mead minimisation from ``x0``; returns (x, f(x)).
+    """Nelder-Mead minimisation from ``x0``; returns (x, f(x)), x an ndarray.
 
     ``minimize(f, x0, method="Nelder-Mead", options={"xatol": xatol,
     "fatol": fatol, "maxiter": maxiter})``: the non-adaptive, unbounded form
-    with no cap on evaluations, one evaluation per step.
+    with no cap on evaluations, one evaluation per step.  The simplex is a
+    list of rows of Python floats, and each trial point a list.
     """
-    rho, chi, psi, sigma = 1, 2, 0.5, 0.5
-    nonzdelt = 0.05
-    zdelt = 0.00025
-
-    x0 = np.asarray(x0, dtype=float)
+    x0 = [float(v) for v in x0]
     N = len(x0)
-    sim = np.empty((N + 1, N), dtype=x0.dtype)
-    sim[0] = x0
+    sim = [x0]
     for k in range(N):
-        y = np.array(x0, copy=True)
+        y = list(x0)
         if y[k] != 0:
-            y[k] = (1 + nonzdelt) * y[k]
+            y[k] = (1 + 0.05) * y[k]
         else:
-            y[k] = zdelt
-        sim[k + 1] = y
+            y[k] = 0.00025
+        sim.append(y)
 
-    fsim = np.full((N + 1,), np.inf, dtype=float)
-    for k in range(N + 1):
-        fsim[k] = yield sim[k]
-    ind = np.argsort(fsim)
-    sim = np.take(sim, ind, 0)
-    fsim = np.take(fsim, ind, 0)
-
-    ind = np.argsort(fsim)
-    fsim = np.take(fsim, ind, 0)
-    # sort so sim[0,:] has the lowest function value
-    sim = np.take(sim, ind, 0)
+    fsim = []
+    for point in sim:
+        fsim.append((yield point))
+    for _ in range(2):  # scipy sorts twice before its loop
+        ind = _argsort(fsim)
+        sim = [sim[i] for i in ind]
+        fsim = [fsim[i] for i in ind]
 
     iterations = 1
 
     while iterations < maxiter:
-        if (
-            np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= xatol
-            and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol
+        best, fbest = sim[0], fsim[0]
+        if all(abs(v - b) <= xatol for row in sim[1:] for v, b in zip(row, best)) and all(
+            abs(fbest - f) <= fatol for f in fsim[1:]
         ):
             break
 
-        xbar = np.add.reduce(sim[:-1], 0) / N
-        xr = (1 + rho) * xbar - rho * sim[-1]
+        xbar = sim[0]
+        for row in sim[1:-1]:
+            xbar = [a + b for a, b in zip(xbar, row)]
+        xbar = [a / N for a in xbar]
+        worst = sim[-1]
+        # scipy's coefficients at rho = 1, chi = 2, psi = sigma = 0.5
+        xr = [2 * a - 1 * w for a, w in zip(xbar, worst)]
         fxr = yield xr
         doshrink = 0
 
         if fxr < fsim[0]:
-            xe = (1 + rho * chi) * xbar - rho * chi * sim[-1]
+            xe = [3 * a - 2 * w for a, w in zip(xbar, worst)]
             fxe = yield xe
 
             if fxe < fxr:
@@ -509,7 +520,7 @@ def _nelder_mead(x0, xatol=1e-10, fatol=1e-14, maxiter=400):
             else:  # fxr >= fsim[-2]
                 # Perform contraction
                 if fxr < fsim[-1]:
-                    xc = (1 + psi * rho) * xbar - psi * rho * sim[-1]
+                    xc = [1.5 * a - 0.5 * w for a, w in zip(xbar, worst)]
                     fxc = yield xc
 
                     if fxc <= fxr:
@@ -519,7 +530,7 @@ def _nelder_mead(x0, xatol=1e-10, fatol=1e-14, maxiter=400):
                         doshrink = 1
                 else:
                     # Perform an inside contraction
-                    xcc = (1 - psi) * xbar + psi * sim[-1]
+                    xcc = [0.5 * a + 0.5 * w for a, w in zip(xbar, worst)]
                     fxcc = yield xcc
 
                     if fxcc < fsim[-1]:
@@ -530,14 +541,26 @@ def _nelder_mead(x0, xatol=1e-10, fatol=1e-14, maxiter=400):
 
                 if doshrink:
                     for j in range(1, N + 1):
-                        sim[j] = sim[0] + sigma * (sim[j] - sim[0])
+                        sim[j] = [b + 0.5 * (v - b) for v, b in zip(sim[j], sim[0])]
                         fsim[j] = yield sim[j]
         iterations += 1
-        ind = np.argsort(fsim)
-        sim = np.take(sim, ind, 0)
-        fsim = np.take(fsim, ind, 0)
+        ind = _argsort(fsim)
+        sim = [sim[i] for i in ind]
+        fsim = [fsim[i] for i in ind]
 
-    return sim[0], np.min(fsim)
+    # scipy: np.min(fsim), nan when any value is; the sort put nans last
+    return np.array(sim[0]), fsim[0] if fsim[-1] == fsim[-1] else math.nan
+
+
+def _argsort(values):
+    """``np.argsort(values)`` as a list.  Distinct values that are not nan
+    have one ascending order, which Python's sort finds; for ties and nans
+    numpy's own order is taken, since its sort need not be stable."""
+    order = sorted(range(len(values)), key=values.__getitem__)
+    for i, j in zip(order, order[1:]):
+        if not values[i] < values[j]:
+            return np.argsort(values).tolist()
+    return order
 
 
 def _lockstep(lanes, objective):
@@ -636,8 +659,19 @@ class _ShapeFitter:
 
     def _fit_inner1(self, lanes, core=None):
         """Bounded Brent over ``_brackets``; given ``core``, the shape's
-        slot-bearing part, only when the interval screen cannot rule the
-        brackets out."""
+        slot-bearing part, only when the interval screen cannot rule out
+        first the span box and then the brackets.
+
+        The span box [g_0 - 1, g_last + 1] over the start grid g contains
+        every bracket: a bracket's ends are grid neighbours, or a grid end
+        moved by 1.  A bracket's snap padding is at most the span's, which
+        is taken at the span's largest magnitude, so the padded span holds
+        every padded bracket.  A shape ruled out over it needs no grid pass.
+        """
+        if core is not None:
+            grid = self.grid
+            if self._cannot_qualify(core, [(grid[0] - 1.0, grid[-1] + 1.0)]):
+                return None, np.inf
         brackets = self._brackets(lanes)
         if core is not None and brackets and self._cannot_qualify(core, brackets):
             return None, np.inf
@@ -665,7 +699,9 @@ class _ShapeFitter:
 
         Bounded Brent evaluates only inside its bracket, ``_first_best``
         returns one of its points and ``snap`` moves that by at most one
-        snap step; the boxes leave room for two.
+        snap step; the boxes leave room for two.  ``_fit_inner1`` calls this
+        first with the one span box [g_0 - 1, g_last + 1] of the start grid,
+        which holds every bracket, padded, that the grid pass could pick.
         ``compile_interval`` encloses the core's values over each box, and
         also those of its ``canonical_simplify`` form, whose residual the
         search reads.  A box is ruled out when, at some sample, its
@@ -806,11 +842,14 @@ def _qualifying_fits(fitter, grammar, budget, lift):
     ``MAX_SLICE_FITS`` of the fits, in every frame and mode.
 
     A strict fitter returns no fit for a one-slot shape without a linear
-    wrap when its interval screen rules out every Brent bracket
+    wrap when its interval screen rules out the span box over the whole
+    start grid, or else every Brent bracket
     (``_ShapeFitter._cannot_qualify``).  The output is the same as without
     the screen.  Brent evaluates only inside its brackets, the fit is one
     of its points, and ``snap`` moves it by at most one snap step, which
-    the screened boxes include.  The screen encloses the values of the
+    the screened boxes include; every bracket, with that padding, lies
+    inside the padded span box, since a bracket's ends are grid points or
+    a grid end moved by 1.  The screen encloses the values of the
     simplified expression whose residual is read here, chains re-sorted
     included, so a ruled-out fit would not have qualified.  Such a fit
     would only have been marked ``seen`` and dropped, and a qualifying fit
@@ -1022,7 +1061,14 @@ def search_hyperpolation(data, grammar=None, budget=None):
     ordered by (residual, score) with deterministic tie-breaking on
     (serialized expression, y0); reflected-symmetry pairs carry identical
     scores and co-occur.
+
+    ``budget`` caps the number of shapes fitted: None for
+    ``DEFAULT_BUDGET``, or a non-negative integer.
     """
+    if not (budget is None or _is_count(budget)):
+        raise InvalidInputError(
+            f"search budget must be None or a non-negative integer, got {budget!r}"
+        )
     frame = detect_frame(data)
     if frame.mode == "ambient":
         envs = {"x": data.locations[:, 0], "y": data.locations[:, 1]}

@@ -109,6 +109,15 @@ class TestSearch:
         assert code == 0
         assert json.loads(out) == []
 
+    def test_negative_budget_exits_2(self, capsys, tmp_path):
+        data = tmp_path / "lin.csv"
+        rows = "\n".join(f"{x},{2*x}" for x in range(-4, 5))
+        data.write_text("x1,f\n" + rows + "\n", encoding="utf-8")
+        code, out, err = run(capsys, "search", "--data", str(data), "--budget", "-3")
+        assert code == 2
+        assert out == ""
+        assert "budget" in err
+
     def test_nan_sigma_exits_2(self, capsys, tmp_path):
         data = tmp_path / "lin.csv"
         rows = "\n".join(f"{x},{2*x}" for x in range(-4, 5))
@@ -232,6 +241,17 @@ class TestBench:
         )
         assert code == 2
         assert "no candidate" in err
+
+    def test_bench_negative_budget_exits_2(self, capsys, tmp_path):
+        code, _, err = run(
+            capsys,
+            "bench", "cone",
+            "--methods", "symbolic",
+            "--budget", "-1",
+            "--out", str(tmp_path),
+        )
+        assert code == 2
+        assert "budget" in err
 
     def test_bench_all_writes_one_report_per_case(self, capsys, tmp_path):
         code, _, _ = run(

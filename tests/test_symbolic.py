@@ -147,6 +147,7 @@ class TestLiftConstants:
         assert sorted(c.y0 for c in squares) == [-20.0, 20.0]
         assert squares[0].score == squares[1].score
 
+    @pytest.mark.filterwarnings("error")
     def test_axis_frame_whose_square_overflows(self):
         # y0^2 is out of float range: no plain square can match, but the
         # shifted squares and the extrusion still lift
@@ -349,6 +350,14 @@ class TestSearch:
         x = np.arange(0.0, 8.0)
         data = Dataset(x[:, None], 2.0 * x)
         assert search_hyperpolation(data, budget=0) == []
+        assert search_hyperpolation(data, budget=np.int64(0)) == []
+
+    @pytest.mark.parametrize("budget", [-3, 2.7, 2.0, True, "5"])
+    def test_budget_must_be_a_non_negative_integer(self, budget):
+        x = np.arange(0.0, 8.0)
+        data = Dataset(x[:, None], 2.0 * x)
+        with pytest.raises(InvalidInputError, match="budget"):
+            search_hyperpolation(data, budget=budget)
 
     def test_determinism_across_repeat_runs(self):
         rng = np.random.default_rng(9)
@@ -409,7 +418,18 @@ BRENT_CASES = {
     "cap": (lambda x: x, [(0.0, 1e300)]),
 }
 
-# objective, starts
+
+def _exp_fit3(x):
+    """Least squares of c1 * exp(c0 * t) + (t - c2)^2 against 2 exp(0.3 t) +
+    (t - 1)^2, the three-slot fit's objective."""
+    return sum(
+        (x[1] * math.exp(x[0] * t) + (t - x[2]) ** 2 - 2.0 * math.exp(0.3 * t) - (t - 1.0) ** 2) ** 2
+        for t in range(-4, 5)
+    )
+
+
+# objective, starts; two variables run 400 iterations, three run 600, as in
+# _fit_inner2 and _fit_inner_many
 NELDER_MEAD_CASES = {
     # expansions and both contractions; (0, 0) and (0, 1) start on zdelt
     "rosenbrock": (_rosenbrock(100.0), [(-1.2, 1.0), (0.0, 0.0), (0.0, 1.0)]),
@@ -430,7 +450,18 @@ NELDER_MEAD_CASES = {
     ),
     # a narrow curved valley: stops at the 400-iteration cap
     "cap": (_rosenbrock(1e6), [(-1.2, 1.0)]),
+    # every simplex value ties: each step sorts ties and shrinks
+    "constant": (lambda x: 1.0, [(0.3, -2.0), (0.0, 0.0)]),
+    # every value infinite: inf - inf is nan, so the fatol test never
+    # passes and the run stops at the 400-iteration cap
+    "infinite_simplex": (lambda x: math.inf, [(1.0, 2.0)]),
+    # the three-slot fit's lanes
+    "exp_fit3": (_exp_fit3, [(0.0, 1.0, -1.0), (1.0, 2.0, 0.0), (-1.0, 0.0, 2.0)]),
+    # the first simplex values are (1, 1, 0, 0), which numpy's argsort may
+    # order (3, 2, 1, 0) where a stable sort gives (2, 3, 0, 1)
+    "ledge3": (lambda x: 1.0 if max(x[1], x[2]) <= 0 else 0.0, [(0.0, 0.0, 0.0), (1.0, 0.0, 0.0)]),
 }
+NELDER_MEAD_CAPPED = {"cap", "infinite_simplex"}
 
 
 def _noisy_cone1():
@@ -480,17 +511,20 @@ class TestLockstepFitting:
     @pytest.mark.parametrize("case", sorted(NELDER_MEAD_CASES))
     def test_nelder_mead_matches_scipy(self, case):
         f, starts = NELDER_MEAD_CASES[case]
-        runs = symbolic._lockstep([symbolic._nelder_mead(x0) for x0 in starts], _pointwise(f))
+        maxiter = 400 if len(starts[0]) == 2 else 600
+        lanes = [symbolic._nelder_mead(x0, maxiter=maxiter) for x0 in starts]
+        runs = symbolic._lockstep(lanes, _pointwise(f))
         for x0, (x, fx) in zip(starts, runs):
-            res = minimize(
-                f,
-                x0=list(x0),
-                method="Nelder-Mead",
-                options={"xatol": 1e-10, "fatol": 1e-14, "maxiter": 400},
-            )
+            with np.errstate(all="ignore"):
+                res = minimize(
+                    f,
+                    x0=list(x0),
+                    method="Nelder-Mead",
+                    options={"xatol": 1e-10, "fatol": 1e-14, "maxiter": maxiter},
+                )
             assert x.tobytes() == res.x.tobytes()
             assert repr(float(fx)) == repr(float(res.fun))
-            assert res.nit == 400 if case == "cap" else res.nit < 400
+            assert res.nit == maxiter if case in NELDER_MEAD_CAPPED else res.nit < maxiter
 
     @pytest.mark.parametrize("data", [_ripple1d, _noisy_cone1], ids=["ripple1d", "noisy_cone1"])
     def test_fits_match_scipy_reference(self, data):
@@ -622,3 +656,21 @@ class TestStrictScreen:
                     ruled_out += 1
         assert len(shapes) > 300
         assert ruled_out > 50 and kept > 1000, (ruled_out, kept)
+
+    def test_span_screen_never_rules_out_a_qualifying_fit(self):
+        # the box over the whole start-grid span, screened before any grid
+        # pass, on ripple1d's one-slot shapes without a linear wrap
+        t, y = _ripple1d()
+        strict = symbolic._ShapeFitter({"t": t}, y, strict=True)
+        loose = symbolic._ShapeFitter({"t": t}, y)
+        span = [(strict.grid[0] - 1.0, strict.grid[-1] + 1.0)]
+        shapes = _one_slot_shapes(6)
+        ruled_out = 0
+        for shape in shapes:
+            with np.errstate(all="ignore"):
+                if not strict._cannot_qualify(shape, span):
+                    continue
+            ruled_out += 1
+            assert strict.fit(shape) is None
+            assert not _qualifies(loose, shape, loose.fit(shape)), serialize(shape)
+        assert 2 * ruled_out > len(shapes), (ruled_out, len(shapes))
