@@ -24,6 +24,12 @@ name, with that file's ``byte_identity.fields`` definition:
   of at most 4 nodes with each slot filled by every product of
   ``LIFT_MENU_FILLS``, simplified; the frames are the new-dimension frame
   and axis frames at each of ``LIFT_MENU_Y0``.
+* ``enum_t7`` / ``enum_xy6``: ``json.dumps`` of one list per level of
+  ``repr(shape)``, in the order ``ShapeEnumerator(Grammar(), variables)``
+  returns them: levels 1-7 over ``("t",)`` and 1-6 over ``("x", "y")``.
+* ``cands_ripple1d_budget20000``: as ``cands_<case>``, for ripple1d at
+  budget 20000, which runs out inside level 7 after the certified best
+  score is known, so that the strict bound skip and the budget both act.
 * ``slice_lattice_api`` / ``cloud_classify31``: ``json.dumps`` of ``[tag,
   weights bytes hex or None, repr(residual)]`` for each query of per-point
   ``classify`` calls (equal to one batch call on a fresh ``Dataset``): the
@@ -206,6 +212,15 @@ def lift_menu_digest():
     return sha256(json.dumps(lists))
 
 
+ENUM_CASES = {"enum_t7": (("t",), 7), "enum_xy6": (("x", "y"), 6)}
+RIPPLE_BUDGET = 20000
+
+
+def enum_digest(variables, max_nodes):
+    enum = ShapeEnumerator(Grammar(), variables)
+    return sha256(json.dumps([[repr(s) for s in enum.shapes(n)] for n in range(1, max_nodes + 1)]))
+
+
 def current_digests():
     out = {f"cands_{name}": cands_digest(search_hyperpolation(make()))
            for name, make in EXACT_CASES.items()}
@@ -219,6 +234,11 @@ def current_digests():
     for name, make in CLASSIFY_CASES.items():
         out[name] = per_point_classify_digest(make)
     out["lift_menu"] = lift_menu_digest()
+    for name, (variables, max_nodes) in ENUM_CASES.items():
+        out[name] = enum_digest(variables, max_nodes)
+    out[f"cands_ripple1d_budget{RIPPLE_BUDGET}"] = cands_digest(
+        search_hyperpolation(ripple1d(), budget=RIPPLE_BUDGET)
+    )
     return dict(sorted(out.items()))
 
 
@@ -241,11 +261,18 @@ def test_golden_keys(golden):
         | {f"bench_{case}_{part}" for case in BENCH_CASES for part in ("report", "grid")}
         | set(CLASSIFY_CASES)
         | {"lift_menu"}
+        | set(ENUM_CASES)
+        | {f"cands_ripple1d_budget{RIPPLE_BUDGET}"}
     )
 
 
 def test_ripple1d(golden, ripple_search):
     assert cands_digest(ripple_search[0]) == golden["cands_ripple1d"]
+
+
+def test_ripple1d_cut_inside_a_level(golden):
+    got = cands_digest(search_hyperpolation(ripple1d(), budget=RIPPLE_BUDGET))
+    assert got == golden[f"cands_ripple1d_budget{RIPPLE_BUDGET}"]
 
 
 def test_cone1d(golden, cone_search):
@@ -279,6 +306,11 @@ def test_bench(golden, case):
 
 def test_lift_menu(golden):
     assert lift_menu_digest() == golden["lift_menu"]
+
+
+@pytest.mark.parametrize("name", sorted(ENUM_CASES))
+def test_enumeration_order(golden, name):
+    assert enum_digest(*ENUM_CASES[name]) == golden[name]
 
 
 @pytest.mark.parametrize("name", sorted(CLASSIFY_CASES))
