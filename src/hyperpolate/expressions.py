@@ -20,6 +20,7 @@ import ast
 import math
 import operator
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -721,6 +722,37 @@ def _chain_has_bare_slot(e):
     return False
 
 
+def _operands_of(e):
+    """The operands that a shape is built from: a chain's elements, an
+    operator's children, none for a leaf."""
+    if e[0] in _CHAIN_OPS:
+        return chain_elements(e)
+    return () if is_leaf(e) else e[1:]
+
+
+# The slot operand of the shapes that the enumerator builds.
+_SLOT = ("slot",)
+
+
+class _Facts(NamedTuple):
+    """What the search reads of a shape, built from its operands' facts.
+
+    Its counts of nodes by kind give the strict search's score bound
+    (``symbolic._shape_lower_bound``); the rest of its nodes are variables.
+    ``lhs_slots`` counts the slots that are sub's left operand, where a
+    constant 0 survives folding.
+    """
+
+    key: str  # serialize(shape)
+    depth: int  # expr_depth(shape)
+    slots: int  # slot_count(shape)
+    operators: int
+    lhs_slots: int
+
+
+_SLOT_FACTS = _Facts("~", 1, 1, 0, 0)
+
+
 class ShapeEnumerator:
     """Exhaustive canonical enumeration of expression shapes.
 
@@ -731,17 +763,35 @@ class ShapeEnumerator:
     are pruned.  Equal chain operands are only allowed when they contain a
     slot, since slot-free duplicates fold to a smaller shape.  The variable
     leaves are ``variables``, a tuple of names; the grammar gives the rest.
+
+    Each shape is built from operands of lower levels, and its facts
+    (``_Facts``: serialization key, depth, slot count and the node counts
+    that the strict search's score bound prices) are built from theirs in
+    O(1) per operand, without walking its tree: a key is ``op(ka,kb)``, or
+    a chain's element keys joined, since a chain never holds its own op.
+    Only the facts of levels that are operands of a built level are kept,
+    keyed by shape (levels 1-6 of 7 over one variable: about 2.5 MB, where
+    level 7's would add about 15 MB); ``_facts_of`` composes those of a
+    newer shape when asked, and a level is sorted by keys composed so.
     """
 
     def __init__(self, grammar, variables):
         self.grammar = grammar
         self.variables = variables
         self._memo = {}
+        self._facts = {_SLOT: _SLOT_FACTS}
+        self._operand_levels = 0  # levels 1.. whose facts are in _facts
 
     def shapes(self, n):
         """All canonical var-containing shapes with exactly n nodes."""
         if n in self._memo:
             return self._memo[n]
+        # the levels below n are this level's operands
+        while self._operand_levels < n - 1:
+            level = self._operand_levels + 1
+            for shape in self.shapes(level):
+                self._facts[shape] = self._facts_of(shape)
+            self._operand_levels = level
         g = self.grammar
         out = []
         if n == 1:
@@ -758,12 +808,60 @@ class ShapeEnumerator:
             for op in _CHAIN_OPS:
                 if op in g.binary_ops:
                     out.extend(self._chains(op, n))
-        out.sort(key=_sort_key)
+        out.sort(key=self._key_of)
         self._memo[n] = out
         return out
 
-    @staticmethod
-    def _unary_ok(op, child):
+    def _key_of(self, shape):
+        """``serialize(shape)``, from its operands' keys."""
+        op = shape[0]
+        if op == "var":
+            return shape[1]
+        facts = self._facts
+        if op in _CHAIN_OPS:
+            return f"{op}({','.join([facts[el].key for el in chain_elements(shape)])})"
+        if len(shape) == 2:
+            return f"{op}({facts[shape[1]].key})"
+        return f"{op}({facts[shape[1]].key},{facts[shape[2]].key})"
+
+    def _facts_of(self, shape):
+        """``_Facts`` of a shape that this enumerator built, from the facts
+        of its operands, which must be of operand levels."""
+        op = shape[0]
+        if op == "var":
+            return _Facts(shape[1], 1, 0, 0, 0)
+        facts = self._facts
+        if len(shape) == 2:
+            k = facts[shape[1]]
+            key = f"{op}({k.key})"
+            return _Facts(key, k.depth + 1, k.slots, k.operators + 1, k.lhs_slots)
+        if op in _CHAIN_OPS:
+            elements = chain_elements(shape)
+            last = len(elements) - 1
+            keys = []
+            depth = slots = lhs_slots = 0
+            operators = last
+            for j, el in enumerate(elements):
+                k = facts[el]
+                keys.append(k.key)
+                # element j hangs j + 1 spine nodes deep, the last one j
+                depth = max(depth, j + (j < last) + k.depth)
+                slots += k.slots
+                operators += k.operators
+                lhs_slots += k.lhs_slots
+            key = f"{op}({','.join(keys)})"
+            return _Facts(key, depth, slots, operators, lhs_slots)
+        a = facts[shape[1]]
+        b = facts[shape[2]]
+        return _Facts(
+            f"{op}({a.key},{b.key})",
+            1 + max(a.depth, b.depth),
+            a.slots + b.slots,
+            1 + a.operators + b.operators,
+            a.lhs_slots + b.lhs_slots + (op == "sub" and is_slot(shape[1])),
+        )
+
+    def _unary_ok(self, op, child):
         c = child[0]
         if op == "pow2" and c in ("abs", "sqrt"):
             return False
@@ -776,33 +874,40 @@ class ShapeEnumerator:
         if op in ("pow2", "abs", "cos") and c == "sub":
             # even argument: f(a-b) = f(b-a), and f(c-u) duplicates f(u+c)
             a, b = child[1], child[2]
-            if is_slot(a) or _sort_key(b) < _sort_key(a):
+            if is_slot(a) or self._facts[b].key < self._facts[a].key:
                 return False
         return True
 
     def _operands(self, size, allow_slot):
-        ops = list(self.shapes(size))
+        """The shapes of level ``size`` with their facts, and the slot when
+        ``allow_slot`` and ``size`` is 1."""
+        facts = self._facts
+        ops = [(shape, facts[shape]) for shape in self.shapes(size)]
         if allow_slot and size == 1:
-            ops.append(("slot",))
+            ops.append((_SLOT, _SLOT_FACTS))
         return ops
 
     def _sub_div(self, op, n):
         out = []
         for left_size in range(1, n - 1):
             right_size = n - 1 - left_size
-            for a in self._operands(left_size, allow_slot=True):
+            # the right operands do not depend on the left one
+            rights = []
+            for b, fb in self._operands(right_size, allow_slot=False):
+                if b[0] == op:
+                    continue
+                if op == "sub" and _chain_has_bare_slot(b):
+                    continue  # a-(u+c) and a-(c*u): the constant hoists out
+                if op == "div" and b[0] == "mul" and _chain_has_bare_slot(b):
+                    continue  # a/(c*u) duplicates mul(c, div(a, u))
+                rights.append((b, fb))
+            for a, fa in self._operands(left_size, allow_slot=True):
                 if a[0] == op:
                     continue
                 if op == "div" and a[0] == "mul" and _chain_has_bare_slot(a):
                     continue  # (c*u)/b duplicates mul(c, div(u, b))
-                for b in self.shapes(right_size):
-                    if b[0] == op:
-                        continue
-                    if op == "sub" and _chain_has_bare_slot(b):
-                        continue  # a-(u+c) and a-(c*u): the constant hoists out
-                    if op == "div" and b[0] == "mul" and _chain_has_bare_slot(b):
-                        continue  # a/(c*u) duplicates mul(c, div(a, u))
-                    if a == b and slot_count(a) == 0:
+                for b, fb in rights:
+                    if a == b and fa.slots == 0:
                         continue
                     out.append((op, a, b))
         return out
@@ -817,28 +922,24 @@ class ShapeEnumerator:
 
         def extend(elements, used, min_key, has_bare_slot):
             if len(elements) >= 2 and used == n:
-                out.append(_rebuild_chain(op, list(elements)))
+                out.append(_rebuild_chain(op, elements))
                 return
             # adding one operand of `size` costs size + 1 nodes
             for size in range(1, n - used):
-                for cand in self._operands(size, allow_slot=not has_bare_slot):
-                    if cand[0] in banned:
+                for cand, facts in self._operands(size, allow_slot=not has_bare_slot):
+                    if cand[0] in banned or facts.key < min_key:
                         continue
-                    key = _sort_key(cand)
-                    if key < min_key:
-                        continue
-                    if cand == elements[-1] and slot_count(cand) == 0:
+                    if cand == elements[-1] and facts.slots == 0:
                         continue
                     extend(
                         elements + [cand],
                         used + size + 1,
-                        key,
+                        facts.key,
                         has_bare_slot or is_slot(cand),
                     )
 
         for size in range(1, n - 1):
-            for first in self._operands(size, allow_slot=False):
-                if first[0] in banned:
-                    continue
-                extend([first], size, _sort_key(first), False)
+            for first, facts in self._operands(size, allow_slot=False):
+                if first[0] not in banned:
+                    extend([first], size, facts.key, False)
         return out

@@ -27,7 +27,8 @@ profiled linear wrap is ruled out when interval evaluation
 (``expressions.compile_interval``) shows that no constant can bring it within
 the tolerance: first over one box spanning the whole start grid, before the
 grid pass that picks the Brent brackets, then over those brackets, before
-Brent runs; see ``_qualifying_fits``.
+Brent runs; see ``_qualifying_fits``.  In every mode a shape with an operand
+that is nan at some sample is not fitted at all: it could not fit.
 
 Constants are fitted by bounded Brent (one slot) and Nelder-Mead (more),
 scipy's loops written as generators and run in lockstep; Nelder-Mead works
@@ -50,6 +51,7 @@ from .expressions import (
     ShapeEnumerator,
     _const_cost,
     _is_count,
+    _operands_of,
     _rebuild_chain,
     _split_constants,
     assign_slots,
@@ -61,7 +63,6 @@ from .expressions import (
     complexity,
     const,
     evaluate,
-    expr_depth,
     is_slot,
     node_count,
     serialize,
@@ -610,12 +611,16 @@ class _ShapeFitter:
         self.target = np.asarray(target, dtype=float)
         self.grid = _scale_grid(self.envs, self.target)
         self.strict = strict
+        self.free_nan = False
 
     def fit(self, shape):
         """Return (const_vector, sse, max_abs) or None when no fit with
         finite constants and a finite SSE exists.  ``max_abs`` is the
         max-abs residual of a slot-free shape, whose values the fit computes
-        anyway, and None for other shapes."""
+        anyway, and None for other shapes.  After each call ``free_nan``
+        says whether the shape is slot-free with values that are nan at
+        some sample."""
+        self.free_nan = False
         with np.errstate(all="ignore"):
             return self._fit(shape)
 
@@ -626,6 +631,7 @@ class _ShapeFitter:
         if k_inner == 0 and not (has_mul or has_add):
             vals = _full(at(()), target.shape)
             if not np.all(np.isfinite(vals)):
+                self.free_nan = bool(np.isnan(vals).any())
                 return None
             resid = vals - target
             return (), float(resid @ resid), float(np.max(np.abs(resid)))
@@ -783,15 +789,17 @@ _MIN_CONST_COST = _const_cost(1)
 _POW2_VAR_COST = OP_COST + VAR_COST
 
 
-def _shape_lower_bound(shape):
-    """Intended lower bound on any lifted-candidate score from this shape,
-    which the strict search's bound skip compares with the best score.
+def _shape_lower_bound(facts, n):
+    """Intended lower bound on any lifted-candidate score from a shape of
+    ``n`` nodes, from its enumerator facts (``expressions._Facts``), which
+    the strict search's bound skip compares with the best score.
 
     The costs are the expression cost table's, by which the search ranks.
     A shape holds operators, variables and slots.  A surviving constant
     costs at least ``_const_cost(1)`` (|c| >= 1 after identity folding)
     except in sub-LHS position, where 0 survives folding; the cheapest
-    substitution is priced as pow2(y), two points.
+    substitution is priced as pow2(y), two points.  The costs are small
+    integers stored as floats, so these sums of them are exact.
 
     It is not a true lower bound: ``c -> y`` costs one point, and it is
     free of the orientation surcharge when the lift is even in ``y`` (a new
@@ -801,28 +809,28 @@ def _shape_lower_bound(shape):
     the skip can drop a candidate that would tie the certified best; the
     level stop does not depend on this bound.
     """
-    slot_mins = []
-
-    def walk(node, sub_lhs=False):
-        if node[0] == "slot":
-            slot_mins.append(_ZERO_CONST_COST if sub_lhs else _MIN_CONST_COST)
-            return 0.0
-        if node[0] == "var":
-            return VAR_COST
-        if node[0] == "sub":
-            return OP_COST + walk(node[1], sub_lhs=True) + walk(node[2])
-        return OP_COST + sum(walk(c) for c in node[1:])
-
-    units = walk(shape)
-    if not slot_mins:
+    variables = n - facts.operators - facts.slots
+    units = facts.operators * OP_COST + variables * VAR_COST
+    if not facts.slots:
         return units
-    total = units + sum(slot_mins)
-    return min(total, total - max(slot_mins) + _POW2_VAR_COST)
+    others = facts.slots - facts.lhs_slots
+    total = units + others * _MIN_CONST_COST + facts.lhs_slots * _ZERO_CONST_COST
+    # the dearest slot: _const_cost grows with |c|
+    return min(total, total - (_MIN_CONST_COST if others else _ZERO_CONST_COST) + _POW2_VAR_COST)
 
 
 # ---------------------------------------------------------------------------
 # enumeration driver
 # ---------------------------------------------------------------------------
+
+
+def _nan_operand(shape, nan_shapes):
+    """True when an operand of ``shape`` is in ``nan_shapes``, shapes with a
+    slot-free part that is nan at some sample.  Nan passes through every
+    grammar operator and the linear wrap, so the shape is nan there at any
+    constants, and ``_ShapeFitter.fit`` would find no fit.  Inf does not
+    pass through (1/inf = 0): only nan is tracked."""
+    return any(op in nan_shapes for op in _operands_of(shape))
 
 
 def _qualifying_fits(fitter, grammar, budget, lift):
@@ -840,6 +848,16 @@ def _qualifying_fits(fitter, grammar, budget, lift):
     ``grammar.max_depth`` filter runs only on levels above it: an n-node
     tree is at most n deep.  The caller lifts only the best
     ``MAX_SLICE_FITS`` of the fits, in every frame and mode.
+
+    The search walks no shape's tree: the bound skip and the depth filter
+    read the facts that the enumerator builds from the operands' facts
+    (``ShapeEnumerator._facts_of``), and a shape's node count is its level.
+    A shape with an operand in ``nan_shapes`` (``_nan_operand``) is charged
+    to the budget like any other but not fitted, since its fit would be
+    None.  ``nan_shapes`` holds operand-level shapes only: when a level
+    becomes an operand level, a slot-free shape joins it if the values its
+    own fit computed are nan at some sample (``_ShapeFitter.free_nan``),
+    and any shape joins it if one of its operands is in it.
 
     A strict fitter returns no fit for a one-slot shape without a linear
     wrap when its interval screen rules out the span box over the whole
@@ -863,15 +881,23 @@ def _qualifying_fits(fitter, grammar, budget, lift):
     best_score = math.inf
     seen = set()
     results = []
+    # operand-level shapes with a slot-free part that is nan at some sample,
+    # and the last level's slot-free shapes whose fit saw a nan
+    nan_shapes = set()
+    nan_free = set()
 
-    def process(shape):
+    def process(shape, n):
+        if _nan_operand(shape, nan_shapes):
+            return None  # the fit would be None
         fit = fitter.fit(shape)
         if fit is None:
+            if fitter.free_nan:
+                nan_free.add(shape)
             return None
         consts, sse, max_abs = fit
         consts, sse = fitter.snap(shape, consts, sse)
         expr = canonical_simplify(assign_slots(shape, consts))
-        if node_count(expr) < node_count(shape):
+        if node_count(expr) < n:
             return None  # folded duplicate of a smaller shape
         if max_abs is not None and expr == shape:
             # the fit evaluated this very expression (compile_shape's values
@@ -883,32 +909,35 @@ def _qualifying_fits(fitter, grammar, budget, lift):
             return None
         return expr, residual
 
+    level = []
     for n in range(grammar.max_nodes + 1):
         if budget <= 0:
             break
         if strict and math.isfinite(best_score) and n > max(best_score, ENUM_FLOOR):
             break
+        # the last level's shapes become operands
+        for shape in level:
+            if shape in nan_free or _nan_operand(shape, nan_shapes):
+                nan_shapes.add(shape)
+        nan_free.clear()
         if n == 0:
             # level 0 holds the bare-constant shape; level n the n-node shapes
             shapes = [("slot",)]
-        elif n > grammar.max_depth:
-            shapes = [s for s in enum.shapes(n) if expr_depth(s) <= grammar.max_depth]
         else:
-            shapes = enum.shapes(n)
+            level = shapes = enum.shapes(n)
+            if n > grammar.max_depth:
+                shapes = [s for s in level if enum._facts_of(s).depth <= grammar.max_depth]
+        bound_skip = strict and math.isfinite(best_score) and n > ENUM_FLOOR
         batch = []
         for shape in shapes:
             if budget <= 0:
                 break
-            if (
-                strict
-                and math.isfinite(best_score)
-                and n > ENUM_FLOOR
-                and _shape_lower_bound(shape) > best_score
-            ):
+            if bound_skip and _shape_lower_bound(enum._facts_of(shape), n) > best_score:
                 continue
             batch.append(shape)
             budget -= 1
-        for out in map(process, batch):
+        for shape in batch:
+            out = process(shape, n)
             if out is None:
                 continue
             expr, residual = out

@@ -1,5 +1,7 @@
+import gc
 import itertools
 import math
+import tracemalloc
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -567,6 +569,26 @@ class TestEnumeration:
         g = Grammar()
         keys = {serialize(s) for s in ShapeEnumerator(g, ("t",)).shapes(6)}
         assert "cos(sqrt(add(pow2(t),~)))" in keys
+
+    def test_retains_facts_of_operand_levels_only(self):
+        # the enumerator keeps the facts of levels 1-6 (about 2.5 MB), not
+        # those of level 7 (about 15 MB more); before it kept any facts it
+        # retained 5.9 MB here (Python 3.11.7)
+        tracing = tracemalloc.is_tracing()
+        gc.collect()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            enum = ShapeEnumerator(Grammar(), ("t",))
+            enum.shapes(7)
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert len(enum.shapes(7)) == 75423
+        assert retained <= 1.5 * 5.9e6, retained
 
     def test_depth_and_ops_respected(self):
         g = Grammar(unary_ops=("cos",), binary_ops=("add",))

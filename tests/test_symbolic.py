@@ -674,3 +674,104 @@ class TestStrictScreen:
             assert strict.fit(shape) is None
             assert not _qualifies(loose, shape, loose.fit(shape)), serialize(shape)
         assert 2 * ruled_out > len(shapes), (ruled_out, len(shapes))
+
+
+def _walked_lower_bound(shape):
+    """The strict search's score bound by a walk over the shape's tree: the
+    oracle for ``symbolic._shape_lower_bound``, which reads the enumerator's
+    facts instead."""
+    slot_mins = []
+
+    def walk(node, sub_lhs=False):
+        if node[0] == "slot":
+            slot_mins.append(symbolic._ZERO_CONST_COST if sub_lhs else symbolic._MIN_CONST_COST)
+            return 0.0
+        if node[0] == "var":
+            return expressions.VAR_COST
+        if node[0] == "sub":
+            return expressions.OP_COST + walk(node[1], sub_lhs=True) + walk(node[2])
+        return expressions.OP_COST + sum(walk(c) for c in node[1:])
+
+    units = walk(shape)
+    if not slot_mins:
+        return units
+    total = units + sum(slot_mins)
+    return min(total, total - max(slot_mins) + symbolic._POW2_VAR_COST)
+
+
+class TestShapeFacts:
+    """The enumerator builds each shape's facts from its operands' facts;
+    they equal what the tree walks compute."""
+
+    @pytest.mark.parametrize("variables, max_nodes", [(("t",), 7), (("x", "y"), 6)])
+    def test_facts_match_tree_walks(self, variables, max_nodes):
+        enum = ShapeEnumerator(Grammar(), variables)
+        enum.shapes(max_nodes)
+        count = 0
+        for n in range(1, max_nodes + 1):
+            for shape in enum.shapes(n):
+                facts = enum._facts_of(shape)
+                assert facts.key == serialize(shape)
+                assert facts.depth == expr_depth(shape)
+                assert facts.slots == slot_count(shape)
+                assert node_count(shape) == n
+                assert symbolic._shape_lower_bound(facts, n) == _walked_lower_bound(shape), (
+                    facts.key
+                )
+                if n < max_nodes:
+                    # levels below the last are operands: their facts are kept
+                    assert enum._facts[shape] == facts
+                count += 1
+        assert count == len(enum._facts) - 1 + len(enum.shapes(max_nodes))
+
+    def test_bound_counts_sub_lhs_slots(self):
+        # a bare slot on sub's left may keep 0, which costs 1 point, and
+        # anywhere else at least 1, which costs 3 or is priced as pow2(y)
+        enum = ShapeEnumerator(Grammar(), ("t",))
+        by_key = {serialize(s): s for s in enum.shapes(3)}
+        for key, bound in (("sub(~,t)", 3.0), ("add(t,~)", 4.0)):
+            shape = by_key[key]
+            assert symbolic._shape_lower_bound(enum._facts_of(shape), 3) == bound
+            assert _walked_lower_bound(shape) == bound
+
+
+class TestNanSkip:
+    """A shape with an operand known to be nan at some sample is not fitted:
+    its fit would be None."""
+
+    def test_flagged_shapes_have_no_fit(self):
+        # the search's record, level by level: a level's shapes become
+        # operands once it is fitted
+        t, y = _ripple1d()
+        fitter = symbolic._ShapeFitter({"t": t}, y)
+        enum = ShapeEnumerator(Grammar(), ("t",))
+        nan_shapes, nan_free, level = set(), set(), []
+        flagged = total = 0
+        for n in range(1, 7):
+            for shape in level:
+                if shape in nan_free or symbolic._nan_operand(shape, nan_shapes):
+                    nan_shapes.add(shape)
+            nan_free.clear()
+            level = enum.shapes(n)
+            for shape in level:
+                total += 1
+                skip = symbolic._nan_operand(shape, nan_shapes)
+                fit = fitter.fit(shape)
+                if skip:
+                    flagged += 1
+                    assert fit is None, serialize(shape)
+                elif fit is None and fitter.free_nan:
+                    nan_free.add(shape)
+        assert 4 * flagged > total, (flagged, total)
+
+    def test_free_nan_marks_nan_not_inf(self):
+        t = np.array([-1.0, 0.0, 1000.0])
+        fitter = symbolic._ShapeFitter({"t": t}, t)
+        assert fitter.fit(("sqrt", ("var", "t"))) is None
+        assert fitter.free_nan
+        # exp(t) is inf at 1000, and inf does not pass through every
+        # operator: 1/inf = 0
+        assert fitter.fit(("exp", ("var", "t"))) is None
+        assert not fitter.free_nan
+        assert fitter.fit(("var", "t")) is not None
+        assert not fitter.free_nan
