@@ -771,7 +771,7 @@ class ShapeEnumerator:
     a chain's element keys joined, since a chain never holds its own op.
     Only the facts of levels that are operands of a built level are kept,
     keyed by shape (levels 1-6 of 7 over one variable: about 2.5 MB, where
-    level 7's would add about 15 MB); ``_facts_of`` composes those of a
+    level 7's would add about 18 MB); ``_facts_of`` composes those of a
     newer shape when asked, and a level is sorted by keys composed so.
     """
 

@@ -854,10 +854,10 @@ def _qualifying_fits(fitter, grammar, budget, lift):
     (``ShapeEnumerator._facts_of``), and a shape's node count is its level.
     A shape with an operand in ``nan_shapes`` (``_nan_operand``) is charged
     to the budget like any other but not fitted, since its fit would be
-    None.  ``nan_shapes`` holds operand-level shapes only: when a level
-    becomes an operand level, a slot-free shape joins it if the values its
-    own fit computed are nan at some sample (``_ShapeFitter.free_nan``),
-    and any shape joins it if one of its operands is in it.
+    None.  A slot-free shape joins ``nan_shapes`` when the values its own
+    fit computed are nan at some sample (``_ShapeFitter.free_nan``); any
+    shape joins it when its level becomes an operand level and one of its
+    operands is in it.
 
     A strict fitter returns no fit for a one-slot shape without a linear
     wrap when its interval screen rules out the span box over the whole
@@ -881,10 +881,8 @@ def _qualifying_fits(fitter, grammar, budget, lift):
     best_score = math.inf
     seen = set()
     results = []
-    # operand-level shapes with a slot-free part that is nan at some sample,
-    # and the last level's slot-free shapes whose fit saw a nan
+    # shapes with a slot-free part that is nan at some sample
     nan_shapes = set()
-    nan_free = set()
 
     def process(shape, n):
         if _nan_operand(shape, nan_shapes):
@@ -892,7 +890,7 @@ def _qualifying_fits(fitter, grammar, budget, lift):
         fit = fitter.fit(shape)
         if fit is None:
             if fitter.free_nan:
-                nan_free.add(shape)
+                nan_shapes.add(shape)
             return None
         consts, sse, max_abs = fit
         consts, sse = fitter.snap(shape, consts, sse)
@@ -917,9 +915,8 @@ def _qualifying_fits(fitter, grammar, budget, lift):
             break
         # the last level's shapes become operands
         for shape in level:
-            if shape in nan_free or _nan_operand(shape, nan_shapes):
+            if _nan_operand(shape, nan_shapes):
                 nan_shapes.add(shape)
-        nan_free.clear()
         if n == 0:
             # level 0 holds the bare-constant shape; level n the n-node shapes
             shapes = [("slot",)]

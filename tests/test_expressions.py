@@ -572,7 +572,7 @@ class TestEnumeration:
 
     def test_retains_facts_of_operand_levels_only(self):
         # the enumerator keeps the facts of levels 1-6 (about 2.5 MB), not
-        # those of level 7 (about 15 MB more); before it kept any facts it
+        # those of level 7 (about 18 MB more); before it kept any facts it
         # retained 5.9 MB here (Python 3.11.7)
         tracing = tracemalloc.is_tracing()
         gc.collect()

@@ -745,13 +745,12 @@ class TestNanSkip:
         t, y = _ripple1d()
         fitter = symbolic._ShapeFitter({"t": t}, y)
         enum = ShapeEnumerator(Grammar(), ("t",))
-        nan_shapes, nan_free, level = set(), set(), []
+        nan_shapes, level = set(), []
         flagged = total = 0
         for n in range(1, 7):
             for shape in level:
-                if shape in nan_free or symbolic._nan_operand(shape, nan_shapes):
+                if symbolic._nan_operand(shape, nan_shapes):
                     nan_shapes.add(shape)
-            nan_free.clear()
             level = enum.shapes(n)
             for shape in level:
                 total += 1
@@ -761,7 +760,7 @@ class TestNanSkip:
                     flagged += 1
                     assert fit is None, serialize(shape)
                 elif fit is None and fitter.free_nan:
-                    nan_free.add(shape)
+                    nan_shapes.add(shape)
         assert 4 * flagged > total, (flagged, total)
 
     def test_free_nan_marks_nan_not_inf(self):
