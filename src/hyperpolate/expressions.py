@@ -764,6 +764,12 @@ class ShapeEnumerator:
     slot, since slot-free duplicates fold to a smaller shape.  The variable
     leaves are ``variables``, a tuple of names; the grammar gives the rest.
 
+    These pruning rules mirror ``canonical_simplify``'s rewrites and chain
+    elements are sorted by key, so every shape built is a
+    ``canonical_simplify`` fixpoint (``TestShapeFacts`` checks every shape up
+    to 7 nodes over one variable and 6 over two, under three grammars).  The
+    search relies on it: a slot-free shape is its own fitted expression.
+
     Each shape is built from operands of lower levels, and its facts
     (``_Facts``: serialization key, depth, slot count and the node counts
     that the strict search's score bound prices) are built from theirs in
@@ -783,7 +789,10 @@ class ShapeEnumerator:
         self._operand_levels = 0  # levels 1.. whose facts are in _facts
 
     def shapes(self, n):
-        """All canonical var-containing shapes with exactly n nodes."""
+        """All canonical var-containing shapes with exactly n nodes (none
+        for n < 1)."""
+        if n < 1:
+            return []
         if n in self._memo:
             return self._memo[n]
         # the levels below n are this level's operands

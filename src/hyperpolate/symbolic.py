@@ -617,9 +617,10 @@ class _ShapeFitter:
         """Return (const_vector, sse, max_abs) or None when no fit with
         finite constants and a finite SSE exists.  ``max_abs`` is the
         max-abs residual of a slot-free shape, whose values the fit computes
-        anyway, and None for other shapes.  After each call ``free_nan``
-        says whether the shape is slot-free with values that are nan at
-        some sample."""
+        anyway, and None for other shapes: a fit with ``max_abs`` is of a
+        slot-free shape, which the search takes as its own fitted expression
+        with this residual.  After each call ``free_nan`` says whether the
+        shape is slot-free with values that are nan at some sample."""
         self.free_nan = False
         with np.errstate(all="ignore"):
             return self._fit(shape)
@@ -833,10 +834,37 @@ def _nan_operand(shape, nan_shapes):
     return any(op in nan_shapes for op in _operands_of(shape))
 
 
+def _fitted(fitter, enum, shape, n, fit):
+    """``(expr, residual, key)`` of a fit of the n-node ``shape`` that
+    ``enum`` built, with ``key = serialize(expr)``, or None when the fitted
+    expression folds to fewer nodes (a duplicate of a smaller shape) or its
+    residual is not finite.
+
+    A fit that carries ``max_abs`` is of a slot-free shape.  Every shape the
+    enumerator builds is a ``canonical_simplify`` fixpoint, so that shape is
+    its own fitted expression, of n nodes; its residual is ``max_abs``
+    (``compile_shape``'s values are ``evaluate``'s, bit for bit) and its key
+    the enumerator's.  Only a fit of a shape with slots is snapped, filled
+    in, simplified, counted and serialized.
+    """
+    consts, sse, max_abs = fit
+    if max_abs is not None:
+        expr, residual, key = shape, max_abs, enum._key_of(shape)
+    else:
+        consts, sse = fitter.snap(shape, consts, sse)
+        expr = canonical_simplify(assign_slots(shape, consts))
+        if node_count(expr) < n:
+            return None
+        residual, key = fitter.residual_of(expr), serialize(expr)
+    if not np.isfinite(residual):
+        return None
+    return expr, residual, key
+
+
 def _qualifying_fits(fitter, grammar, budget, lift):
     """Enumerate shapes over the fitter's variables, which the frame sets,
     in ascending size, fit constants, and return the qualifying
-    (expr, residual) pairs.
+    (expr, residual, key) triples, where ``key`` is ``serialize(expr)``.
 
     A strict fitter (``fitter.strict``) keeps only fits with max-abs
     residual at or below the strict tolerance.  The least score of a
@@ -858,6 +886,11 @@ def _qualifying_fits(fitter, grammar, budget, lift):
     fit computed are nan at some sample (``_ShapeFitter.free_nan``); any
     shape joins it when its level becomes an operand level and one of its
     operands is in it.
+
+    Nor does it walk the fitted expression of a slot-free shape, which is
+    the shape itself (``_fitted``); only fits of shapes with slots are
+    simplified, counted and serialized.  The ``seen`` dedupe and the
+    caller's sort read the returned key.
 
     A strict fitter returns no fit for a one-slot shape without a linear
     wrap when its interval screen rules out the span box over the whole
@@ -892,20 +925,7 @@ def _qualifying_fits(fitter, grammar, budget, lift):
             if fitter.free_nan:
                 nan_shapes.add(shape)
             return None
-        consts, sse, max_abs = fit
-        consts, sse = fitter.snap(shape, consts, sse)
-        expr = canonical_simplify(assign_slots(shape, consts))
-        if node_count(expr) < n:
-            return None  # folded duplicate of a smaller shape
-        if max_abs is not None and expr == shape:
-            # the fit evaluated this very expression (compile_shape's values
-            # are evaluate's, bit for bit)
-            residual = max_abs
-        else:
-            residual = fitter.residual_of(expr)
-        if not np.isfinite(residual):
-            return None
-        return expr, residual
+        return _fitted(fitter, enum, shape, n, fit)
 
     level = []
     for n in range(grammar.max_nodes + 1):
@@ -937,8 +957,7 @@ def _qualifying_fits(fitter, grammar, budget, lift):
             out = process(shape, n)
             if out is None:
                 continue
-            expr, residual = out
-            key = serialize(expr)
+            expr, residual, key = out
             if key in seen:
                 continue
             seen.add(key)
@@ -946,7 +965,7 @@ def _qualifying_fits(fitter, grammar, budget, lift):
                 if residual > STRICT_TOL:
                     continue
                 best_score = min(best_score, min(c.score for c in lift(expr)))
-            results.append((expr, residual))
+            results.append(out)
     return results
 
 
@@ -1111,9 +1130,9 @@ def search_hyperpolation(data, grammar=None, budget=None):
 
     fitter = _ShapeFitter(envs, data.values, data.strict)
     fits = _qualifying_fits(fitter, grammar, budget, lift)
-    fits.sort(key=lambda f: (quantize_residual(f[1]), complexity(f[0]), serialize(f[0])))
+    fits.sort(key=lambda f: (quantize_residual(f[1]), complexity(f[0]), f[2]))
     candidates = []
-    for expr, fit_residual in fits[:MAX_SLICE_FITS]:
+    for expr, fit_residual, _ in fits[:MAX_SLICE_FITS]:
         for cand in lift(expr):
             residual = fit_residual
             if cand.kind != "direct":

@@ -557,6 +557,12 @@ class TestEnumeration:
         assert keys == sorted(keys)
         assert len(set(keys)) == len(keys)
 
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_no_shapes_below_one_node(self, n):
+        en = ShapeEnumerator(Grammar(), ("t",))
+        assert en.shapes(n) == []
+        assert len(en.shapes(2)) == 6  # the enumerator still works after it
+
     def test_every_shape_contains_a_variable(self):
         g = Grammar()
         en = ShapeEnumerator(g, ("t",))

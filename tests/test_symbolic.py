@@ -724,6 +724,24 @@ class TestShapeFacts:
                 count += 1
         assert count == len(enum._facts) - 1 + len(enum.shapes(max_nodes))
 
+    @pytest.mark.parametrize(
+        "grammar",
+        [Grammar(), Grammar(unary_ops=("sqrt", "abs")), Grammar(binary_ops=("add", "sub"))],
+        ids=["default", "sqrt_abs", "add_sub"],
+    )
+    @pytest.mark.parametrize("variables, max_nodes", [(("t",), 7), (("x", "y"), 6)])
+    def test_shapes_are_simplify_fixpoints(self, grammar, variables, max_nodes):
+        # the search takes a slot-free shape as its own fitted expression
+        enum = ShapeEnumerator(grammar, variables)
+        slot_free = 0
+        for n in range(1, max_nodes + 1):
+            for shape in enum.shapes(n):
+                assert canonical_simplify(shape) == shape, serialize(shape)
+                if not slot_count(shape):
+                    assert assign_slots(shape, ()) == shape, serialize(shape)
+                    slot_free += 1
+        assert slot_free
+
     def test_bound_counts_sub_lhs_slots(self):
         # a bare slot on sub's left may keep 0, which costs 1 point, and
         # anywhere else at least 1, which costs 3 or is priced as pow2(y)
@@ -733,6 +751,75 @@ class TestShapeFacts:
             shape = by_key[key]
             assert symbolic._shape_lower_bound(enum._facts_of(shape), 3) == bound
             assert _walked_lower_bound(shape) == bound
+
+
+def _walked_fit(fitter, shape, n, fit):
+    """A fit's ``(expr, residual, key)`` by the walks over the fitted
+    expression: the oracle for ``symbolic._fitted``, which takes a slot-free
+    shape as its own fitted expression without them."""
+    consts, sse, _ = fit
+    consts, sse = fitter.snap(shape, consts, sse)
+    expr = canonical_simplify(assign_slots(shape, consts))
+    if node_count(expr) < n:
+        return None
+    residual = fitter.residual_of(expr)
+    if not np.isfinite(residual):
+        return None
+    return expr, residual, serialize(expr)
+
+
+class TestFittedExpression:
+    """A fit's expression, residual and dedupe key, as the search reads
+    them."""
+
+    def test_slot_free_fits_equal_the_walked_path(self):
+        t, y = _ripple1d()
+        fitter = symbolic._ShapeFitter({"t": t}, y, strict=True)
+        enum = ShapeEnumerator(Grammar(), ("t",))
+        checked = 0
+        for n in range(1, 7):
+            for shape in enum.shapes(n):
+                if slot_count(shape):
+                    continue
+                fit = fitter.fit(shape)
+                if fit is None:
+                    continue
+                assert fit[2] is not None  # a slot-free fit carries max_abs
+                fast = symbolic._fitted(fitter, enum, shape, n, fit)
+                walked = _walked_fit(fitter, shape, n, fit)
+                assert fast is not None and walked is not None, serialize(shape)
+                assert fast[0] == walked[0] and fast[2] == walked[2], serialize(shape)
+                assert repr(fast[1]) == repr(walked[1]), serialize(shape)
+                checked += 1
+        assert checked > 1000, checked
+
+    @pytest.mark.parametrize("case", ["cone1d", "noisy1"])
+    def test_keys_are_serializations(self, monkeypatch, case):
+        x = np.arange(-20.0, 21.0)
+        if case == "cone1d":
+            data, budget = Dataset(x[:, None], np.sqrt(x * x + 1.0)), None
+        else:
+            noise = 0.01 * np.random.default_rng(1).standard_normal(x.size)
+            data = Dataset(x[:, None], np.sqrt(x * x + 1.0) + noise, noise_sigma=0.01)
+            budget = 5000
+        returned = []
+        qualifying_fits = symbolic._qualifying_fits
+
+        def recorded(*args):
+            fits = qualifying_fits(*args)
+            returned.extend(fits)
+            return fits
+
+        monkeypatch.setattr(symbolic, "_qualifying_fits", recorded)
+        assert search_hyperpolation(data, budget=budget)
+        assert returned
+        for expr, _, key in returned:
+            assert key == serialize(expr)
+        # the noisy search keeps fits of both paths: of slot-free shapes and
+        # of shapes with constants; cone1d's one fit has a constant
+        with_consts = sum(bool(expressions._split_constants(e)[1]) for e, _, _ in returned)
+        assert with_consts > 0
+        assert (with_consts < len(returned)) == (case == "noisy1"), (with_consts, len(returned))
 
 
 class TestNanSkip:
