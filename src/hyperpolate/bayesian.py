@@ -4,6 +4,11 @@ All three polation kinds reduce to the same procedure: weight hypotheses a
 priori by simplicity (2^-score), update on the samples (exact-fit indicator
 in strict mode, Gaussian likelihood under noise), and read predictions off
 the resulting mixture at any query point.
+
+``update``, ``predict`` and ``Posterior.to_records`` evaluate a family's
+hypotheses together, as one ``_FamilyProgram``: their shared nodes are
+computed once per point, in a few vectorised operations, with the values of
+``Hypothesis.__call__`` bit for bit.
 """
 
 import math
@@ -13,9 +18,9 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InvalidInputError, NoPredictionError
-from .expressions import compile_expr, complexity, serialize
+from .expressions import _OPS, compile_expr, complexity, serialize
 from .geometry import _as_points
-from .symbolic import STRICT_TOL, CandidateLifting, _candidate_env
+from .symbolic import STRICT_TOL, CandidateLifting, _candidate_env, _frame_env
 
 __all__ = [
     "Hypothesis",
@@ -33,6 +38,9 @@ NORMALIZATION_TOL = 1e-12
 # merge into one predictive atom
 MERGE_TOL = 1e-12
 _AXES = ("x", "y", "z")
+# points per run of a family program: its buffer holds at most this many
+# columns, one row per register
+_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -67,14 +75,156 @@ class Hypothesis:
         a constant; runs under the caller's numpy error state."""
         if self.candidate is not None:
             return self.compiled(_candidate_env(self.candidate, pts))
-        env = {name: pts[:, i] for i, name in enumerate(_AXES[: pts.shape[1]])}
         try:
-            return self.compiled(env)
+            return self.compiled(_axes_env(pts))
         except KeyError as exc:
             raise InvalidInputError(
                 f"hypothesis {self.label} uses variable {exc.args[0]!r}, "
                 f"but the points have {pts.shape[1]} coordinate(s)"
             ) from None
+
+
+def _axes_env(pts):
+    """Variable arrays of a hypothesis without a candidate: the coordinates
+    of the rows of a 2-D float array, named x, y and z."""
+    return {name: pts[:, i] for i, name in enumerate(_AXES[: pts.shape[1]])}
+
+
+def _source_env(frame, pts):
+    """``_frame_env`` of a candidate's frame, or the axes' variables (and
+    no offset variable) for ``frame`` None."""
+    return (_axes_env(pts), None) if frame is None else _frame_env(frame, pts)
+
+
+class _FamilyProgram:
+    """The hypotheses of a family compiled once into one vectorised program.
+
+    Every node of every hypothesis is hash-consed into a register, one row
+    of an (R, n) buffer.  An operator node is keyed by its operator and its
+    children's registers, a constant by its bits (``0.0 == -0.0``, and the
+    two divide to infinities of opposite sign), and a variable by the frame
+    that supplies it; only the offset variable of a new-dimension candidate
+    (see ``symbolic._frame_env``) is keyed by the candidate's y0 as well.
+    Variable-free subtrees are folded here with ``_OPS``, as ``_walk``
+    folds them, so folded values equal ``compile_expr``'s.  Operator
+    registers are grouped by (height, operator): a run fills the leaves in a
+    few assignments, then computes each group with one gather, operation
+    and scatter.  The values equal ``Hypothesis.__call__``'s bit for bit.
+    """
+
+    def __init__(self, hypotheses):
+        self._hypotheses = tuple(hypotheses)
+        self._dims = set()
+        self._nodes = None
+
+    def values(self, pts):
+        """(hypotheses, n) values at the rows of a 2-D float array, computed
+        ``_BLOCK`` points at a time under the caller's numpy error state.
+
+        The first time the points have a new dimension, each hypothesis is
+        evaluated at none of them, in order, so that the first that cannot
+        read such points raises its own error.
+        """
+        if pts.shape[1] not in self._dims:
+            for h in self._hypotheses:
+                h._values(pts[:0])
+            self._dims.add(pts.shape[1])
+            if self._nodes is None:
+                self._build(pts[:0])
+        if len(pts) <= _BLOCK:
+            return self._run(pts)
+        out = np.empty((len(self._hypotheses), len(pts)))
+        for start in range(0, len(pts), _BLOCK):
+            out[:, start : start + _BLOCK] = self._run(pts[start : start + _BLOCK])
+        return out
+
+    def _build(self, no_pts):
+        """Hash-cons the hypotheses; ``no_pts`` is a (0, dim) array of a
+        dimension that every hypothesis reads."""
+        self._keys = {}
+        self._nodes = []  # per register: (height, op, children or leaf data)
+        frames, sources = [], {}  # id(frame) -> (index, offset variable)
+        roots = []
+        with np.errstate(all="ignore"):
+            for h in self._hypotheses:
+                frame = h.candidate.frame if h.candidate is not None else None
+                if id(frame) not in sources:
+                    sources[id(frame)] = (len(frames), _source_env(frame, no_pts)[1])
+                    frames.append(frame)
+                # the expression that ``h.compiled`` compiles
+                expr = h.expr if h.candidate is None else h.candidate.expr
+                late, root = self._node(expr, sources[id(frame)], h.candidate)
+                roots.append(root if late else self._const(root))
+        self._roots = np.array(roots, dtype=np.intp)
+        consts, leaves = [], [([], []) for _ in frames]  # per frame: plain, offset
+        for reg, (height, op, data) in enumerate(self._nodes):
+            if op == "const":
+                consts.append((reg, data))
+            elif not height:
+                leaves[data[0]][op == "offset"].append((reg, data[1]))
+        self._const_regs, self._const_values = _columns(consts)
+        self._fills = [
+            (frame, plain, *_columns(offsets)) for frame, (plain, offsets) in zip(frames, leaves)
+        ]
+        groups = {}
+        for reg, (height, op, kids) in enumerate(self._nodes):
+            if height:
+                groups.setdefault((height, op), []).append((reg, kids))
+        self._groups = [
+            (np.array([reg for reg, _ in members], dtype=np.intp), _OPS[op],
+             [np.array(regs, dtype=np.intp) for regs in zip(*(kids for _, kids in members))])
+            for (_, op), members in sorted(groups.items())
+        ]
+
+    def _register(self, key, node):
+        reg = self._keys.get(key)
+        if reg is None:
+            reg = self._keys[key] = len(self._nodes)
+            self._nodes.append(node)
+        return reg
+
+    def _const(self, value):
+        return self._register(("const", np.float64(value).tobytes()), (0, "const", value))
+
+    def _node(self, node, source, candidate):
+        """(False, value) for a variable-free node, else (True, register)."""
+        op = node[0]
+        if op == "var":
+            src, offset_var = source
+            if node[1] != offset_var:
+                return True, self._register(("var", src, node[1]), (0, "var", (src, node[1])))
+            y0 = candidate.y0
+            return True, self._register(
+                ("offset", src, np.float64(y0).tobytes()), (0, "offset", (src, y0))
+            )
+        if op == "const":
+            return False, node[1]
+        kids = [self._node(kid, source, candidate) for kid in node[1:]]
+        if not any(late for late, _ in kids):
+            return False, _OPS[op](*(value for _, value in kids))
+        regs = tuple(reg if late else self._const(reg) for late, reg in kids)
+        height = 1 + max(self._nodes[reg][0] for reg in regs)
+        return True, self._register((op, *regs), (height, op, regs))
+
+    def _run(self, pts):
+        buf = np.empty((len(self._nodes), len(pts)))
+        buf[self._const_regs] = self._const_values
+        for frame, plain, offsets, y0s in self._fills:
+            env, offset_var = _source_env(frame, pts)
+            for reg, name in plain:
+                buf[reg] = env[name]
+            if len(offsets):
+                buf[offsets] = y0s + env[offset_var]
+        for out, fn, kids in self._groups:
+            buf[out] = fn(*[buf[regs] for regs in kids])
+        return buf[self._roots]
+
+
+def _columns(pairs):
+    """A list of (register, value) pairs as a register array and a column
+    of float values."""
+    regs = np.array([reg for reg, _ in pairs], dtype=np.intp)
+    return regs, np.array([value for _, value in pairs], dtype=float).reshape(-1, 1)
 
 
 def _normalized(log_weights):
@@ -96,6 +246,10 @@ class HypothesisFamily:
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=float)
+        if w.shape != (len(self.hypotheses),) or not np.all(np.isfinite(w) & (w >= 0.0)):
+            raise InvalidInputError(
+                "prior weights must be one finite, nonnegative number per hypothesis"
+            )
         if abs(w.sum() - 1.0) > NORMALIZATION_TOL:
             raise InvalidInputError("prior weights must sum to 1")
         w = w.copy()
@@ -104,6 +258,10 @@ class HypothesisFamily:
 
     def __len__(self):
         return len(self.hypotheses)
+
+    @cached_property
+    def _program(self):
+        return _FamilyProgram(self.hypotheses)
 
 
 @dataclass(frozen=True)
@@ -133,13 +291,18 @@ class Posterior:
         The residual is the max-abs mismatch on the samples of ``data``, or
         None when a domain error makes it non-finite.
         """
+        with np.errstate(all="ignore"):
+            vals = self._program.values(_as_points(data.locations)[0])
+        residuals = np.max(np.abs(vals - data.values), axis=1).tolist()
         out = []
-        for h, w in zip(self.hypotheses, self.weights):
-            vals = h(data.locations)
-            residual = float(np.max(np.abs(vals - data.values)))
+        for h, w, residual in zip(self.hypotheses, self.weights, residuals):
             residual = residual if math.isfinite(residual) else None
             out.append({"expr": h.label, "weight": float(w), "residual": residual})
         return out
+
+    @cached_property
+    def _program(self):
+        return _FamilyProgram(self.hypotheses)
 
 
 @dataclass(frozen=True)
@@ -189,22 +352,27 @@ def update(prior, data):
     Strict mode (sigma = 0) keeps exactly the hypotheses whose max-abs
     residual is within tolerance; flexible mode multiplies by the Gaussian
     likelihood at sigma.  A hypothesis that hits an evaluation domain error
-    at any sample gets zero weight.  When nothing survives, the result is an
-    explicit empty posterior, not an exception.
+    at any sample gets zero weight, as does one with zero prior weight.
+    When nothing survives, the result is an explicit empty posterior, not an
+    exception.  The hypotheses are evaluated together, by the prior's
+    ``_FamilyProgram``.
     """
     sigma = data.noise_sigma
-    log_w = np.log(prior.weights)
-    for i, h in enumerate(prior.hypotheses):
-        vals = h(data.locations)
-        if not np.all(np.isfinite(vals)):
-            log_w[i] = -np.inf
-            continue
-        resid = vals - data.values
-        if sigma == 0.0:
-            if np.max(np.abs(resid)) > STRICT_TOL:
-                log_w[i] = -np.inf
-        else:
-            log_w[i] -= float(resid @ resid) / (2.0 * sigma * sigma)
+    with np.errstate(divide="ignore"):
+        log_w = np.log(prior.weights)
+    with np.errstate(all="ignore"):
+        vals = prior._program.values(_as_points(data.locations)[0])
+    ok = np.all(np.isfinite(vals), axis=1)
+    resid = vals[ok] - data.values
+    if sigma == 0.0:
+        ok[ok] = np.max(np.abs(resid), axis=1) <= STRICT_TOL
+    else:
+        # each row's dot product, by the vector path of ``resid @ resid``
+        sq = (resid[:, None, :] @ resid[:, :, None])[:, 0, 0]
+        # Python float division: a 2 sigma^2 that underflows to zero raises
+        # ZeroDivisionError, where numpy would make a perfect fit's 0/0 nan
+        log_w[ok] -= [d / (2.0 * sigma * sigma) for d in sq.tolist()]
+    log_w[~ok] = -np.inf
     weights = _normalized(log_w)
     if weights is None:
         return Posterior(hypotheses=(), weights=np.array([]), noise_sigma=sigma)
@@ -219,15 +387,16 @@ def predict(post, p):
     Hypothesis values closer than ``MERGE_TOL`` collapse into one atom, so a
     mirror-symmetric pair queried on its symmetry axis yields a point mass.
     Hypotheses that hit a domain error at a query are left out of its
-    distribution.
+    distribution.  The hypotheses are evaluated together, by the
+    posterior's ``_FamilyProgram``, so a call costs a few vectorised
+    operations per distinct node height and operator, not one compiled call
+    per hypothesis.
     """
     if post.is_empty:
         raise NoPredictionError("cannot predict from an empty posterior")
     pts, single = _as_points(p)
-    values = np.empty((len(post), pts.shape[0]))
     with np.errstate(all="ignore"):
-        for i, h in enumerate(post.hypotheses):
-            values[i] = h._values(pts)
+        values = post._program.values(pts)
     # one contiguous row per point, so that its weighted sum is the
     # per-point one bit for bit
     dists = [_distribution(row, post.weights) for row in values.T.copy()]

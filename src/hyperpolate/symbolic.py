@@ -1182,13 +1182,23 @@ def predict_candidate(candidate, points):
 def _candidate_env(candidate, pts):
     """Variable arrays of ``candidate.expr`` at the rows of a 2-D float array
     (see ``predict_candidate``)."""
-    frame = candidate.frame
+    env, offset_var = _frame_env(candidate.frame, pts)
+    if offset_var is not None:
+        env[offset_var] = candidate.y0 + env[offset_var]
+    return env
+
+
+def _frame_env(frame, pts):
+    """``(env, offset_var)``: the variable arrays of any candidate of
+    ``frame`` at the rows of a 2-D float array, and the variable (or None)
+    whose array holds an offset from the slice, which each candidate reads
+    as its own y0 plus that offset.  The one variable rule of candidates."""
     if frame.mode == "new_dim" and pts.shape[1] <= 2:
         x = pts[:, 0]
         offset = pts[:, 1] if pts.shape[1] > 1 else np.zeros_like(x)
-        return {"x": x, "y": candidate.y0 + offset}
+        return {"x": x, "y": offset}, "y"
     if frame.mode != "new_dim" and pts.shape[1] == 2:
-        return {"x": pts[:, 0], "y": pts[:, 1]}
+        return {"x": pts[:, 0], "y": pts[:, 1]}, None
     expected = "1 or 2" if frame.mode == "new_dim" else "2"
     raise DimensionMismatchError(
         f"points have dimension {pts.shape[1]}, expected {expected} for this candidate"

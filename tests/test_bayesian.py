@@ -9,8 +9,10 @@ from hyperpolate import (
     DimensionMismatchError,
     Grammar,
     Hypothesis,
+    HypothesisFamily,
     InvalidInputError,
     NoPredictionError,
+    Posterior,
     build_prior,
     family_from_candidates,
     parse,
@@ -19,6 +21,7 @@ from hyperpolate import (
     top_tie_set,
     update,
 )
+from hyperpolate.bayesian import _FamilyProgram
 
 
 class TestBuildPrior:
@@ -39,6 +42,20 @@ class TestBuildPrior:
     def test_normalization(self):
         family = build_prior([parse("x"), parse("pow2(x)"), parse("abs(x)")])
         assert abs(family.weights.sum() - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "weights",
+        [[1.0], [1.0, 0.0, 0.0], [1.5, -0.5], [np.nan, 1.0], [[0.5, 0.5]]],
+        ids=["too_few", "too_many", "negative", "nan", "not_flat"],
+    )
+    def test_one_finite_nonnegative_weight_per_hypothesis(self, weights):
+        hyps = (Hypothesis(parse("x"), 1.0), Hypothesis(parse("pow2(x)"), 2.0))
+        with pytest.raises(InvalidInputError, match="one finite, nonnegative number"):
+            HypothesisFamily(hyps, weights)
+
+    def test_valid_weights_accepted(self):
+        hyps = (Hypothesis(parse("x"), 1.0), Hypothesis(parse("pow2(x)"), 2.0))
+        assert HypothesisFamily(hyps, [1.0, 0.0]).weights.tolist() == [1.0, 0.0]
 
     def test_candidates_prior_equals_expression_prior(self, cone_search):
         candidates, _ = cone_search
@@ -85,6 +102,14 @@ class TestUpdate:
         assert post.is_empty
         with pytest.raises(NoPredictionError):
             predict(post, np.array([1.0]))
+
+    @pytest.mark.filterwarnings("error")
+    def test_zero_prior_weight_is_dropped_without_warning(self):
+        # 2^-score underflows to a zero weight past about 1,075 points
+        family = build_prior([Hypothesis(parse("x"), 1.0), Hypothesis(parse("pow2(x)"), 1200.0)])
+        assert family.weights.tolist() == [1.0, 0.0]
+        post = update(family, Dataset([[1.0], [2.0]], [1.0, 4.0], noise_sigma=1.0))
+        assert post.weights.tolist() == [1.0, 0.0]
 
     def test_hypothesis_variable_missing_from_data(self):
         family = build_prior([parse("y")])
@@ -308,3 +333,151 @@ class TestBatchPredict:
         post = update(build_prior([parse("x")]), Dataset([[1.0]], [1.0]))
         with pytest.raises(InvalidInputError):
             predict(post, np.zeros((2, 0)))
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.uint64)
+
+
+def _assert_program_matches(hypotheses, points):
+    """The family program's values equal each hypothesis's own, bit for bit,
+    in one batch and one point at a time."""
+    program = _FamilyProgram(hypotheses)
+    points = np.asarray(points, dtype=float)
+    want = np.array([h(points) for h in hypotheses]).reshape(len(hypotheses), len(points))
+    with np.errstate(all="ignore"):
+        assert np.array_equal(_bits(program.values(points)), _bits(want))
+        for j, p in enumerate(points):
+            got = program.values(p[None, :])[:, 0]
+            assert np.array_equal(_bits(got), _bits(want[:, j])), p
+
+
+_X20 = np.arange(-20.0, 21.0)
+_LATTICE = np.array([(a, b) for a in _X20 for b in _X20])
+_SMALL = np.array([(a, b) for a in _X20[::4] for b in _X20[::4]])
+
+
+def _cone_axis():
+    return Dataset(np.column_stack([_X20, np.ones_like(_X20)]), np.sqrt(_X20 * _X20 + 1.0))
+
+
+def _diagonal():
+    return Dataset(np.column_stack([_X20, _X20]), _X20 * _X20)
+
+
+def _axis_candidates():
+    """Axis-frame candidates: the line y = 1, with values 2x."""
+    t = np.arange(-3.0, 4.0)
+    plane = Dataset(np.column_stack([t, np.ones_like(t)]), 2.0 * t)
+    return search_hyperpolation(plane, grammar=Grammar(max_nodes=3))
+
+
+def _noisy_cone(seed):
+    noise = np.random.default_rng(seed).standard_normal(_X20.size)
+    values = np.sqrt(_X20 * _X20 + 1.0) + 0.01 * noise
+    return Dataset(_X20[:, None], values, noise_sigma=0.01)
+
+
+class TestFamilyProgram:
+    def _check_family(self, candidates, points):
+        family = family_from_candidates(candidates[:64])
+        _assert_program_matches(family.hypotheses, points[::5])
+        want = np.array([h(points) for h in family.hypotheses])
+        with np.errstate(all="ignore"):
+            got = _FamilyProgram(family.hypotheses).values(points)
+        assert np.array_equal(_bits(got), _bits(want))
+
+    def test_ripple_family(self, ripple_search):
+        x40 = np.arange(-40.0, 41.0)
+        ripple = np.array([(a, b) for a in x40[::4] for b in x40])
+        self._check_family(ripple_search[0], ripple)
+
+    def test_cone_family_one_and_two_coordinates(self, cone_search):
+        self._check_family(cone_search[0], _LATTICE)
+        self._check_family(cone_search[0], _X20[:, None])
+
+    @pytest.mark.parametrize("make", [_cone_axis, _diagonal])
+    def test_two_dimensional_families(self, make):
+        self._check_family(search_hyperpolation(make()), _LATTICE)
+
+    def test_noisy_seed_1_family(self, noisy_cone_posterior):
+        post, lattice = noisy_cone_posterior
+        _assert_program_matches(post.hypotheses, _SMALL)
+        want = np.array([h(lattice) for h in post.hypotheses])
+        with np.errstate(all="ignore"):
+            got = _FamilyProgram(post.hypotheses).values(lattice)
+        assert np.array_equal(_bits(got), _bits(want))
+
+    @pytest.mark.parametrize("seed", [2, 3])
+    def test_noisy_families(self, seed):
+        self._check_family(search_hyperpolation(_noisy_cone(seed), budget=5000), _LATTICE)
+
+    def test_signed_zeros_and_unsimplified_constants(self):
+        x, one, zero, neg_zero = ("var", "x"), ("const", 1.0), ("const", 0.0), ("const", -0.0)
+        folded_neg_zero = ("mul", ("const", -1.0), zero)
+        exprs = [
+            ("div", one, ("mul", x, zero)),
+            ("div", one, ("mul", x, neg_zero)),
+            ("div", one, ("mul", x, folded_neg_zero)),
+            ("add", x, ("cos", ("const", 3.0))),
+            ("mul", ("sqrt", ("const", 2.0)), ("sin", x)),
+            ("div", ("exp", x), ("sub", ("const", 2.0), ("const", 2.0))),
+            ("cos", ("const", 3.0)),
+            neg_zero,
+            zero,
+            ("const", 3.0),
+        ]
+        hyps = [Hypothesis(e, 1.0) for e in exprs]
+        _assert_program_matches(hyps, [[2.0], [-3.0], [0.0], [0.5]])
+
+    def test_candidate_free_hypotheses_over_three_axes(self):
+        exprs = ["x", "y", "z", "add(x,y)", "mul(z,y)", "sqrt(add(pow2(x),pow2(z)))", "cos(z)"]
+        hyps = [Hypothesis(parse(e), 1.0) for e in exprs]
+        pts = np.random.default_rng(0).uniform(-3.0, 3.0, size=(40, 3))
+        _assert_program_matches(hyps, pts)
+
+    def test_mixed_family(self, cone_search):
+        cands = cone_search[0][:8]
+        axis = _axis_candidates()[:8]
+        assert cands and axis
+        hyps = [Hypothesis(parse("pow2(x)"), 1.0)] + [
+            Hypothesis(c.expr, c.score, c) for c in cands + axis
+        ]
+        _assert_program_matches(hyps, _SMALL)
+
+
+class TestErrorParity:
+    """The family program raises the error that the first hypothesis that
+    cannot read the points raises itself."""
+
+    def _raises_as_reference(self, hyps, pts, error):
+        with pytest.raises(error) as ref:
+            for h in hyps:
+                h(pts)
+        family = build_prior(list(hyps))
+        with pytest.raises(error) as got:
+            update(family, Dataset(pts, np.zeros(len(pts)), noise_sigma=1.0))
+        assert str(got.value) == str(ref.value)
+        post = Posterior(family.hypotheses, family.weights, 1.0)
+        with pytest.raises(error) as got:
+            predict(post, pts)
+        assert str(got.value) == str(ref.value)
+        return str(ref.value)
+
+    def test_new_dim_candidates_reject_three_coordinates(self, cone_search):
+        hyps = family_from_candidates(top_tie_set(cone_search[0])).hypotheses
+        self._raises_as_reference(hyps, np.ones((3, 3)), DimensionMismatchError)
+
+    def test_plain_y_hypothesis_rejects_one_coordinate(self):
+        hyps = [Hypothesis(parse("x"), 1.0), Hypothesis(parse("add(x,y)"), 1.0)]
+        message = self._raises_as_reference(hyps, np.ones((3, 1)), InvalidInputError)
+        assert "'y'" in message
+
+    @pytest.mark.parametrize("candidate_first", [True, False])
+    def test_first_hypothesis_in_order_raises(self, candidate_first):
+        axis = _axis_candidates()[0]
+        hyps = [Hypothesis(axis.expr, axis.score, axis), Hypothesis(parse("z"), 1.0)]
+        if not candidate_first:
+            hyps.reverse()
+        error = DimensionMismatchError if candidate_first else InvalidInputError
+        self._raises_as_reference(hyps, np.ones((2, 1)), error)
