@@ -18,7 +18,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InvalidInputError, NoPredictionError
-from .expressions import _OPS, compile_expr, complexity, serialize
+from .expressions import _OPS, _grouped, _run_groups, compile_expr, complexity, serialize
 from .geometry import _as_points
 from .symbolic import STRICT_TOL, CandidateLifting, _candidate_env, _frame_env
 
@@ -109,7 +109,9 @@ class _FamilyProgram:
     folds them, so folded values equal ``compile_expr``'s.  Operator
     registers are grouped by (height, operator): a run fills the leaves in a
     few assignments, then computes each group with one gather, operation
-    and scatter.  The values equal ``Hypothesis.__call__``'s bit for bit.
+    and scatter, by the executor that the search's ``_ShapeValues`` shares
+    (``expressions._run_groups``) over the one buffer.  The values equal
+    ``Hypothesis.__call__``'s bit for bit.
     """
 
     def __init__(self, hypotheses):
@@ -166,15 +168,11 @@ class _FamilyProgram:
         self._fills = [
             (frame, plain, *_columns(offsets)) for frame, (plain, offsets) in zip(frames, leaves)
         ]
-        groups = {}
+        nodes = {}
         for reg, (height, op, kids) in enumerate(self._nodes):
             if height:
-                groups.setdefault((height, op), []).append((reg, kids))
-        self._groups = [
-            (np.array([reg for reg, _ in members], dtype=np.intp), _OPS[op],
-             [np.array(regs, dtype=np.intp) for regs in zip(*(kids for _, kids in members))])
-            for (_, op), members in sorted(groups.items())
-        ]
+                nodes.setdefault((height, op, (0,) * len(kids)), []).append((reg, *kids))
+        self._groups = _grouped(nodes)
 
     def _register(self, key, node):
         reg = self._keys.get(key)
@@ -215,8 +213,7 @@ class _FamilyProgram:
                 buf[reg] = env[name]
             if len(offsets):
                 buf[offsets] = y0s + env[offset_var]
-        for out, fn, kids in self._groups:
-            buf[out] = fn(*[buf[regs] for regs in kids])
+        _run_groups(self._groups, (buf,), buf)
         return buf[self._roots]
 
 
@@ -225,6 +222,23 @@ def _columns(pairs):
     of float values."""
     regs = np.array([reg for reg, _ in pairs], dtype=np.intp)
     return regs, np.array([value for _, value in pairs], dtype=float).reshape(-1, 1)
+
+
+def _checked_weights(owner, what):
+    """``owner.weights`` as a read-only float array: one finite,
+    non-negative number per hypothesis of ``owner``, summing to 1 unless
+    there are none; else ``InvalidInputError``, naming the ``what``
+    weights."""
+    w = np.asarray(owner.weights, dtype=float)
+    if w.shape != (len(owner.hypotheses),) or not np.all(np.isfinite(w) & (w >= 0.0)):
+        raise InvalidInputError(
+            f"{what} weights must be one finite, nonnegative number per hypothesis"
+        )
+    if w.size and abs(w.sum() - 1.0) > NORMALIZATION_TOL:
+        raise InvalidInputError(f"{what} weights must sum to 1")
+    w = w.copy()
+    w.setflags(write=False)
+    return w
 
 
 def _normalized(log_weights):
@@ -245,16 +259,9 @@ class HypothesisFamily:
     weights: np.ndarray
 
     def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float)
-        if w.shape != (len(self.hypotheses),) or not np.all(np.isfinite(w) & (w >= 0.0)):
-            raise InvalidInputError(
-                "prior weights must be one finite, nonnegative number per hypothesis"
-            )
-        if abs(w.sum() - 1.0) > NORMALIZATION_TOL:
-            raise InvalidInputError("prior weights must sum to 1")
-        w = w.copy()
-        w.setflags(write=False)
-        object.__setattr__(self, "weights", w)
+        if not self.hypotheses:
+            raise InvalidInputError("hypothesis family must be nonempty")
+        object.__setattr__(self, "weights", _checked_weights(self, "prior"))
 
     def __len__(self):
         return len(self.hypotheses)
@@ -266,11 +273,17 @@ class HypothesisFamily:
 
 @dataclass(frozen=True)
 class Posterior:
-    """Updated weights; empty when no hypothesis survives the evidence."""
+    """Updated weights; empty when no hypothesis survives the evidence.
+
+    The weights are checked as a prior's are (``HypothesisFamily``), except
+    that an empty posterior has none."""
 
     hypotheses: tuple
     weights: np.ndarray
     noise_sigma: float
+
+    def __post_init__(self):
+        object.__setattr__(self, "weights", _checked_weights(self, "posterior"))
 
     @property
     def is_empty(self):
@@ -369,8 +382,10 @@ def update(prior, data):
     else:
         # each row's dot product, by the vector path of ``resid @ resid``
         sq = (resid[:, None, :] @ resid[:, :, None])[:, 0, 0]
-        # Python float division: a 2 sigma^2 that underflows to zero raises
-        # ZeroDivisionError, where numpy would make a perfect fit's 0/0 nan
+        # Python float division, which raises ZeroDivisionError where numpy
+        # would make a perfect fit's 0/0 nan; Dataset rejects a positive
+        # sigma whose 2 sigma^2 underflows to zero, so it divides by a
+        # positive number
         log_w[ok] -= [d / (2.0 * sigma * sigma) for d in sq.tolist()]
     log_w[~ok] = -np.inf
     weights = _normalized(log_w)

@@ -344,6 +344,119 @@ def _enclose_chain(node, env, values, counter):
     return True, lambda x: fn(*fixed, *(at(x) for at in moving))
 
 
+def _grouped(nodes):
+    """Executor groups (see ``_run_groups``) of operator nodes.
+
+    ``nodes`` maps ``(rank, op, tables)`` to a list of ``(row, *operand
+    rows)``: the nodes that apply ``op`` to operands in ``tables[i]`` (one
+    table index per operand), each with the output row it fills.  Groups run
+    in key order, so a rank that orders them (a node's height) lets a group
+    read rows that earlier groups wrote.
+    """
+    groups = []
+    for (_, op, tables), members in sorted(nodes.items()):
+        rows = [np.array(col, dtype=np.intp) for col in zip(*members)]
+        groups.append((rows[0], _OPS[op], list(zip(tables, rows[1:]))))
+    return groups
+
+
+def _run_groups(groups, tables, out):
+    """The one grouped executor, of ``_FamilyProgram`` and ``_ShapeValues``:
+    for each group, gather each operand's rows from its table, apply the
+    ``_OPS`` entry once to the stacked rows, and scatter the results into
+    ``out``.  An element-wise operation on stacked rows gives each row's
+    values bit for bit, so a node's values equal ``_walk``'s.  Runs under the
+    caller's numpy error state."""
+    for rows, fn, operands in groups:
+        out[rows] = fn(*[tables[t][kids] for t, kids in operands])
+
+
+# Cells (samples x rows) that a _ShapeValues table holds at most: 8 MiB of
+# float64, where ripple1d's operand levels take about 3.3 MiB.
+_TABLE_CELLS = 1 << 20
+
+
+class _ShapeValues:
+    """Value rows of the slot-free shapes of a ``ShapeEnumerator``'s operand
+    levels over fixed variable arrays, from which the shapes of a newer level
+    are valued a block at a time.
+
+    Every shape is an operator applied to shapes of lower levels (a chain's
+    right-nested tail is one), so a shape whose operands have rows here is
+    slot-free, and its values are its operator applied once to their rows,
+    as ``_walk`` applies it, left child first.  The variables' rows are the
+    first table; ``add_level`` stores one preallocated (rows, samples) array
+    per level, with the shape-to-row index ``_where`` beside them.  A shape
+    without rows for its operands (it has a slot, or an operand was not
+    stored) is left to the caller.  The tables hold at most ``_TABLE_CELLS``
+    cells: the first level that would go above it is not stored, nor any
+    later one.
+    """
+
+    def __init__(self, env):
+        names = list(env)
+        rows = np.array([env[name] for name in names], dtype=float)
+        self._samples = rows.shape[1]
+        self._tables, self._where, self._cells, self._open = [], {}, 0, True
+        if self._room(len(names)):
+            self._store([var(name) for name in names], rows)
+
+    def add_level(self, shapes, skip=()):
+        """Store the rows of the ``shapes`` (a level, once it is an operand
+        level) whose operands have rows here, except those in ``skip``.  The
+        search skips its shapes known to be nan at some sample: every shape
+        built on one is nan there too, and is not fitted."""
+        if self._open:
+            pos, groups = self._plan(shapes, skip)
+            if self._room(len(pos)):
+                self._store([shapes[i] for i in pos.tolist()], self._run(pos, groups))
+
+    def values(self, shapes):
+        """``(pos, vals)``: the positions in ``shapes`` of those whose
+        operands have rows here, and their values, one row each."""
+        pos, groups = self._plan(shapes)
+        return pos, self._run(pos, groups)
+
+    def _room(self, rows):
+        """Whether ``rows`` more rows fit in ``_TABLE_CELLS``; once they do
+        not, no level is stored."""
+        self._open = self._cells + rows * self._samples <= _TABLE_CELLS
+        return self._open
+
+    def _store(self, shapes, rows):
+        table = len(self._tables)
+        self._tables.append(rows)
+        self._cells += rows.size
+        for row, shape in enumerate(shapes):
+            self._where[shape] = (table, row)
+
+    def _plan(self, shapes, skip=()):
+        """The positions of the shapes to value and their executor groups,
+        one per operator and operand tables."""
+        where = self._where
+        pos, nodes = [], {}
+        for i, shape in enumerate(shapes):
+            # a variable's name is no operand: str keys are never in where
+            a = where.get(shape[1]) if len(shape) > 1 else None
+            if a is None or shape in skip:
+                continue
+            if len(shape) == 2:
+                nodes.setdefault((0, shape[0], a[:1]), []).append((len(pos), a[1]))
+            else:
+                b = where.get(shape[2])
+                if b is None:
+                    continue
+                nodes.setdefault((0, shape[0], (a[0], b[0])), []).append((len(pos), a[1], b[1]))
+            pos.append(i)
+        return np.array(pos, dtype=np.intp), _grouped(nodes)
+
+    def _run(self, pos, groups):
+        out = np.empty((len(pos), self._samples))
+        with np.errstate(all="ignore"):
+            _run_groups(groups, self._tables, out)
+        return out
+
+
 # Interval counterparts of _OPS, for compile_interval.  An interval is a pair
 # (lo, hi) of broadcastable float arrays over the extended reals; nan in an
 # endpoint marks an empty interval: every value there is nan.  Each operation

@@ -153,6 +153,11 @@ class Dataset:
         noise_sigma = float(noise_sigma)
         if not (np.isfinite(noise_sigma) and noise_sigma >= 0):
             raise InvalidInputError("noise_sigma must be finite and nonnegative")
+        if noise_sigma > 0.0 and 2.0 * noise_sigma * noise_sigma == 0.0:
+            # the Gaussian likelihood divides by 2 sigma^2
+            raise InvalidInputError(
+                f"noise_sigma {noise_sigma!r} is too small: 2 sigma^2 underflows to 0"
+            )
         if noise_sigma == 0.0:
             _check_strict_duplicates(locations, values)
         self._locations = locations.copy()

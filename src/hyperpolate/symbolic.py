@@ -53,6 +53,7 @@ from .expressions import (
     _is_count,
     _operands_of,
     _rebuild_chain,
+    _ShapeValues,
     _split_constants,
     assign_slots,
     canonical_simplify,
@@ -103,6 +104,8 @@ ENUM_FLOOR = 4
 DEFAULT_BUDGET = 200_000
 SHIFT_OFFSETS = (-2, -1, 1, 2)
 MAX_SLICE_FITS = 64
+# shapes per block of a level that _qualifying_fits values together
+_SHAPE_BLOCK = 1024
 RANK_DIGITS = 9
 
 
@@ -620,7 +623,12 @@ class _ShapeFitter:
         anyway, and None for other shapes: a fit with ``max_abs`` is of a
         slot-free shape, which the search takes as its own fitted expression
         with this residual.  After each call ``free_nan`` says whether the
-        shape is slot-free with values that are nan at some sample."""
+        shape is slot-free with values that are nan at some sample.
+
+        The search values most slot-free shapes a block at a time instead
+        (``free_residuals``); it fits a slot-free shape here only when its
+        operands have no value rows, as for a variable, and this path is
+        the reference that the block path is tested against."""
         self.free_nan = False
         with np.errstate(all="ignore"):
             return self._fit(shape)
@@ -777,6 +785,21 @@ class _ShapeFitter:
             return snapped, new_sse
         return consts, sse
 
+    def free_residuals(self, values, shapes):
+        """The max-abs residual of each of the ``shapes`` that ``values``
+        (a ``_ShapeValues``) can value, which are slot-free, as a list: nan
+        where its values are nan at some sample, inf where they are
+        otherwise not finite or the residual overflows, and -1.0 for each
+        other shape, which ``fit`` takes alone.  A finite entry is the
+        ``max_abs`` that ``fit`` gives the shape, bit for bit."""
+        out = np.full(len(shapes), -1.0)
+        pos, vals = values.values(shapes)
+        if len(pos):
+            with np.errstate(all="ignore"):
+                np.subtract(vals, self.target, out=vals)
+                out[pos] = np.max(np.abs(vals, out=vals), axis=1)
+        return out.tolist()
+
     def residual_of(self, expr):
         vals = evaluate(expr, self.envs)
         vals = _full(vals, self.target.shape)
@@ -882,13 +905,25 @@ def _qualifying_fits(fitter, grammar, budget, lift):
     (``ShapeEnumerator._facts_of``), and a shape's node count is its level.
     A shape with an operand in ``nan_shapes`` (``_nan_operand``) is charged
     to the budget like any other but not fitted, since its fit would be
-    None.  A slot-free shape joins ``nan_shapes`` when the values its own
-    fit computed are nan at some sample (``_ShapeFitter.free_nan``); any
-    shape joins it when its level becomes an operand level and one of its
-    operands is in it.
+    None.  A slot-free shape joins ``nan_shapes`` when its values are nan
+    at some sample; any shape joins it when its level becomes an operand
+    level and one of its operands is in it.
 
-    Nor does it walk the fitted expression of a slot-free shape, which is
-    the shape itself (``_fitted``); only fits of shapes with slots are
+    Nor does it compile a slot-free shape alone.  A level's shapes are taken
+    ``_SHAPE_BLOCK`` at a time, and the slot-free shapes of a block whose
+    operands have value rows (``expressions._ShapeValues``) are valued
+    together, one gather, operation and scatter per operator and operand
+    levels; ``_ShapeFitter.free_residuals`` gives each its max-abs
+    residual, or marks it nan or not finite.  The other shapes, and those
+    whose operands have no rows, are fitted one at a time
+    (``_ShapeFitter.fit``), whose ``free_nan`` says whether a slot-free
+    shape's values are nan.  A level's rows are stored when it becomes an
+    operand level, never for the level being fitted, and not for its
+    shapes in ``nan_shapes``: a shape built on one is nan too, and is not
+    fitted.  The block is then read in batch order, so ``seen``, the order
+    of the results and the budget count are those of fitting each shape
+    alone.  A slot-free shape is its own fitted expression (``_fitted``),
+    which is not walked either; only fits of shapes with slots are
     simplified, counted and serialized.  The ``seen`` dedupe and the
     caller's sort read the returned key.
 
@@ -916,6 +951,7 @@ def _qualifying_fits(fitter, grammar, budget, lift):
     results = []
     # shapes with a slot-free part that is nan at some sample
     nan_shapes = set()
+    values = _ShapeValues(fitter.envs)
 
     def process(shape, n):
         if _nan_operand(shape, nan_shapes):
@@ -937,6 +973,9 @@ def _qualifying_fits(fitter, grammar, budget, lift):
         for shape in level:
             if _nan_operand(shape, nan_shapes):
                 nan_shapes.add(shape)
+        if n > 2:
+            # the variables' rows are there from the start
+            values.add_level(level, nan_shapes)
         if n == 0:
             # level 0 holds the bare-constant shape; level n the n-node shapes
             shapes = [("slot",)]
@@ -953,19 +992,29 @@ def _qualifying_fits(fitter, grammar, budget, lift):
                 continue
             batch.append(shape)
             budget -= 1
-        for shape in batch:
-            out = process(shape, n)
-            if out is None:
-                continue
-            expr, residual, key = out
-            if key in seen:
-                continue
-            seen.add(key)
-            if strict:
-                if residual > STRICT_TOL:
+        for start in range(0, len(batch), _SHAPE_BLOCK):
+            block = batch[start : start + _SHAPE_BLOCK]
+            for shape, max_abs in zip(block, fitter.free_residuals(values, block)):
+                if max_abs < 0.0:
+                    out = process(shape, n)
+                elif max_abs < math.inf:
+                    # a slot-free shape is its own fit (see _fitted)
+                    out = shape, max_abs, enum._key_of(shape)
+                else:
+                    if max_abs != max_abs:
+                        nan_shapes.add(shape)
+                    out = None
+                if out is None:
                     continue
-                best_score = min(best_score, min(c.score for c in lift(expr)))
-            results.append(out)
+                expr, residual, key = out
+                if key in seen:
+                    continue
+                seen.add(key)
+                if strict:
+                    if residual > STRICT_TOL:
+                        continue
+                    best_score = min(best_score, min(c.score for c in lift(expr)))
+                results.append(out)
     return results
 
 

@@ -111,6 +111,15 @@ class TestUpdate:
         post = update(family, Dataset([[1.0], [2.0]], [1.0, 4.0], noise_sigma=1.0))
         assert post.weights.tolist() == [1.0, 0.0]
 
+    def test_sigma_whose_two_sigma_squared_underflows_rejected(self):
+        # the Gaussian likelihood divides by 2 sigma^2
+        family = build_prior([parse("x"), parse("pow2(x)")])
+        with pytest.raises(InvalidInputError, match="noise_sigma"):
+            update(family, Dataset([[1.0], [2.0]], [1.0, 4.0], noise_sigma=1e-170))
+        # the smallest accepted sigmas keep a positive 2 sigma^2
+        post = update(family, Dataset([[1.0], [2.0]], [1.0, 4.0], noise_sigma=1e-160))
+        assert post.weights.tolist() == [0.0, 1.0]
+
     def test_hypothesis_variable_missing_from_data(self):
         family = build_prior([parse("y")])
         data = Dataset([[1.0], [2.0]], [1.0, 2.0])
@@ -145,6 +154,36 @@ class TestUpdate:
         family = family_from_candidates(pair)
         post = update(family, ripple_1d_dataset)
         assert np.allclose(post.weights, [0.5, 0.5], atol=1e-12)
+
+
+class TestPosteriorWeights:
+    """A posterior's weights are checked as a prior's are: one finite,
+    non-negative weight per hypothesis, summing to 1, read-only."""
+
+    HYPS = (Hypothesis(parse("x"), 1.0), Hypothesis(parse("pow2(x)"), 2.0))
+
+    def test_too_few_weights_rejected(self):
+        with pytest.raises(InvalidInputError, match="one finite, nonnegative number"):
+            predict(Posterior(self.HYPS, [1.0], 0.0), [2.0])
+
+    def test_negative_weight_rejected(self):
+        with pytest.raises(InvalidInputError, match="one finite, nonnegative number"):
+            Posterior(self.HYPS, [1.5, -0.5], 0.0)
+
+    def test_weights_must_sum_to_one(self):
+        with pytest.raises(InvalidInputError, match="sum to 1"):
+            Posterior(self.HYPS, [0.5, 0.25], 0.0)
+
+    def test_list_weights_stored_read_only(self):
+        post = Posterior(self.HYPS, [0.5, 0.5], 0.0)
+        assert isinstance(post.weights, np.ndarray) and not post.weights.flags.writeable
+        dist = predict(post, [2.0])
+        assert dist.values.tolist() == [2.0, 4.0] and dist.weights.tolist() == [0.5, 0.5]
+
+    def test_empty_posterior_allowed(self):
+        for weights in ([], np.array([])):
+            post = Posterior((), weights, 0.0)
+            assert post.is_empty and post.weights.shape == (0,)
 
 
 def _index(post, key):

@@ -127,6 +127,16 @@ class TestSearch:
         assert out == ""
         assert "noise_sigma" in err
 
+    def test_underflowing_sigma_exits_2(self, capsys, tmp_path):
+        # 2 sigma^2 underflows to 0 below about 1.5e-162
+        data = tmp_path / "lin.csv"
+        rows = "\n".join(f"{x},{2*x}" for x in range(-4, 5))
+        data.write_text("x1,f\n" + rows + "\n", encoding="utf-8")
+        code, out, err = run(capsys, "search", "--data", str(data), "--sigma", "1e-170")
+        assert code == 2
+        assert out == ""
+        assert "noise_sigma" in err
+
     def test_non_1d_hull_exits_3(self, capsys, tmp_path):
         data = tmp_path / "plane.csv"
         rng = np.random.default_rng(0)

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 
@@ -822,32 +823,42 @@ class TestFittedExpression:
         assert (with_consts < len(returned)) == (case == "noisy1"), (with_consts, len(returned))
 
 
+@functools.lru_cache(maxsize=None)
+def _nan_walk():
+    """The search's nan record on ripple1d up to 6 nodes, walked one shape
+    at a time with ``fit``, level by level: a level's shapes become operands
+    once it is fitted.  Returns the record, the flagged shapes that got a
+    fit (there should be none), and the counts of flagged and all shapes."""
+    t, y = _ripple1d()
+    fitter = symbolic._ShapeFitter({"t": t}, y)
+    enum = ShapeEnumerator(Grammar(), ("t",))
+    nan_shapes, level, fitted = set(), [], []
+    flagged = total = 0
+    for n in range(1, 7):
+        for shape in level:
+            if symbolic._nan_operand(shape, nan_shapes):
+                nan_shapes.add(shape)
+        level = enum.shapes(n)
+        for shape in level:
+            total += 1
+            skip = symbolic._nan_operand(shape, nan_shapes)
+            fit = fitter.fit(shape)
+            if skip:
+                flagged += 1
+                if fit is not None:
+                    fitted.append(serialize(shape))
+            elif fit is None and fitter.free_nan:
+                nan_shapes.add(shape)
+    return frozenset(nan_shapes), fitted, flagged, total
+
+
 class TestNanSkip:
     """A shape with an operand known to be nan at some sample is not fitted:
     its fit would be None."""
 
     def test_flagged_shapes_have_no_fit(self):
-        # the search's record, level by level: a level's shapes become
-        # operands once it is fitted
-        t, y = _ripple1d()
-        fitter = symbolic._ShapeFitter({"t": t}, y)
-        enum = ShapeEnumerator(Grammar(), ("t",))
-        nan_shapes, level = set(), []
-        flagged = total = 0
-        for n in range(1, 7):
-            for shape in level:
-                if symbolic._nan_operand(shape, nan_shapes):
-                    nan_shapes.add(shape)
-            level = enum.shapes(n)
-            for shape in level:
-                total += 1
-                skip = symbolic._nan_operand(shape, nan_shapes)
-                fit = fitter.fit(shape)
-                if skip:
-                    flagged += 1
-                    assert fit is None, serialize(shape)
-                elif fit is None and fitter.free_nan:
-                    nan_shapes.add(shape)
+        _, fitted, flagged, total = _nan_walk()
+        assert fitted == []
         assert 4 * flagged > total, (flagged, total)
 
     def test_free_nan_marks_nan_not_inf(self):
@@ -861,3 +872,108 @@ class TestNanSkip:
         assert not fitter.free_nan
         assert fitter.fit(("var", "t")) is not None
         assert not fitter.free_nan
+
+
+def _value_env(samples, variables):
+    """Variable arrays over ripple1d's samples, or over samples where sqrt,
+    div and exp give nan and inf (negative, signed zero, subnormal and
+    large arguments); a second variable runs over other values."""
+    if samples == "ripple1d":
+        t, y = _ripple1d()
+    else:
+        t = np.array([-750.0, -2.5, -1.0, -0.0, 0.0, 1e-310, 0.5, 3.0, 750.0])
+        y = t[::-1].copy()
+    return {"t": t} if variables == ("t",) else {"x": t, "y": y}
+
+
+def _fallback_case(case):
+    """(data, budget): ripple1d cut inside level 7, or noisy seed 1."""
+    if case == "ripple1d":
+        t, y = _ripple1d()
+        return Dataset(t[:, None], y), 20000
+    t, y = _noisy_cone1()
+    return Dataset(t[:, None], y, noise_sigma=0.01), 5000
+
+
+@functools.lru_cache(maxsize=None)
+def _tabled_candidates(case):
+    data, budget = _fallback_case(case)
+    return _candidate_bits(search_hyperpolation(data, budget=budget))
+
+
+def _candidate_bits(candidates):
+    return [
+        (serialize(c.expr), repr(c.y0), repr(c.score), float(c.residual).hex(), c.kind)
+        for c in candidates
+    ]
+
+
+class TestShapeValues:
+    """The search values slot-free shapes from their operands' value rows
+    (``expressions._ShapeValues``), with the values, nan record and
+    candidates of fitting each shape alone."""
+
+    @pytest.mark.parametrize("samples", ["ripple1d", "nan_inf"])
+    @pytest.mark.parametrize("variables, max_nodes", [(("t",), 7), (("x", "y"), 6)])
+    def test_rows_equal_compile_shape(self, samples, variables, max_nodes):
+        env = _value_env(samples, variables)
+        m = len(env[variables[0]])
+        enum = ShapeEnumerator(Grammar(), variables)
+        values = expressions._ShapeValues(env)
+        nan = inf = 0
+        for n in range(1, max_nodes + 1):
+            if n > 2:
+                values.add_level(enum.shapes(n - 1))
+            level = enum.shapes(n)
+            pos, vals = values.values(level)
+            # every slot-free operator shape has rows for its operands
+            want = [i for i, s in enumerate(level) if n > 1 and not slot_count(s)]
+            assert pos.tolist() == want
+            ref = np.empty((len(want), m))
+            for row, i in enumerate(want):
+                ref[row] = compile_shape(level[i], env)[1](())
+            same = (vals.view(np.int64) == ref.view(np.int64)).all(axis=1)
+            bad = [serialize(level[i]) for i in pos[~same][:5]]
+            assert same.all(), bad
+            nan += int(np.isnan(vals).any(axis=1).sum())
+            inf += int(np.isinf(vals).any(axis=1).sum())
+        assert len(want) > 20000
+        assert nan > 1000 and inf > 1000, (nan, inf)
+
+    def test_nan_record_equals_walk(self, monkeypatch):
+        # the search's record, captured from its _nan_operand calls
+        records = []
+        nan_operand = symbolic._nan_operand
+
+        def recorded(shape, nan_shapes):
+            records.append(nan_shapes)
+            return nan_operand(shape, nan_shapes)
+
+        monkeypatch.setattr(symbolic, "_nan_operand", recorded)
+        t, y = _ripple1d()
+        fitter = symbolic._ShapeFitter({"t": t}, y)
+        symbolic._qualifying_fits(fitter, Grammar(max_nodes=6), None, None)
+        assert records and all(r is records[0] for r in records)
+        walked = _nan_walk()[0]
+        assert len(walked) > 1000
+        assert records[0] == walked
+
+    @pytest.mark.parametrize("cells", [0, 10_000])
+    @pytest.mark.parametrize("case", ["ripple1d", "noisy1"])
+    def test_fallback_gives_the_same_candidates(self, monkeypatch, case, cells):
+        # with the table bound patched low, shapes whose operands have no
+        # rows are fitted one at a time (all of them at 0 cells)
+        data, budget = _fallback_case(case)
+        want = _tabled_candidates(case)
+        fits = []
+        fit = symbolic._ShapeFitter.fit
+
+        def counted(self, shape):
+            fits.append(slot_count(shape) == 0)
+            return fit(self, shape)
+
+        monkeypatch.setattr(symbolic._ShapeFitter, "fit", counted)
+        monkeypatch.setattr(expressions, "_TABLE_CELLS", cells)
+        assert _candidate_bits(search_hyperpolation(data, budget=budget)) == want
+        # slot-free shapes other than the variable were fitted alone
+        assert sum(fits) > 100
