@@ -17,6 +17,7 @@ arbitrary constant in favour of structure is rewarded.
 """
 
 import ast
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -372,7 +373,7 @@ def _run_groups(groups, tables, out):
 
 
 # Cells (samples x rows) that a _ShapeValues table holds at most: 8 MiB of
-# float64, where ripple1d's operand levels take about 3.3 MiB.
+# float64, where ripple1d's stored levels take about 0.5 MiB.
 _TABLE_CELLS = 1 << 20
 
 
@@ -382,15 +383,20 @@ class _ShapeValues:
     are valued a block at a time.
 
     Every shape is an operator applied to shapes of lower levels (a chain's
-    right-nested tail is one), so a shape whose operands have rows here is
-    slot-free, and its values are its operator applied once to their rows,
-    as ``_walk`` applies it, left child first.  The variables' rows are the
-    first table; ``add_level`` stores one preallocated (rows, samples) array
-    per level, with the shape-to-row index ``_where`` beside them.  A shape
-    without rows for its operands (it has a slot, or an operand was not
-    stored) is left to the caller.  The tables hold at most ``_TABLE_CELLS``
-    cells: the first level that would go above it is not stored, nor any
-    later one.
+    right-nested tail is one), so a shape whose operands have values here is
+    slot-free, and its values are its operator applied once to theirs, as
+    ``_walk`` applies it, left child first.  The variables' rows are the
+    first table.  ``add_level`` takes each level once it is an operand
+    level, and keeps each shape's recipe: its operator and its operands'
+    rows.  Only n-node unary shapes read operands of n - 1 nodes (a binary
+    shape or chain has operands of at most n - 2), so a block computes those
+    operands' values from their recipes, and a level's rows are stored when
+    the next level is taken: one preallocated (rows, samples) array per
+    level, with the shape-to-row index ``_where`` beside them.  A shape
+    without values for its operands (it has a slot, or an operand is nan or
+    was not stored) is left to the caller.  The tables hold at most
+    ``_TABLE_CELLS`` cells: the first level that would go above it is not
+    stored, nor any later one.
     """
 
     def __init__(self, env):
@@ -398,24 +404,42 @@ class _ShapeValues:
         rows = np.array([env[name] for name in names], dtype=float)
         self._samples = rows.shape[1]
         self._tables, self._where, self._cells, self._open = [], {}, 0, True
+        # shape -> (group key, operand rows), for the newest level taken
+        self._recipes = {}
         if self._room(len(names)):
             self._store([var(name) for name in names], rows)
 
     def add_level(self, shapes, skip=()):
-        """Store the rows of the ``shapes`` (a level, once it is an operand
+        """Store the rows of the level taken before, from its recipes, and
+        keep the recipes of the ``shapes`` (a level, once it is an operand
         level) whose operands have rows here, except those in ``skip``.  The
         search skips its shapes known to be nan at some sample: every shape
         built on one is nan there too, and is not fitted."""
-        if self._open:
-            pos, groups = self._plan(shapes, skip)
-            if self._room(len(pos)):
-                self._store([shapes[i] for i in pos.tolist()], self._run(pos, groups))
+        recipes, self._recipes = self._recipes, {}
+        if not (self._open and self._room(len(recipes))):
+            return
+        if recipes:
+            nodes = {}
+            for row, (key, kids) in enumerate(recipes.values()):
+                nodes.setdefault(key, []).append((row, *kids))
+            rows = self._compute(_grouped(nodes), len(recipes), self._tables)
+            self._store(list(recipes), rows)
+        where, keys = self._where, {}
+        for shape in shapes:
+            if shape in skip:
+                continue
+            refs = [where.get(kid) for kid in shape[1:]]
+            if None not in refs:
+                tables, kids = zip(*refs)
+                key = (0, shape[0], tables)
+                self._recipes[shape] = (keys.setdefault(key, key), kids)
 
     def values(self, shapes):
         """``(pos, vals)``: the positions in ``shapes`` of those whose
-        operands have rows here, and their values, one row each."""
-        pos, groups = self._plan(shapes)
-        return pos, self._run(pos, groups)
+        operands have values here, and their values, one row each."""
+        pos, groups, inner_groups, inner_rows = self._plan(shapes)
+        inner = self._compute(inner_groups, inner_rows, self._tables)
+        return pos, self._compute(groups, len(pos), [*self._tables, inner])
 
     def _room(self, rows):
         """Whether ``rows`` more rows fit in ``_TABLE_CELLS``; once they do
@@ -430,30 +454,47 @@ class _ShapeValues:
         for row, shape in enumerate(shapes):
             self._where[shape] = (table, row)
 
-    def _plan(self, shapes, skip=()):
+    def _plan(self, shapes):
         """The positions of the shapes to value and their executor groups,
-        one per operator and operand tables."""
-        where = self._where
-        pos, nodes = [], {}
+        one per operator and operand tables, and the groups and number of
+        the inner rows: the values of operands of the newest level taken,
+        from their recipes."""
+        where, recipes = self._where, self._recipes
+        inner_table = len(self._tables)
+        pos, nodes, inner = [], {}, {}
+        count = itertools.count()
+
+        def computed(kid):
+            recipe = recipes.get(kid)
+            if recipe is None:
+                return None
+            row = next(count)
+            inner.setdefault(recipe[0], []).append((row, *recipe[1]))
+            return inner_table, row
+
         for i, shape in enumerate(shapes):
-            # a variable's name is no operand: str keys are never in where
-            a = where.get(shape[1]) if len(shape) > 1 else None
-            if a is None or shape in skip:
+            if len(shape) < 2:
+                continue
+            # a variable's name is no operand: it has neither row nor recipe
+            a = where.get(shape[1]) or computed(shape[1])
+            if a is None:
                 continue
             if len(shape) == 2:
-                nodes.setdefault((0, shape[0], a[:1]), []).append((len(pos), a[1]))
+                key, row = (0, shape[0], a[:1]), (len(pos), a[1])
             else:
-                b = where.get(shape[2])
+                b = where.get(shape[2]) or computed(shape[2])
                 if b is None:
                     continue
-                nodes.setdefault((0, shape[0], (a[0], b[0])), []).append((len(pos), a[1], b[1]))
+                key, row = (0, shape[0], (a[0], b[0])), (len(pos), a[1], b[1])
+            nodes.setdefault(key, []).append(row)
             pos.append(i)
-        return np.array(pos, dtype=np.intp), _grouped(nodes)
+        pos = np.array(pos, dtype=np.intp)
+        return pos, _grouped(nodes), _grouped(inner), sum(map(len, inner.values()))
 
-    def _run(self, pos, groups):
-        out = np.empty((len(pos), self._samples))
+    def _compute(self, groups, rows, tables):
+        out = np.empty((rows, self._samples))
         with np.errstate(all="ignore"):
-            _run_groups(groups, self._tables, out)
+            _run_groups(groups, tables, out)
         return out
 
 

@@ -627,8 +627,8 @@ class _ShapeFitter:
 
         The search values most slot-free shapes a block at a time instead
         (``free_residuals``); it fits a slot-free shape here only when its
-        operands have no value rows, as for a variable, and this path is
-        the reference that the block path is tested against."""
+        operands have no values in the table, as for a variable, and this
+        path is the reference that the block path is tested against."""
         self.free_nan = False
         with np.errstate(all="ignore"):
             return self._fit(shape)
@@ -911,16 +911,18 @@ def _qualifying_fits(fitter, grammar, budget, lift):
 
     Nor does it compile a slot-free shape alone.  A level's shapes are taken
     ``_SHAPE_BLOCK`` at a time, and the slot-free shapes of a block whose
-    operands have value rows (``expressions._ShapeValues``) are valued
-    together, one gather, operation and scatter per operator and operand
-    levels; ``_ShapeFitter.free_residuals`` gives each its max-abs
+    operands have values in a table (``expressions._ShapeValues``) are
+    valued together, one gather, operation and scatter per operator and
+    operand levels; ``_ShapeFitter.free_residuals`` gives each its max-abs
     residual, or marks it nan or not finite.  The other shapes, and those
-    whose operands have no rows, are fitted one at a time
+    whose operands have no values there, are fitted one at a time
     (``_ShapeFitter.fit``), whose ``free_nan`` says whether a slot-free
-    shape's values are nan.  A level's rows are stored when it becomes an
-    operand level, never for the level being fitted, and not for its
-    shapes in ``nan_shapes``: a shape built on one is nan too, and is not
-    fitted.  The block is then read in batch order, so ``seen``, the order
+    shape's values are nan.  A level is handed to the table when it becomes
+    an operand level, never while it is fitted, and without its shapes in
+    ``nan_shapes``: a shape built on one is nan too, and is not fitted.
+    The table keeps the newest operand level as recipes and stores the
+    rows of the levels below it (see ``_ShapeValues``).  The block is then
+    read in batch order, so ``seen``, the order
     of the results and the budget count are those of fitting each shape
     alone.  A slot-free shape is its own fitted expression (``_fitted``),
     which is not walked either; only fits of shapes with slots are

@@ -958,7 +958,7 @@ class TestShapeValues:
         assert len(walked) > 1000
         assert records[0] == walked
 
-    @pytest.mark.parametrize("cells", [0, 10_000])
+    @pytest.mark.parametrize("cells", [0, 5_000])
     @pytest.mark.parametrize("case", ["ripple1d", "noisy1"])
     def test_fallback_gives_the_same_candidates(self, monkeypatch, case, cells):
         # with the table bound patched low, shapes whose operands have no
