@@ -7,6 +7,15 @@ name, with that file's ``byte_identity.fields`` definition:
   order: ``[serialize(expr), repr(y0), repr(score), repr(residual), kind]``.
   The data are perfbench's ``exact_cases()`` and ``noisy_case(seed)`` at
   budget 5000.
+* ``predict_<case>``: sha256 of the float64 bytes of ``predict_candidate``
+  at every point of the case's workload lattice, for each candidate in
+  ranked order: the 81 x 81 grid of ``X40`` for ripple1d, else the
+  41 x 41 grid of ``X20`` (both in ``meshgrid(..., indexing="ij")``
+  order).  The candidates are those of ``cands_<case>``, and ``noisy1``'s
+  are those of ``cands_noisy1``.
+* ``noisy1_hypotheses``: as ``predict_<case>``, of ``Hypothesis.__call__``
+  for each hypothesis of ``family_from_candidates`` on the first 64 noisy
+  seed 1 candidates, over the 41 x 41 lattice.
 * ``noisy1_prior`` / ``noisy1_post_weights``: ``json.dumps`` of the repr of
   each weight of ``family_from_candidates`` on the first 64 noisy seed 1
   candidates, and of its update on the data.
@@ -60,6 +69,7 @@ from hyperpolate import (
     family_from_candidates,
     lift_constants,
     predict,
+    predict_candidate,
     search_hyperpolation,
     serialize,
     update,
@@ -118,6 +128,23 @@ def noisy_data(seed):
     return Dataset(X20[:, None], values, noise_sigma=0.01)
 
 
+def grid(axis):
+    gx, gy = np.meshgrid(axis, axis, indexing="ij")
+    return np.column_stack([gx.ravel(), gy.ravel()])
+
+
+LATTICES = {name: grid(X40 if name == "ripple1d" else X20) for name in EXACT_CASES}
+LATTICES["noisy1"] = grid(X20)
+
+
+def values_digest(rows):
+    return sha256(b"".join(row.tobytes() for row in rows))
+
+
+def predict_digest(name, candidates):
+    return values_digest(predict_candidate(c, LATTICES[name]) for c in candidates)
+
+
 def noisy_search(seed):
     data = noisy_data(seed)
     return data, search_hyperpolation(data, budget=NOISY_BUDGET)
@@ -126,8 +153,7 @@ def noisy_search(seed):
 def posterior_digests(data, candidates):
     prior = family_from_candidates(candidates[:POSTERIOR_TOP])
     post = update(prior, data)
-    gx, gy = np.meshgrid(X20, X20, indexing="ij")
-    dists = predict(post, np.column_stack([gx.ravel(), gy.ravel()]))
+    dists = predict(post, LATTICES["noisy1"])
     rows = [
         [d.values.tobytes().hex(), d.weights.tobytes().hex(), repr(d.mean), repr(d.map_value)]
         for d in dists
@@ -137,6 +163,7 @@ def posterior_digests(data, candidates):
         "noisy1_post_weights": sha256(json.dumps([repr(w) for w in post.weights])),
         "noisy1_records": sha256(json.dumps(post.to_records(data))),
         "noisy1_dists": sha256(json.dumps(rows)),
+        "noisy1_hypotheses": values_digest(h(LATTICES["noisy1"]) for h in prior.hypotheses),
     }
 
 
@@ -222,12 +249,16 @@ def enum_digest(variables, max_nodes):
 
 
 def current_digests():
-    out = {f"cands_{name}": cands_digest(search_hyperpolation(make()))
-           for name, make in EXACT_CASES.items()}
+    out = {}
+    for name, make in EXACT_CASES.items():
+        candidates = search_hyperpolation(make())
+        out[f"cands_{name}"] = cands_digest(candidates)
+        out[f"predict_{name}"] = predict_digest(name, candidates)
     for seed in (1, 2, 3):
         data, candidates = noisy_search(seed)
         out[f"cands_noisy{seed}"] = cands_digest(candidates)
         if seed == 1:
+            out["predict_noisy1"] = predict_digest("noisy1", candidates)
             out.update(posterior_digests(data, candidates))
     for case in BENCH_CASES:
         out.update(bench_digests(case))
@@ -257,7 +288,9 @@ def test_golden_keys(golden):
     assert set(golden) == (
         {f"cands_{name}" for name in EXACT_CASES}
         | {f"cands_noisy{seed}" for seed in (1, 2, 3)}
+        | {f"predict_{name}" for name in LATTICES}
         | {"noisy1_prior", "noisy1_post_weights", "noisy1_records", "noisy1_dists"}
+        | {"noisy1_hypotheses"}
         | {f"bench_{case}_{part}" for case in BENCH_CASES for part in ("report", "grid")}
         | set(CLASSIFY_CASES)
         | {"lift_menu"}
@@ -268,6 +301,7 @@ def test_golden_keys(golden):
 
 def test_ripple1d(golden, ripple_search):
     assert cands_digest(ripple_search[0]) == golden["cands_ripple1d"]
+    assert predict_digest("ripple1d", ripple_search[0]) == golden["predict_ripple1d"]
 
 
 def test_ripple1d_cut_inside_a_level(golden):
@@ -277,15 +311,19 @@ def test_ripple1d_cut_inside_a_level(golden):
 
 def test_cone1d(golden, cone_search):
     assert cands_digest(cone_search[0]) == golden["cands_cone1d"]
+    assert predict_digest("cone1d", cone_search[0]) == golden["predict_cone1d"]
 
 
 @pytest.mark.parametrize("name, make", [("cone_axis", cone_axis), ("diagonal", diagonal)])
 def test_exact_case(golden, name, make):
-    assert cands_digest(search_hyperpolation(make())) == golden[f"cands_{name}"]
+    candidates = search_hyperpolation(make())
+    assert cands_digest(candidates) == golden[f"cands_{name}"]
+    assert predict_digest(name, candidates) == golden[f"predict_{name}"]
 
 
 def test_noisy_seed_1(golden, noisy1):
     assert cands_digest(noisy1[1]) == golden["cands_noisy1"]
+    assert predict_digest("noisy1", noisy1[1]) == golden["predict_noisy1"]
 
 
 @pytest.mark.parametrize("seed", [2, 3])
