@@ -18,7 +18,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InvalidInputError, NoPredictionError
-from .expressions import _OPS, _grouped, _run_groups, compile_expr, complexity, serialize
+from .expressions import _OPS, _grouped, _run_groups, complexity, evaluate, serialize
 from .geometry import _as_points
 from .symbolic import STRICT_TOL, CandidateLifting, _candidate_env, _frame_env
 
@@ -57,31 +57,17 @@ class Hypothesis:
             return f"{serialize(self.expr)}@y0={self.candidate.y0:g}"
         return serialize(self.expr)
 
-    @cached_property
-    def compiled(self):
-        """The compiled expression, built once (the candidate's own, if any)."""
-        if self.candidate is not None:
-            return self.candidate.compiled
-        return compile_expr(self.expr)
-
     def __call__(self, points):
         pts, _ = _as_points(points)
-        with np.errstate(all="ignore"):
-            vals = self._values(pts)
-        return np.broadcast_to(np.asarray(vals, dtype=float), (pts.shape[0],)).copy()
-
-    def _values(self, pts):
-        """Values at the rows of a 2-D float array: an array, or a scalar for
-        a constant; runs under the caller's numpy error state."""
-        if self.candidate is not None:
-            return self.compiled(_candidate_env(self.candidate, pts))
+        env = _axes_env(pts) if self.candidate is None else _candidate_env(self.candidate, pts)
         try:
-            return self.compiled(_axes_env(pts))
+            vals = evaluate(self.expr, env)
         except KeyError as exc:
             raise InvalidInputError(
                 f"hypothesis {self.label} uses variable {exc.args[0]!r}, "
                 f"but the points have {pts.shape[1]} coordinate(s)"
             ) from None
+        return np.broadcast_to(np.asarray(vals, dtype=float), (pts.shape[0],)).copy()
 
 
 def _axes_env(pts):
@@ -97,7 +83,7 @@ def _source_env(frame, pts):
 
 
 class _FamilyProgram:
-    """The hypotheses of a family compiled once into one vectorised program.
+    """The hypotheses of a family built once into one vectorised program.
 
     Every node of every hypothesis is hash-consed into a register, one row
     of an (R, n) buffer.  An operator node is keyed by its operator and its
@@ -106,7 +92,7 @@ class _FamilyProgram:
     that supplies it; only the offset variable of a new-dimension candidate
     (see ``symbolic._frame_env``) is keyed by the candidate's y0 as well.
     Variable-free subtrees are folded here with ``_OPS``, as ``_walk``
-    folds them, so folded values equal ``compile_expr``'s.  Operator
+    folds them, so folded values equal ``evaluate``'s.  Operator
     registers are grouped by (height, operator): a run fills the leaves in a
     few assignments, then computes each group with one gather, operation
     and scatter, by the executor that the search's ``_ShapeValues`` shares
@@ -129,7 +115,7 @@ class _FamilyProgram:
         """
         if pts.shape[1] not in self._dims:
             for h in self._hypotheses:
-                h._values(pts[:0])
+                h(pts[:0])
             self._dims.add(pts.shape[1])
             if self._nodes is None:
                 self._build(pts[:0])
@@ -153,9 +139,7 @@ class _FamilyProgram:
                 if id(frame) not in sources:
                     sources[id(frame)] = (len(frames), _source_env(frame, no_pts)[1])
                     frames.append(frame)
-                # the expression that ``h.compiled`` compiles
-                expr = h.expr if h.candidate is None else h.candidate.expr
-                late, root = self._node(expr, sources[id(frame)], h.candidate)
+                late, root = self._node(h.expr, sources[id(frame)], h.candidate)
                 roots.append(root if late else self._const(root))
         self._roots = np.array(roots, dtype=np.intp)
         consts, leaves = [], [([], []) for _ in frames]  # per frame: plain, offset
@@ -404,7 +388,7 @@ def predict(post, p):
     Hypotheses that hit a domain error at a query are left out of its
     distribution.  The hypotheses are evaluated together, by the
     posterior's ``_FamilyProgram``, so a call costs a few vectorised
-    operations per distinct node height and operator, not one compiled call
+    operations per distinct node height and operator, not one evaluation
     per hypothesis.
     """
     if post.is_empty:

@@ -45,7 +45,6 @@ __all__ = [
     "serialize",
     "parse",
     "evaluate",
-    "compile_expr",
     "compile_shape",
     "compile_interval",
     "substitute",
@@ -204,8 +203,9 @@ def parse(text):
 
 
 # The point operation of each operator.  _walk applies it to every node of
-# evaluate, compile_expr and compile_shape, and to the slot-free subtrees of
-# compile_interval, so all four agree bit for bit (pow2 is a*a, not np.square).
+# evaluate and compile_shape, and to the slot-free subtrees of
+# compile_interval, so all three agree bit for bit (pow2 is a*a, not
+# np.square); so do the grouped rows of _run_groups.
 # div is the ufunc, so that two float constants divide by zero to inf/nan as
 # arrays do, instead of raising ZeroDivisionError.
 _OPS = {
@@ -226,32 +226,19 @@ def evaluate(e, env, slot_values=None):
     """Evaluate over numpy arrays; domain errors surface as nan/inf.
 
     ``env`` maps variable names to arrays (broadcastable); ``slot_values``
-    supplies constants for slot leaves in depth-first order.  One eager
-    ``_walk``, with the operations of every compiled form.
+    supplies constants for slot leaves in depth-first order, one per slot,
+    else ``InvalidInputError`` names the slot count.  One eager ``_walk``,
+    with the operations of every compiled form.
     """
+    counter = [0]
     with np.errstate(all="ignore"):
-        late, value = _walk(e, env, slot_values, _OPS, [0])
-        # late only when slots have no values: the call raises as it would
-        # in compile_expr's form
-        return value(slot_values) if late else value
-
-
-def compile_expr(e):
-    """Compile an expression once into ``fn(env, slot_values=None)``.
-
-    ``fn`` reads its variables from ``env`` and its slot constants from
-    ``slot_values`` (depth-first order, fixed here) at call time, so one
-    compiled form serves any points.  Variable-free subtrees are computed
-    here; ``fn`` applies each other node's ``_OPS`` entry to its children's
-    values, left child first (see ``_walk``).  Calls run under the caller's
-    numpy error state; ``evaluate`` silences domain warnings around its
-    call.
-    """
-    with np.errstate(all="ignore"):
-        late, part = _walk(e, None, None, _OPS, [0])
-    if late:
-        return lambda env, slot_values=None: part((env, slot_values))
-    return lambda env, slot_values=None: part
+        _, value = _walk(e, env, slot_values, _OPS, counter)
+    given = 0 if slot_values is None else len(slot_values)
+    if given != counter[0]:
+        raise InvalidInputError(
+            f"expression has {counter[0]} slot(s), but {given} slot value(s) were given"
+        )
+    return value
 
 
 def compile_shape(e, env):
@@ -284,30 +271,27 @@ def _compile_over(e, env, ops):
 
 def _walk(node, env, values, ops, counter):
     """The one evaluator: (False, value) for a node known during the walk,
-    else (True, at), where ``at`` computes it at call time.
+    else (True, at), where ``at`` computes it from the slot values at call
+    time.
 
-    Variables come from ``env``, or at call time when it is None: ``at``
-    then takes the pair (env, slot values), else the slot values alone.
-    Slots, numbered depth-first by ``counter``, come from ``values``, or at
-    call time when it is None.  Known subtrees are computed with ``_OPS``;
-    other nodes apply their ``ops`` entry to their children's values, left
-    child first.  With ``_INTERVAL_OPS`` a known child enters as the
-    interval (v, v), and a chain is enclosed whole (``_enclose_chain``).
+    Variables come from ``env``.  Slots, numbered depth-first by
+    ``counter``, come from ``values``, or at call time when it is None or
+    too short.  Known subtrees are computed with ``_OPS``; other nodes
+    apply their ``ops`` entry to their children's values, left child first.
+    With ``_INTERVAL_OPS`` a known child enters as the interval (v, v), and
+    a chain is enclosed whole (``_enclose_chain``).
     """
     op = node[0]
     if op == "var":
-        if env is None:
-            # defaults, not closure cells: a cell costs every call of _walk
-            return True, lambda x, name=node[1]: x[0][name]
         return False, env[node[1]]
     if op == "const":
         return False, node[1]
     if op == "slot":
         idx = counter[0]
         counter[0] += 1
-        if values is not None:
+        if values is not None and idx < len(values):
             return False, values[idx]
-        return True, operator.itemgetter(idx) if env is not None else lambda x, i=idx: x[1][i]
+        return True, operator.itemgetter(idx)
     fn = ops.get(op)
     if fn is None:
         raise InvalidInputError(f"unknown operator {op!r}")

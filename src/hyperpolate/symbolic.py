@@ -38,7 +38,6 @@ on Python floats.
 import itertools
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property
 
 import numpy as np
 
@@ -58,7 +57,6 @@ from .expressions import (
     assign_slots,
     canonical_simplify,
     chain_elements,
-    compile_expr,
     compile_interval,
     compile_shape,
     complexity,
@@ -161,11 +159,6 @@ class CandidateLifting:
     @property
     def residual_rank(self):
         return quantize_residual(self.residual)
-
-    @cached_property
-    def compiled(self):
-        """``compile_expr(self.expr)``, built once per candidate."""
-        return compile_expr(self.expr)
 
 
 def candidate_to_dict(c):
@@ -1225,8 +1218,7 @@ def predict_candidate(candidate, points):
     places the slice at y0, so the transverse coordinate is y0 + offset.
     """
     pts, _ = _as_points(points)
-    with np.errstate(all="ignore"):
-        vals = candidate.compiled(_candidate_env(candidate, pts))
+    vals = evaluate(candidate.expr, _candidate_env(candidate, pts))
     return np.broadcast_to(np.asarray(vals, dtype=float), (pts.shape[0],)).copy()
 
 

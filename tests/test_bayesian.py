@@ -304,7 +304,7 @@ def _same_distribution(a, b):
     )
 
 
-class TestCompiledHypotheses:
+class TestHypothesisValues:
     @pytest.mark.parametrize("first", [0, 1])
     def test_signed_zero_constants_keep_their_own_sign(self, first):
         # raw tuples: ("const", 0.0) and ("const", -0.0) are equal and hash
@@ -318,13 +318,19 @@ class TestCompiledHypotheses:
         assert np.signbit(got[0]).tolist() == [False, True]
         assert np.signbit(got[1]).tolist() == [True, False]
 
-    def test_compiled_once_per_object(self):
-        h = build_prior([parse("sqrt(x)")]).hypotheses[0]
-        assert h.compiled is h.compiled
-        t = np.arange(-3.0, 4.0)
-        plane = Dataset(np.column_stack([t, np.ones_like(t)]), 2.0 * t)
-        c = search_hyperpolation(plane, grammar=Grammar(max_nodes=3))[0]
-        assert family_from_candidates([c]).hypotheses[0].compiled is c.compiled
+    def test_valued_by_its_own_expr(self):
+        # the label, the hypothesis and the family program all read h.expr,
+        # not the expression of the candidate that supplies its frame
+        c = _axis_candidates()[0]
+        assert (c.expr, c.y0) == (parse("mul(x,2)"), 1.0)
+        h = Hypothesis(parse("x"), 1.0, c)
+        pts = np.array([[1.0, 1.0], [2.0, 1.0]])
+        assert h.label == "x"
+        assert h(pts).tolist() == [1.0, 2.0]
+        family = [h, Hypothesis(c.expr, c.score, c)]
+        with np.errstate(all="ignore"):
+            got = _FamilyProgram(family).values(pts)
+        assert got.tolist() == [[1.0, 2.0], [2.0, 4.0]]
 
     def test_per_point_predict_pinned(self, noisy_cone_posterior):
         # values computed with the recursive evaluator, before the compiled one

@@ -1,12 +1,15 @@
 import gc
+import importlib
 import itertools
 import math
+import pkgutil
 import tracemalloc
 from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
 
+import hyperpolate
 from hyperpolate import (
     Grammar,
     InvalidInputError,
@@ -18,7 +21,6 @@ from hyperpolate.expressions import (
     ShapeEnumerator,
     assign_slots,
     canonical_simplify,
-    compile_expr,
     compile_interval,
     compile_shape,
     const,
@@ -186,23 +188,6 @@ class TestSimplify:
         assert np.isnan(evaluate(parse("div(0,0)"), {}))
         assert serialize(parse("div(0,x)")) == "div(0,x)"
         assert serialize(parse("div(0,2)")) == "0"  # constant evaluation
-
-
-class TestEvaluate:
-    def test_vectorized(self):
-        e = parse("cos(sqrt(add(pow2(x),400)))")
-        x = np.linspace(-40, 40, 81)
-        assert np.allclose(evaluate(e, {"x": x}), np.cos(np.sqrt(x**2 + 400)))
-
-    def test_domain_error_is_nan(self):
-        e = parse("sqrt(x)")
-        out = evaluate(e, {"x": np.array([-1.0, 4.0])})
-        assert np.isnan(out[0]) and out[1] == 2.0
-
-    def test_substitute(self):
-        e = parse("cos(sqrt(add(pow2(x),pow2(y))))")
-        restricted = canonical_simplify(substitute(e, {"y": const(-20.0)}))
-        assert serialize(restricted) == "cos(sqrt(add(pow2(x),400)))"
 
 
 class TestSlots:
@@ -469,40 +454,66 @@ class TestIntervals:
         assert (lo[0, 0], hi[0, 0]) == (-math.inf, math.inf)
 
 
-class TestCompileExpr:
+class TestEvaluate:
     SLOTS = (-1.5, 0.75, 2.0, 3.0, -0.25)
     SAMPLES = TestCompileShape.SAMPLES
+    SHAPE = ("add", var("x"), ("slot",))
 
     @staticmethod
     def _shapes(variables, max_nodes):
         en = ShapeEnumerator(Grammar(), variables)
         return [("slot",)] + [s for n in range(1, max_nodes + 1) for s in en.shapes(n)]
 
+    def test_vectorized(self):
+        e = parse("cos(sqrt(add(pow2(x),400)))")
+        x = np.linspace(-40, 40, 81)
+        assert np.allclose(evaluate(e, {"x": x}), np.cos(np.sqrt(x**2 + 400)))
+
+    def test_domain_error_is_nan(self):
+        e = parse("sqrt(x)")
+        out = evaluate(e, {"x": np.array([-1.0, 4.0])})
+        assert np.isnan(out[0]) and out[1] == 2.0
+
+    def test_substitute(self):
+        e = parse("cos(sqrt(add(pow2(x),pow2(y))))")
+        restricted = canonical_simplify(substitute(e, {"y": const(-20.0)}))
+        assert serialize(restricted) == "cos(sqrt(add(pow2(x),400)))"
+
     @pytest.mark.parametrize("variables, max_nodes", [(("t",), 5), (("x", "y"), 4)])
     def test_matches_reference_walker(self, variables, max_nodes):
-        # one compiled form per shape, called on every sample set
         envs = []
         for name in sorted(self.SAMPLES):
             t = self.SAMPLES[name]
             envs.append({v: t[::-1] if i else t for i, v in enumerate(variables)})
         finite = 0
         for shape in self._shapes(variables, max_nodes):
-            fn = compile_expr(shape)
             values = list(self.SLOTS[: slot_count(shape)])
             for env in envs:
-                with np.errstate(all="ignore"):
-                    got = fn(env, values)
+                got = evaluate(shape, env, values)
                 want = eval_expr(shape, env, values)
                 assert np.array_equal(got, want, equal_nan=True), serialize(shape)
-                assert np.array_equal(evaluate(shape, env, values), want, equal_nan=True)
                 finite += bool(np.all(np.isfinite(got)))
         assert finite > 0
 
     def test_unknown_operator(self):
         with pytest.raises(InvalidInputError):
-            compile_expr(("tan", var("x")))
-        with pytest.raises(InvalidInputError):
             evaluate(("tan", var("x")), {"x": np.zeros(2)})
+
+    def test_missing_slot_values(self):
+        with pytest.raises(InvalidInputError, match="has 1 slot.*0 slot value"):
+            evaluate(self.SHAPE, {"x": np.ones(2)})
+
+    def test_too_few_slot_values(self):
+        with pytest.raises(InvalidInputError, match="has 1 slot.*0 slot value"):
+            evaluate(self.SHAPE, {"x": np.ones(2)}, [])
+        with pytest.raises(InvalidInputError, match="has 2 slot.*1 slot value"):
+            evaluate(("mul", ("slot",), self.SHAPE), {"x": np.ones(2)}, [1.0])
+
+    def test_too_many_slot_values(self):
+        with pytest.raises(InvalidInputError, match="has 1 slot.*2 slot value"):
+            evaluate(self.SHAPE, {"x": np.ones(2)}, [1.0, 2.0])
+        with pytest.raises(InvalidInputError, match="has 0 slot.*1 slot value"):
+            evaluate(var("x"), {"x": np.ones(2)}, [1.0])
 
 
 class TestComplexity:
@@ -601,3 +612,17 @@ class TestEnumeration:
         shapes = ShapeEnumerator(g, ("t",)).shapes(3)
         for s in shapes:
             assert s[0] in ("cos", "add")
+
+
+@pytest.mark.parametrize(
+    "module",
+    [
+        m.name
+        for m in pkgutil.iter_modules(hyperpolate.__path__, "hyperpolate.")
+        if hasattr(importlib.import_module(m.name), "__all__")
+    ],
+)
+def test_every_public_name_resolves(module):
+    # a stale __all__ entry would otherwise fail only on ``import *``
+    mod = importlib.import_module(module)
+    assert [name for name in mod.__all__ if not hasattr(mod, name)] == []
