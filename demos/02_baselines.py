@@ -8,23 +8,16 @@ their error grows with distance from the slice.
 
 import numpy as np
 
-from hyperpolate import (
-    Dataset,
-    fit_additive,
-    fit_extrusion,
-    fit_nn_ambient,
-    fit_nn_projected,
-)
+from hyperpolate import Dataset, fit_method
 
 x = np.arange(-40.0, 41.0)
 locations = np.column_stack([x, np.full_like(x, -20.0)])
 data = Dataset(locations, np.cos(np.sqrt(x**2 + 400.0)))
 
+# nn_projected and extrusion are one model: the slice interpolant, extruded
 models = {
-    "nn_ambient": fit_nn_ambient(data),
-    "nn_projected": fit_nn_projected(data),
-    "extrusion": fit_extrusion(data),
-    "additive": fit_additive(data),
+    name: fit_method(name, data)
+    for name in ("nn_ambient", "nn_projected", "extrusion", "additive")
 }
 
 queries = np.array([[0.0, -20.0], [0.0, -10.0], [0.0, 0.0], [10.0, 5.0]])

@@ -19,11 +19,9 @@ from .baselines import (
     PolationModel,
     SliceModel,
     fit_additive,
-    fit_extrusion,
     fit_linear,
     fit_method,
     fit_nn_ambient,
-    fit_nn_projected,
     fit_slice_interpolant,
 )
 from .benchmark import (

@@ -22,15 +22,10 @@ __all__ = [
     "METHOD_NAMES",
     "fit_slice_interpolant",
     "fit_nn_ambient",
-    "fit_nn_projected",
     "fit_linear",
-    "fit_extrusion",
     "fit_additive",
     "fit_method",
 ]
-
-METHOD_NAMES = ("nn_ambient", "nn_projected", "linear", "extrusion", "additive")
-
 
 class PolationModel:
     """A fitted prediction method; immutable, predictions are pure.
@@ -173,16 +168,6 @@ def fit_nn_ambient(data):
     return NearestSampleModel(data.locations, data.values)
 
 
-def fit_nn_projected(data):
-    """Interpolate/extrapolate along the subspace first, then carry those
-    values to off-subspace queries at the projected location.
-
-    This is extrusion of the slice interpolant: the model is the one
-    :func:`fit_extrusion` builds.
-    """
-    return fit_extrusion(data)
-
-
 def fit_linear(data):
     """Least-squares affine model of the intrinsic coordinates.
 
@@ -200,11 +185,6 @@ def fit_linear(data):
     return LinearModel(chart, coeffs)
 
 
-def fit_extrusion(data):
-    """Extrude the slice interpolant: constant along every orthogonal direction."""
-    return fit_slice_interpolant(data)
-
-
 def fit_additive(data):
     """Additive lifting for an axis-aligned slice in a 2D ambient space."""
     aligned = hull_chart(data).axis_aligned_line()
@@ -216,17 +196,22 @@ def fit_additive(data):
     return AdditiveModel(fit_slice_interpolant(data), offset)
 
 
+# nn_projected (interpolate along the subspace, then carry the value to the
+# query's projection) is extrusion of the slice interpolant: one model
+_FITTERS = {
+    "nn_ambient": fit_nn_ambient,
+    "nn_projected": fit_slice_interpolant,
+    "linear": fit_linear,
+    "extrusion": fit_slice_interpolant,
+    "additive": fit_additive,
+}
+METHOD_NAMES = tuple(_FITTERS)
+
+
 def fit_method(name, data):
-    """Fit a baseline by its configuration name."""
-    fitters = {
-        "nn_ambient": fit_nn_ambient,
-        "nn_projected": fit_nn_projected,
-        "linear": fit_linear,
-        "extrusion": fit_extrusion,
-        "additive": fit_additive,
-    }
+    """Fit a baseline by its configuration name (one of ``METHOD_NAMES``)."""
     try:
-        fitter = fitters[name]
+        fitter = _FITTERS[name]
     except KeyError:
         raise ConfigurationError(f"unknown method {name!r}") from None
     return fitter(data)

@@ -37,7 +37,6 @@ NORMALIZATION_TOL = 1e-12
 # hypothesis values at a query closer than this (relative to max(1, |v|))
 # merge into one predictive atom
 MERGE_TOL = 1e-12
-_AXES = ("x", "y", "z")
 # points per run of a family program: its buffer holds at most this many
 # columns, one row per register
 _BLOCK = 1024
@@ -59,7 +58,7 @@ class Hypothesis:
 
     def __call__(self, points):
         pts, _ = _as_points(points)
-        env = _axes_env(pts) if self.candidate is None else _candidate_env(self.candidate, pts)
+        env = _candidate_env(self.candidate, pts)
         try:
             vals = evaluate(self.expr, env)
         except KeyError as exc:
@@ -68,18 +67,6 @@ class Hypothesis:
                 f"but the points have {pts.shape[1]} coordinate(s)"
             ) from None
         return np.broadcast_to(np.asarray(vals, dtype=float), (pts.shape[0],)).copy()
-
-
-def _axes_env(pts):
-    """Variable arrays of a hypothesis without a candidate: the coordinates
-    of the rows of a 2-D float array, named x, y and z."""
-    return {name: pts[:, i] for i, name in enumerate(_AXES[: pts.shape[1]])}
-
-
-def _source_env(frame, pts):
-    """``_frame_env`` of a candidate's frame, or the axes' variables (and
-    no offset variable) for ``frame`` None."""
-    return (_axes_env(pts), None) if frame is None else _frame_env(frame, pts)
 
 
 class _FamilyProgram:
@@ -137,7 +124,7 @@ class _FamilyProgram:
             for h in self._hypotheses:
                 frame = h.candidate.frame if h.candidate is not None else None
                 if id(frame) not in sources:
-                    sources[id(frame)] = (len(frames), _source_env(frame, no_pts)[1])
+                    sources[id(frame)] = (len(frames), _frame_env(frame, no_pts)[1])
                     frames.append(frame)
                 late, root = self._node(h.expr, sources[id(frame)], h.candidate)
                 roots.append(root if late else self._const(root))
@@ -192,7 +179,7 @@ class _FamilyProgram:
         buf = np.empty((len(self._nodes), len(pts)))
         buf[self._const_regs] = self._const_values
         for frame, plain, offsets, y0s in self._fills:
-            env, offset_var = _source_env(frame, pts)
+            env, offset_var = _frame_env(frame, pts)
             for reg, name in plain:
                 buf[reg] = env[name]
             if len(offsets):

@@ -7,14 +7,16 @@ of every query, and are deterministic given (case, seed) apart from the
 wall-clock runtime field.
 """
 
+import sys
 import time
 from dataclasses import asdict, dataclass
+from functools import partial
 
 import numpy as np
 
 from .baselines import fit_method
-from .errors import NoPredictionError, UnknownCaseError
-from .expressions import evaluate, parse, struct_key
+from .errors import InvalidInputError, NoPredictionError, UnknownCaseError
+from .expressions import _is_count, evaluate, parse, struct_key, variables_of
 from .geometry import (
     AUTOPOLATION,
     EXTRAPOLATION,
@@ -50,9 +52,52 @@ __all__ = [
 DEFAULT_BAND_EDGES = (0.0, 1.0, 5.0, 10.0, 20.0, 40.0)
 
 
+def _real(v):
+    """True for a finite real number; a bool is not one."""
+    real = isinstance(v, (int, float, np.integer, np.floating)) and not isinstance(v, bool)
+    return real and abs(v) <= sys.float_info.max
+
+
+def _all(v, check, length=None):
+    """True for a list or tuple of items that pass ``check``, ``length`` of them if given."""
+    return isinstance(v, (list, tuple)) and length in (None, len(v)) and all(map(check, v))
+
+
+def _is_truth(v):
+    try:
+        return isinstance(v, str) and variables_of(parse(v)) <= {"x", "y"}
+    except InvalidInputError:
+        return False
+
+
+def _floats(v):
+    return tuple(map(_floats, v)) if isinstance(v, (list, tuple)) else float(v)
+
+
+# field -> (check, expected form) for every field of a BenchmarkCase
+_CASE_RULES = {
+    "name": (
+        lambda v: isinstance(v, str) and v and not set(v) & set("/\\\0"),
+        "a non-empty string without '/', '\\' or NUL",
+    ),
+    "truth": (_is_truth, "an expression over the variables x and y"),
+    "slice_base": (lambda v: _all(v, _real, 2), "2 finite numbers"),
+    "slice_direction": (lambda v: _all(v, _real, 2), "2 finite numbers"),
+    "sample_params": (lambda v: _all(v, _real), "finite numbers"),
+    "noise_sigma": (lambda v: _real(v) and v >= 0, "a finite number >= 0"),
+    "seed": (_is_count, "a non-negative integer"),
+    "grid_ranges": (
+        lambda v: _all(v, lambda pair: _all(pair, _real, 2) and pair[0] <= pair[1], 2),
+        "2 [lo, hi] pairs of finite numbers with lo <= hi",
+    ),
+    "grid_step": (lambda v: _real(v) and v > 0, "a finite number > 0"),
+}
+
+
 @dataclass(frozen=True)
 class BenchmarkCase:
-    """A ground-truth surface with a sampled slice and a query lattice."""
+    """A ground-truth surface with a sampled slice and a query lattice, its
+    fields checked by ``_CASE_RULES`` and its sequences stored as float tuples."""
 
     name: str
     truth: str  # expression over the ambient variables x, y
@@ -64,8 +109,18 @@ class BenchmarkCase:
     grid_ranges: tuple = ((-40.0, 40.0), (-40.0, 40.0))
     grid_step: float = 1.0
 
-    def truth_expr(self):
-        return parse(self.truth)
+    def __post_init__(self):
+        for field, (check, form) in _CASE_RULES.items():
+            value = getattr(self, field)
+            if not check(value):
+                raise InvalidInputError(f"case field {field!r} must be {form}, got {value!r}")
+            if isinstance(value, (list, tuple)):
+                object.__setattr__(self, field, _floats(value))
+
+    def truth_at(self, points):
+        """The truth's values at the rows of an (n, 2) array of points."""
+        values = evaluate(parse(self.truth), {"x": points[:, 0], "y": points[:, 1]})
+        return np.broadcast_to(np.asarray(values, dtype=float), (points.shape[0],)).copy()
 
     def sample_locations(self):
         t = np.asarray(self.sample_params, dtype=float)
@@ -130,11 +185,7 @@ def generate_case(spec):
     else:
         raise UnknownCaseError(f"cannot build a case from {type(spec).__name__}")
     locations = case.sample_locations()
-    truth = case.truth_expr()
-    values = np.asarray(
-        evaluate(truth, {"x": locations[:, 0], "y": locations[:, 1]}), dtype=float
-    )
-    values = np.broadcast_to(values, (locations.shape[0],)).copy()
+    values = case.truth_at(locations)
     if case.noise_sigma > 0:
         rng = np.random.default_rng(case.seed)
         values = values + case.noise_sigma * rng.standard_normal(values.shape)
@@ -184,23 +235,15 @@ def reports_equal(a, b):
     return da == db
 
 
-class _SymbolicMethod:
-    """Adapter giving search_hyperpolation the fit/predict interface."""
-
-    def __init__(self, data, grammar, budget):
-        top = top_tie_set(search_hyperpolation(data, grammar=grammar, budget=budget))
-        if not top:
-            raise NoPredictionError("symbolic search returned no candidate")
-        self.candidate = top[0]
-
-    def predict(self, points):
-        return predict_candidate(self.candidate, points)
-
-
-def _fit_named_method(name, data, grammar, budget):
-    if name == "symbolic":
-        return _SymbolicMethod(data, grammar, budget)
-    return fit_method(name, data)
+def _predictor(name, data, grammar, budget):
+    """The predict function of method ``name`` fitted to ``data``: the top
+    candidate of a symbolic search for 'symbolic', else a baseline."""
+    if name != "symbolic":
+        return fit_method(name, data).predict
+    top = top_tie_set(search_hyperpolation(data, grammar=grammar, budget=budget))
+    if not top:
+        raise NoPredictionError("symbolic search returned no candidate")
+    return partial(predict_candidate, top[0])
 
 
 def evaluate_methods(
@@ -220,14 +263,7 @@ def evaluate_methods(
     generated, case = generate_case(case)
     data = dataset if dataset is not None else generated
     queries = case.query_grid()
-    truth_expr = case.truth_expr()
-    truth = np.broadcast_to(
-        np.asarray(
-            evaluate(truth_expr, {"x": queries[:, 0], "y": queries[:, 1]}),
-            dtype=float,
-        ),
-        (queries.shape[0],),
-    )
+    truth = case.truth_at(queries)
     tols = tols or Tolerances()
     dists = hyperpolation_distance(queries, data, tol=tols.subspace_tol)
     tags = [regime.tag for regime in classify(queries, data, tols)]
@@ -241,10 +277,10 @@ def evaluate_methods(
     for name in methods:
         t0 = time.perf_counter()
         if isinstance(methods, dict):
-            model = methods[name]
+            predict = methods[name].predict
         else:
-            model = _fit_named_method(name, data, grammar, budget)
-        pred = np.asarray(model.predict(queries), dtype=float)
+            predict = _predictor(name, data, grammar, budget)
+        pred = np.asarray(predict(queries), dtype=float)
         runtime = time.perf_counter() - t0
         predictions[name] = pred
         finite = np.isfinite(pred)

@@ -79,20 +79,13 @@ def build_parser():
     return parser
 
 
-def _is_number(value):
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _is_int(value):
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_str(value):
-    return isinstance(value, str)
-
-
-# JSON values each argparse flag type accepts from a config file
-_CONFIG_VALUE_CHECKS = {float: _is_number, int: _is_int, str: _is_str}
+# JSON values each argparse flag type accepts from a config file; a bool is
+# not a number
+_CONFIG_VALUE_CHECKS = {
+    float: lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
+    int: lambda v: isinstance(v, int) and not isinstance(v, bool),
+    str: lambda v: isinstance(v, str),
+}
 
 
 def _config_options(parser, command):
@@ -189,6 +182,8 @@ def _truncate_keeping_ties(candidates, top):
 
 
 def cmd_search(args):
+    if args.top is not None and args.top < 0:
+        raise InvalidInputError(f"--top must be a non-negative count, got {args.top}")
     data = read_dataset_csv(args.data, noise_sigma=args.sigma or 0.0)
     candidates = search_hyperpolation(
         data, grammar=_grammar(args), budget=args.budget
@@ -199,51 +194,20 @@ def cmd_search(args):
     return EXIT_OK
 
 
-def _is_pair(value):
-    return isinstance(value, list) and len(value) == 2 and all(map(_is_number, value))
-
-
-# field -> (check, expected form) for the JSON values of a case spec
-_CASE_SPEC_CHECKS = {
-    "name": (_is_str, "a string"),
-    "truth": (_is_str, "a string"),
-    "slice_base": (_is_pair, "a list of 2 numbers"),
-    "slice_direction": (_is_pair, "a list of 2 numbers"),
-    "sample_params": (
-        lambda v: isinstance(v, list) and all(map(_is_number, v)),
-        "a list of numbers",
-    ),
-    "noise_sigma": (_is_number, "a number"),
-    "seed": (_is_int, "an integer"),
-    "grid_ranges": (
-        lambda v: isinstance(v, list) and len(v) == 2 and all(map(_is_pair, v)),
-        "a list of 2 [lo, hi] pairs",
-    ),
-    "grid_step": (_is_number, "a number"),
-}
-
-
 def _load_case_spec(path):
     with open(path, encoding="utf-8") as fh:
         raw = json.load(fh)
     if not isinstance(raw, dict):
         raise InvalidInputError(f"case spec {path}: expected a JSON object")
-    for key, (check, form) in _CASE_SPEC_CHECKS.items():
-        if key in raw and not check(raw[key]):
-            raise InvalidInputError(
-                f"case spec {path}: {key!r} must be {form}, got {raw[key]!r}"
-            )
-    for field in dataclasses.fields(benchmark.BenchmarkCase):
+    fields = dataclasses.fields(benchmark.BenchmarkCase)
+    unknown = sorted(set(raw) - {field.name for field in fields})
+    if unknown:
+        raise InvalidInputError(f"case spec {path}: unknown field(s) {unknown}")
+    for field in fields:
         if field.default is dataclasses.MISSING and field.name not in raw:
             raise UnknownCaseError(f"case spec missing field {field.name!r}")
-    # absent fields keep BenchmarkCase's defaults; JSON lists become tuples
-    return benchmark.BenchmarkCase(
-        **{key: _as_tuple(raw[key]) for key in _CASE_SPEC_CHECKS if key in raw}
-    )
-
-
-def _as_tuple(value):
-    return tuple(map(_as_tuple, value)) if isinstance(value, list) else value
+    # absent fields keep BenchmarkCase's defaults; the case checks the rest
+    return benchmark.BenchmarkCase(**raw)
 
 
 def cmd_bench(args):

@@ -1224,8 +1224,8 @@ def predict_candidate(candidate, points):
 
 def _candidate_env(candidate, pts):
     """Variable arrays of ``candidate.expr`` at the rows of a 2-D float array
-    (see ``predict_candidate``)."""
-    env, offset_var = _frame_env(candidate.frame, pts)
+    (see ``predict_candidate``); for None, those of a hypothesis without one."""
+    env, offset_var = _frame_env(None if candidate is None else candidate.frame, pts)
     if offset_var is not None:
         env[offset_var] = candidate.y0 + env[offset_var]
     return env
@@ -1235,7 +1235,10 @@ def _frame_env(frame, pts):
     """``(env, offset_var)``: the variable arrays of any candidate of
     ``frame`` at the rows of a 2-D float array, and the variable (or None)
     whose array holds an offset from the slice, which each candidate reads
-    as its own y0 plus that offset.  The one variable rule of candidates."""
+    as its own y0 plus that offset; for ``frame`` None (no candidate), the
+    coordinates named x, y and z.  The one variable rule of hypotheses."""
+    if frame is None:
+        return {name: pts[:, i] for i, name in enumerate("xyz"[: pts.shape[1]])}, None
     if frame.mode == "new_dim" and pts.shape[1] <= 2:
         x = pts[:, 0]
         offset = pts[:, 1] if pts.shape[1] > 1 else np.zeros_like(x)

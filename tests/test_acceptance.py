@@ -21,7 +21,6 @@ from hyperpolate import (
     complexity,
     family_from_candidates,
     fit_additive,
-    fit_extrusion,
     fit_slice_interpolant,
     affine_hull,
     parse,
@@ -333,7 +332,7 @@ class TestCriterion7PropertySuites:
         x = np.arange(-40.0, 41.0)
         locs = np.column_stack([x, np.full_like(x, -20.0)])
         data = Dataset(locs, np.cos(np.sqrt(x**2 + 400.0)))
-        model = fit_extrusion(data)
+        model = fit_slice_interpolant(data)
         rng = np.random.default_rng(19)
         count = 0
         for _ in range(100):

@@ -12,11 +12,9 @@ from hyperpolate import (
     build_prior,
     classify,
     fit_additive,
-    fit_extrusion,
     fit_linear,
     fit_method,
     fit_nn_ambient,
-    fit_nn_projected,
     fit_slice_interpolant,
     generate_case,
     hull_chart,
@@ -110,7 +108,7 @@ class TestNearestNeighbourProjected:
     def test_on_line_matches_inner(self):
         x = np.arange(0.0, 5.0)
         data = Dataset(np.column_stack([x, np.zeros_like(x)]), x**2)
-        model = fit_nn_projected(data)
+        model = fit_slice_interpolant(data)
         inner = fit_slice_interpolant(data)
         chart = model.chart
         for t in np.linspace(-1.0, 5.5, 23):
@@ -118,7 +116,7 @@ class TestNearestNeighbourProjected:
             assert model.predict(p) == pytest.approx(float(inner(t)), abs=1e-12)
 
     def test_ripple_query_at_origin(self):
-        model = fit_nn_projected(ripple_slice_dataset())
+        model = fit_slice_interpolant(ripple_slice_dataset())
         # projecting (0, 0) lands on the slice at x = 0
         assert model.predict([0.0, 0.0]) == pytest.approx(np.cos(20.0), abs=1e-12)
         assert model.predict([0.0, 0.0]) == pytest.approx(0.40808206, abs=1e-7)
@@ -148,20 +146,20 @@ class TestLinear:
 
 class TestExtrusion:
     def test_constant_along_normal(self):
-        model = fit_extrusion(ripple_slice_dataset())
+        model = fit_slice_interpolant(ripple_slice_dataset())
         vals = [model.predict([5.0, y]) for y in (-35.0, -20.0, 0.0, 17.0)]
         assert np.allclose(vals, vals[0], atol=1e-12)
 
     def test_on_slice_equals_inner(self):
         data = ripple_slice_dataset()
-        model = fit_extrusion(data)
+        model = fit_slice_interpolant(data)
         for loc, val in zip(data.locations, data.values):
             assert model.predict(loc) == pytest.approx(val, abs=1e-12)
 
     def test_merged_knots_predict_their_mean(self):
         # two samples 1e-13 apart merge into one knot with the mean value
         data = Dataset([[0.0, 0.0], [1e-13, 0.0]], [1.0, 3.0])
-        model = fit_extrusion(data)
+        model = fit_slice_interpolant(data)
         assert fit_slice_interpolant(data).knots.size == 1
         xs = np.linspace(-50.0, 50.0, 21)
         grid = np.array([[x, y] for x in xs for y in xs])
@@ -170,7 +168,7 @@ class TestExtrusion:
 
     def test_orthogonal_constancy_random(self):
         data = ripple_slice_dataset()
-        model = fit_extrusion(data)
+        model = fit_slice_interpolant(data)
         rng = np.random.default_rng(2)
         for _ in range(100):
             p = rng.uniform(-40, 40, size=2)

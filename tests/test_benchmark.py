@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from hyperpolate import (
     HYPERPOLATION,
     INTERPOLATION,
     Grammar,
+    InvalidInputError,
     UnknownCaseError,
     compare_orderings,
     generate_case,
@@ -64,6 +67,86 @@ def ripple_report():
         ["extrusion", "nn_ambient"], "ripple"
     )
     return report, predictions, truth, queries
+
+
+def _grid(lo, hi):
+    return ((lo, hi), (lo, hi))
+
+
+class TestCaseRules:
+    def test_builtin_fields_unchanged(self):
+        def floats(lo, hi):
+            return tuple(float(t) for t in range(lo, hi + 1))
+
+        expected = {
+            "ripple": ("cos(sqrt(add(pow2(x),pow2(y))))", (0.0, -20.0), (1.0, 0.0), floats(-40, 40), 40.0),
+            "cone": ("sqrt(add(pow2(x),pow2(y)))", (0.0, 1.0), (1.0, 0.0), floats(-20, 20), 20.0),
+            "diagonal_xy": ("mul(x,y)", (0.0, 0.0), (1.0, 1.0), floats(-20, 20), 20.0),
+        }
+        assert sorted(BUILTIN_CASES) == sorted(expected)
+        for name, (truth, base, direction, params, half) in expected.items():
+            fields = dataclasses.asdict(BUILTIN_CASES[name])
+            assert fields == {
+                "name": name,
+                "truth": truth,
+                "slice_base": base,
+                "slice_direction": direction,
+                "sample_params": params,
+                "noise_sigma": 0.0,
+                "seed": 0,
+                "grid_ranges": _grid(-half, half),
+                "grid_step": 1.0,
+            }
+            assert [type(v) for v in fields["sample_params"]] == [float] * len(params)
+
+    def test_sequences_stored_as_float_tuples(self):
+        case = BenchmarkCase(
+            "mini", "add(x,y)", [0, 0], [1, 0], np.arange(3).tolist(), grid_ranges=[[-1, 1], [-2, 2]]
+        )
+        assert case.slice_base == (0.0, 0.0) and type(case.slice_base[0]) is float
+        assert case.sample_params == (0.0, 1.0, 2.0)
+        assert case.grid_ranges == ((-1.0, 1.0), (-2.0, 2.0))
+        assert hash(case) == hash(dataclasses.replace(case))
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("grid_step", 0.0),
+            ("grid_step", -1.0),
+            ("grid_step", True),
+            ("seed", -1),
+            ("seed", 1.0),
+            ("noise_sigma", float("nan")),
+            ("noise_sigma", -0.1),
+            ("name", ""),
+            ("name", "a/b"),
+            ("name", "a\\b"),
+            ("name", "a\0b"),
+            ("truth", "add(x,z)"),
+            ("truth", "add(x,"),
+            ("truth", 3.0),
+            ("slice_base", (0.0,)),
+            ("slice_direction", (1.0, float("inf"))),
+            ("sample_params", (0.0, "1")),
+            ("sample_params", (10**400,)),
+            ("grid_ranges", _grid(1.0, 0.0)),
+            ("grid_ranges", ((0.0, 1.0),)),
+        ],
+    )
+    def test_field_breaking_its_rule_raises(self, field, value):
+        with pytest.raises(InvalidInputError, match=f"case field '{field}' must be"):
+            BenchmarkCase(**{**BUILTIN_CASES["cone"].__dict__, field: value})
+
+    def test_replace_is_checked(self):
+        with pytest.raises(InvalidInputError, match="case field 'seed'"):
+            dataclasses.replace(BUILTIN_CASES["cone"], seed=-1)
+
+    def test_truth_at(self):
+        case = BUILTIN_CASES["diagonal_xy"]
+        points = np.array([[2.0, 3.0], [-1.0, 4.0]])
+        assert case.truth_at(points).tolist() == [6.0, -4.0]
+        constant = dataclasses.replace(case, truth="2")
+        assert constant.truth_at(points).tolist() == [2.0, 2.0]
 
 
 class TestEvaluate:

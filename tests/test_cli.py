@@ -167,6 +167,20 @@ class TestSearch:
         assert out == ""
         assert "non-negative integer" in err
 
+    @pytest.mark.parametrize("top, code, want", [("-1", 2, None), ("0", 0, [])])
+    def test_top_must_be_a_count(self, capsys, tmp_path, top, code, want):
+        data = tmp_path / "lin.csv"
+        rows = "\n".join(f"{x},{2*x}" for x in range(-4, 5))
+        data.write_text("x1,f\n" + rows + "\n", encoding="utf-8")
+        got, out, err = run(
+            capsys, "search", "--data", str(data), "--top", top, "--max-nodes", "3"
+        )
+        assert got == code
+        if want is None:
+            assert out == "" and err.startswith("error:") and "--top" in err
+        else:
+            assert json.loads(out) == want
+
     def test_top_keeps_tie_sets_whole(self, capsys, tmp_path):
         data = tmp_path / "cone.csv"
         lines = ["x1,f"] + [
@@ -348,6 +362,52 @@ class TestBench:
         )
         assert code == 2
         assert err.startswith("error:")
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("truth", "add(x,z)", "case field 'truth'"),
+            ("grid_step", 0, "case field 'grid_step'"),
+            ("grid_step", -1, "case field 'grid_step'"),
+            ("grid_stp", 0.5, "unknown field(s) ['grid_stp']"),
+            ("name", "a\u0000b", "case field 'name'"),
+            ("name", "../../evil", "case field 'name'"),
+            ("sample_params", [10**400], "case field 'sample_params'"),
+            ("grid_ranges", [[1, 0], [0, 1]], "case field 'grid_ranges'"),
+        ],
+        ids=["unknown_variable", "zero_step", "negative_step", "unknown_key",
+             "nul_name", "path_name", "huge_param", "reversed_range"],
+    )
+    def test_case_spec_breaking_a_rule_exits_2(self, capsys, tmp_path, key, value, message):
+        spec = {
+            "name": "mini",
+            "truth": "add(x,y)",
+            "slice_base": [0.0, 0.0],
+            "slice_direction": [1.0, 0.0],
+            "sample_params": [0.0, 1.0, 2.0],
+            key: value,
+        }
+        path = tmp_path / "case.json"
+        path.write_text(json.dumps(spec), encoding="utf-8")
+        out = tmp_path / "out"
+        code, _, err = run(
+            capsys, "bench", str(path), "--methods", "nn_ambient", "--out", str(out),
+        )
+        assert code == 2
+        assert err.startswith("error:") and message in err
+        assert "Traceback" not in err
+        assert not out.exists() or not any(out.iterdir())
+
+    def test_negative_seed_exits_2(self, capsys, tmp_path):
+        code, _, err = run(
+            capsys,
+            "bench", "cone", "--seed", "-1", "--sigma", "0.1",
+            "--methods", "nn_ambient", "--out", str(tmp_path),
+        )
+        assert code == 2
+        assert err.startswith("error:") and "case field 'seed'" in err
+        assert "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
 
     def test_case_spec_defaults_and_missing_field(self, tmp_path):
         spec = {
