@@ -329,26 +329,27 @@ def _enclose_chain(node, env, values, counter):
     return True, lambda x: fn(*fixed, *(at(x) for at in moving))
 
 
-def _grouped(nodes):
+def _grouped(nodes, ops=_OPS):
     """Executor groups (see ``_run_groups``) of operator nodes.
 
     ``nodes`` maps ``(rank, op, tables)`` to a list of ``(row, *operand
     rows)``: the nodes that apply ``op`` to operands in ``tables[i]`` (one
     table index per operand), each with the output row it fills.  Groups run
     in key order, so a rank that orders them (a node's height) lets a group
-    read rows that earlier groups wrote.
+    read rows that earlier groups wrote.  ``ops`` gives each operator's
+    operation: ``_OPS``, or ``_INTERVAL_OPS`` over interval tables.
     """
     groups = []
     for (_, op, tables), members in sorted(nodes.items()):
         rows = [np.array(col, dtype=np.intp) for col in zip(*members)]
-        groups.append((rows[0], _OPS[op], list(zip(tables, rows[1:]))))
+        groups.append((rows[0], ops[op], list(zip(tables, rows[1:]))))
     return groups
 
 
 def _run_groups(groups, tables, out):
     """The one grouped executor, of ``_FamilyProgram`` and ``_ShapeValues``:
     for each group, gather each operand's rows from its table, apply the
-    ``_OPS`` entry once to the stacked rows, and scatter the results into
+    operation once to the stacked rows, and scatter the results into
     ``out``.  An element-wise operation on stacked rows gives each row's
     values bit for bit, so a node's values equal ``_walk``'s.  Runs under the
     caller's numpy error state."""
@@ -356,9 +357,41 @@ def _run_groups(groups, tables, out):
         out[rows] = fn(*[tables[t][kids] for t, kids in operands])
 
 
+class _Intervals:
+    """(lo, hi) rows as one table of ``_run_groups``: indexing gathers an
+    interval, and assigning an interval scatters both ends."""
+
+    def __init__(self, lo, hi):
+        self.lo, self.hi = lo, hi
+
+    def __getitem__(self, rows):
+        return self.lo[rows], self.hi[rows]
+
+    def __setitem__(self, rows, interval):
+        self.lo[rows], self.hi[rows] = interval
+
+
+class _Degenerate:
+    """A table of value rows read as degenerate intervals (v, v), as
+    ``_walk`` enters a known operand of ``compile_interval``."""
+
+    def __init__(self, rows):
+        self.rows = rows
+
+    def __getitem__(self, rows):
+        values = self.rows[rows]
+        return values, values
+
+
 # Cells (samples x rows) that a _ShapeValues table holds at most: 8 MiB of
 # float64, where ripple1d's stored levels take about 0.5 MiB.
 _TABLE_CELLS = 1 << 20
+# Cells that a pooled pass holds in one array: the interval registers of one
+# _ShapeValues.enclose run, and the rows of the lanes that the fitter steps
+# together (symbolic._ShapeFitter.fit_all): 1 MiB of float64 each.
+_POOL_CELLS = 1 << 17
+# The slot path of the bare slot (see _ShapeValues.slot_paths).
+_SLOT_PATH = (0, None, (), 0, None)
 
 
 class _ShapeValues:
@@ -381,6 +414,13 @@ class _ShapeValues:
     was not stored) is left to the caller.  The tables hold at most
     ``_TABLE_CELLS`` cells: the first level that would go above it is not
     stored, nor any later one.
+
+    The stored rows also enclose shapes with one slot (``slot_paths`` and
+    ``enclose``): such a shape is its operator applied to known operands
+    and to the one operand that holds the slot, down to the slot itself, so
+    its ``compile_interval`` enclosure over a box is the operators'
+    ``_INTERVAL_OPS`` entries applied along that path to the known
+    operands' rows, as degenerate intervals.
     """
 
     def __init__(self, env):
@@ -424,6 +464,91 @@ class _ShapeValues:
         pos, groups, inner_groups, inner_rows = self._plan(shapes)
         inner = self._compute(inner_groups, inner_rows, self._tables)
         return pos, self._compute(groups, len(pos), [*self._tables, inner])
+
+    def slot_paths(self, shapes):
+        """The slot path of each of the ``shapes``, or None: a shape has one
+        when it holds one slot and every operand off the way from it down to
+        the slot has a stored row here.  A path is a node ``(height, key,
+        rows, at, below)``: ``below`` is the path of the operand that holds
+        the slot (``_SLOT_PATH`` for the slot itself, of height 0), ``key``
+        the executor group key ``(height, op, tables)`` with table -1 for
+        that operand, and ``rows`` the operand rows with ``at`` the position
+        of that operand's.  The arguments are in ``compile_interval``'s
+        order: a chain's known elements first (``_enclose_chain``), else
+        the operands' own."""
+        where, memo = self._where, {_SLOT: _SLOT_PATH}
+
+        def path(shape):
+            node = memo.get(shape, False)
+            if node is not False:
+                return node
+            op, node = shape[0], None
+            if op != "var":
+                kids = chain_elements(shape) if op in _CHAIN_OPS else shape[1:]
+                refs = [where.get(kid) for kid in kids]
+                if refs.count(None) == 1:
+                    at = refs.index(None)
+                    below = path(kids[at])
+                    if below is not None:
+                        if op in _CHAIN_OPS:
+                            del refs[at]
+                            refs.append(None)
+                            at = len(refs) - 1
+                        tables = tuple(-1 if r is None else r[0] for r in refs)
+                        rows = tuple(0 if r is None else r[1] for r in refs)
+                        height = below[0] + 1
+                        node = (height, (height, op, tables), rows, at, below)
+            memo[shape] = node
+            return node
+
+        return [path(shape) for shape in shapes]
+
+    def enclose(self, paths, lo, hi, reduce):
+        """``reduce(v_lo, v_hi)`` of the enclosures of one-slot shapes, given
+        by their ``slot_paths``, each over the box ``[lo[i], hi[i]]``, as
+        one array: ``v_lo`` and ``v_hi`` hold a row per box, bit for bit the
+        rows that ``compile_interval``'s ``at`` gives each shape over that
+        box.  The boxes are taken in runs of at most ``_POOL_CELLS`` cells of
+        registers, one per distinct box and one per path node and box, so
+        that boxes equal between shapes share the nodes below them; each
+        run is one gather, operation and scatter per height, operator and
+        operand tables (``_run_groups`` with ``_INTERVAL_OPS``)."""
+        limit = max(2, _POOL_CELLS // max(self._samples, 1))
+        tables = [_Degenerate(t) for t in self._tables]
+        lo, hi = lo.tolist(), hi.tolist()
+        out, start = [], 0
+        while start < len(paths):
+            nodes, regs, boxes, tops = {}, {}, {}, []
+
+            def reg(node, box):
+                if not node[0]:
+                    return box
+                key = (id(node), box)
+                row = regs.get(key)
+                if row is None:
+                    below = reg(node[4], box)
+                    row = regs[key] = len(regs) + len(boxes)
+                    rows, at = node[2], node[3]
+                    nodes.setdefault(node[1], []).append((row, *rows[:at], below, *rows[at + 1:]))
+                return row
+
+            end = start
+            while end < len(paths) and len(regs) + len(boxes) < limit:
+                box = (lo[end], hi[end])
+                if box not in boxes:
+                    boxes[box] = len(regs) + len(boxes)
+                tops.append(reg(paths[end], boxes[box]))
+                end += 1
+            size = len(regs) + len(boxes)
+            registers = _Intervals(np.empty((size, self._samples)), np.empty((size, self._samples)))
+            where = np.fromiter(boxes.values(), dtype=np.intp, count=len(boxes))
+            ends = np.array(list(boxes), dtype=float).reshape(-1, 2)
+            registers[where] = ends[:, :1], ends[:, 1:]
+            with np.errstate(all="ignore"):
+                _run_groups(_grouped(nodes, _INTERVAL_OPS), [*tables, registers], registers)
+                out.append(reduce(*registers[np.array(tops, dtype=np.intp)]))
+            start = end
+        return np.concatenate(out) if out else np.zeros(0, dtype=bool)
 
     def _room(self, rows):
         """Whether ``rows`` more rows fit in ``_TABLE_CELLS``; once they do
@@ -872,8 +997,9 @@ def _operands_of(e):
 _SLOT = ("slot",)
 
 
-class _Facts(NamedTuple):
-    """What the search reads of a shape, built from its operands' facts.
+class _Counts(NamedTuple):
+    """What the search's depth filter and score bound read of a shape, built
+    from its operands' facts.
 
     Its counts of nodes by kind give the strict search's score bound
     (``symbolic._shape_lower_bound``); the rest of its nodes are variables.
@@ -881,14 +1007,25 @@ class _Facts(NamedTuple):
     constant 0 survives folding.
     """
 
-    key: str  # serialize(shape)
     depth: int  # expr_depth(shape)
     slots: int  # slot_count(shape)
     operators: int
     lhs_slots: int
 
 
+class _Facts(NamedTuple):
+    """A shape's ``_Counts`` and its serialization key, which the enumerator
+    sorts and prunes by."""
+
+    key: str  # serialize(shape)
+    depth: int
+    slots: int
+    operators: int
+    lhs_slots: int
+
+
 _SLOT_FACTS = _Facts("~", 1, 1, 0, 0)
+_VAR_COUNTS = _Counts(1, 0, 0, 0)
 
 
 class ShapeEnumerator:
@@ -916,7 +1053,8 @@ class ShapeEnumerator:
     Only the facts of levels that are operands of a built level are kept,
     keyed by shape (levels 1-6 of 7 over one variable: about 2.5 MB, where
     level 7's would add about 18 MB); ``_facts_of`` composes those of a
-    newer shape when asked, and a level is sorted by keys composed so.
+    newer shape when asked, ``_counts_of`` its counts without the key, and
+    a level is sorted by keys composed so.
     """
 
     def __init__(self, grammar, variables):
@@ -974,34 +1112,35 @@ class ShapeEnumerator:
     def _facts_of(self, shape):
         """``_Facts`` of a shape that this enumerator built, from the facts
         of its operands, which must be of operand levels."""
+        return _Facts(self._key_of(shape), *self._counts_of(shape))
+
+    def _counts_of(self, shape):
+        """``_Counts`` of a shape that this enumerator built, from the facts
+        of its operands, which must be of operand levels; unlike
+        ``_facts_of``, it composes no key."""
         op = shape[0]
         if op == "var":
-            return _Facts(shape[1], 1, 0, 0, 0)
+            return _VAR_COUNTS
         facts = self._facts
         if len(shape) == 2:
             k = facts[shape[1]]
-            key = f"{op}({k.key})"
-            return _Facts(key, k.depth + 1, k.slots, k.operators + 1, k.lhs_slots)
+            return _Counts(k.depth + 1, k.slots, k.operators + 1, k.lhs_slots)
         if op in _CHAIN_OPS:
             elements = chain_elements(shape)
             last = len(elements) - 1
-            keys = []
             depth = slots = lhs_slots = 0
             operators = last
             for j, el in enumerate(elements):
                 k = facts[el]
-                keys.append(k.key)
                 # element j hangs j + 1 spine nodes deep, the last one j
                 depth = max(depth, j + (j < last) + k.depth)
                 slots += k.slots
                 operators += k.operators
                 lhs_slots += k.lhs_slots
-            key = f"{op}({','.join(keys)})"
-            return _Facts(key, depth, slots, operators, lhs_slots)
+            return _Counts(depth, slots, operators, lhs_slots)
         a = facts[shape[1]]
         b = facts[shape[2]]
-        return _Facts(
-            f"{op}({a.key},{b.key})",
+        return _Counts(
             1 + max(a.depth, b.depth),
             a.slots + b.slots,
             1 + a.operators + b.operators,

@@ -48,6 +48,7 @@ from .expressions import (
     VAR_COST,
     Grammar,
     ShapeEnumerator,
+    _POOL_CELLS,
     _const_cost,
     _is_count,
     _operands_of,
@@ -298,11 +299,6 @@ class _LaneObjective:
         u = _full(self.at(tuple(columns)), (len(points), self.target.size))
         return self.rows(u, ceiling)[0]
 
-    def capped(self, points):
-        """``self(points)`` at most 1e300, so that a bounded Brent run sees
-        no infinite value."""
-        return self(points, 1e300)
-
     def rows(self, u, ceiling=math.inf):
         """``(sse, c_a, c_b)`` for each row of an (L, m) table of core
         values: the SSE, at most ``ceiling``, as an (L,) array, and the
@@ -313,9 +309,11 @@ class _LaneObjective:
         vector, so a row's values do not depend on the other rows: the
         grid SSEs that choose the starts, the lanes' SSEs and the final
         one-row refit are each bit-equal to the SSE of that point alone.
-        Multiplying by the profiled 1 and adding the profiled 0 are exact
-        and left out.  A non-finite core value always makes its row's sum
-        non-finite (nan or inf), which ``fmin`` turns into the ceiling.
+        The rows of many cores of one wrap kind may be stacked into one
+        table (``_PoolObjective``).  Multiplying by the profiled 1 and adding
+        the profiled 0 are exact and left out.  A non-finite core value
+        always makes its row's sum non-finite (nan or inf), which ``fmin``
+        turns into the ceiling.
         """
         y = self.target
         m = y.size
@@ -338,260 +336,315 @@ class _LaneObjective:
             resid = u + cb - y
         else:
             resid = u - y
-        return np.fmin(np.add.reduce(resid * resid, axis=1), ceiling), ca, cb
+        return np.fmin(np.add.reduce(np.multiply(resid, resid, out=resid), axis=1), ceiling), ca, cb
 
 
 # The two minimizers below are the loops of scipy 1.17.1's
 # ``scipy.optimize._optimize._minimize_scalar_bounded`` and
 # ``_minimize_neldermead`` (BSD-3-Clause, Copyright (c) 2001-2002 Enthought,
-# Inc. and 2003 onwards SciPy Developers), turned into generators: each
-# yields its next trial point and is sent that point's objective value
-# (``fx = yield x``), so that ``_lockstep`` can evaluate many runs at once.
+# Inc. and 2003 onwards SciPy Developers), turned into state machines over
+# arrays of lanes: ``ask()`` gives the points that the live lanes need next,
+# and ``tell(values)`` takes the objective's values there and advances every
+# live lane by one step, so that ``_minimize`` can evaluate all lanes of many
+# cores at once.  ``owner`` names each live lane's objective (its core), and
+# ``x_end`` and ``f_end`` hold each lane's result once it has stopped.
 # Messages, callbacks and result objects are left out; every iterate is
-# computed as scipy computes it.  In the Brent loop numpy's scalar ``abs``,
-# ``sign`` and ``maximum`` are Python's ``abs``, a sign test and ``max``,
-# which give the same floats on Python floats, faster.  Nelder-Mead keeps its
-# simplex as lists of Python floats, with scipy's operations in scipy's
-# order: the centroid is the row sum taken left to right, then divided by
-# N; the coefficients at rho = 1, chi = 2, psi = sigma = 0.5 are 2 and 1
-# (reflection), 3 and 2 (expansion), 1.5 and 0.5 (contraction); and each
-# convergence test reads ``all(d <= tol)``, which a nan d fails as it fails
-# ``np.max(d) <= tol``.  Simplex values are ordered as ``np.argsort`` orders
-# them: its sort need not be stable, so ties and nans take numpy's order.
+# computed as scipy computes it, with both sides of each branch computed for
+# every lane and the taken side selected.
 
 
-def _bounded_brent(x1, x2, xatol=1e-12, maxfun=500):
-    """Bounded Brent minimisation over [x1, x2]; returns (x, f(x)).
+_SQRT_EPS = math.sqrt(2.2e-16)
+_GOLDEN_MEAN = 0.5 * (3.0 - math.sqrt(5.0))
 
-    ``minimize_scalar(f, bounds=(x1, x2), method="bounded",
-    options={"xatol": xatol, "maxiter": maxfun})``, one evaluation per step.
+
+class _Brent:
+    """Bounded Brent minimisation of each lane over its bracket [lo, hi]:
+    ``minimize_scalar(f, bounds=(lo, hi), method="bounded",
+    options={"xatol": xatol, "maxiter": maxfun})``, one point per lane and
+    step.
+
+    scipy's ``np.sign`` and ``np.maximum`` of scalars become a sign test
+    and ``np.maximum`` of arrays, which give the same floats: no value is
+    nan, since the fitter caps the SSE at 1e300.  All lanes evaluate once a
+    step, so the evaluation count ``num`` is one number.
     """
-    sqrt_eps = math.sqrt(2.2e-16)
-    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
-    a, b = x1, x2
-    fulc = a + golden_mean * (b - a)
-    nfc, xf = fulc, fulc
-    rat = e = 0.0
-    x = xf
-    fx = yield x
-    num = 1
 
-    ffulc = fnfc = fx
-    xm = 0.5 * (a + b)
-    tol1 = sqrt_eps * abs(xf) + xatol / 3.0
-    tol2 = 2.0 * tol1
+    _FIELDS = ("a", "b", "fulc", "nfc", "xf", "ffulc", "fnfc", "fx", "rat", "e", "owner", "lane")
 
-    while abs(xf - xm) > (tol2 - 0.5 * (b - a)):
-        golden = 1
-        # Check for parabolic fit
-        if abs(e) > tol1:
-            golden = 0
-            r = (xf - nfc) * (fx - ffulc)
-            q = (xf - fulc) * (fx - fnfc)
-            p = (xf - fulc) * q - (xf - nfc) * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            q = abs(q)
-            r = e
-            e = rat
+    def __init__(self, lo, hi, owner, xatol=1e-12, maxfun=500):
+        self.a = np.array(lo, dtype=float)
+        self.b = np.array(hi, dtype=float)
+        self.fulc = self.nfc = self.xf = self.point = self.a + _GOLDEN_MEAN * (self.b - self.a)
+        self.rat = self.e = np.zeros_like(self.a)
+        self.owner = np.asarray(owner, dtype=np.intp)
+        self.lane = np.arange(self.a.size)
+        self.x_end, self.f_end = np.empty(self.a.size), np.empty(self.a.size)
+        self.xatol, self.maxfun, self.num = xatol, maxfun, 0
 
-            # Check for acceptability of parabola
-            if (
-                (abs(p) < abs(0.5 * q * r))
-                and (p > q * (a - xf))
-                and (p < q * (b - xf))
-            ):
-                rat = (p + 0.0) / q
-                x = xf + rat
+    def ask(self):
+        return self.point
 
-                if ((x - a) < tol2) or ((b - x) < tol2):
-                    # scipy: rat = tol1 * (np.sign(xm - xf) + ((xm - xf) == 0))
-                    rat = -tol1 if xm - xf < 0 else tol1
-            else:  # do a golden-section step
-                golden = 1
+    def tell(self, fu):
+        self.num += 1
+        if self.num == 1:
+            self.fx = self.ffulc = self.fnfc = fu
+        else:
+            self._update(fu)
+        a, b, xf = self.a, self.b, self.xf
+        xm = 0.5 * (a + b)
+        tol1 = _SQRT_EPS * np.abs(xf) + self.xatol / 3.0
+        tol2 = 2.0 * tol1
+        go = np.abs(xf - xm) > (tol2 - 0.5 * (b - a))
+        if self.num >= self.maxfun:
+            go[:] = False
+        if not go.all():
+            stop = ~go
+            self.x_end[self.lane[stop]] = xf[stop]
+            self.f_end[self.lane[stop]] = self.fx[stop]
+            for name in self._FIELDS:
+                setattr(self, name, getattr(self, name)[go])
+            xm, tol1, tol2 = xm[go], tol1[go], tol2[go]
+        self.point = self._next(xm, tol1, tol2)
 
-        if golden:  # do a golden-section step
-            if xf >= xm:
-                e = a - xf
-            else:
-                e = b - xf
-            rat = golden_mean * e
+    def _update(self, fu):
+        """scipy's bookkeeping after the value ``fu`` at ``self.point``."""
+        x, xf, fx, nfc, fnfc, fulc = self.point, self.xf, self.fx, self.nfc, self.fnfc, self.fulc
+        better = fu <= fx
+        # better: a = xf if x >= xf else b = xf; worse: a = x if x < xf else b = x
+        moved = np.where(better, xf, x)
+        to_a = better == (x >= xf)
+        self.a = np.where(to_a, moved, self.a)
+        self.b = np.where(to_a, self.b, moved)
+        worse = ~better
+        near = worse & ((fu <= fnfc) | (nfc == xf))
+        far = worse & ~near & ((fu <= self.ffulc) | (fulc == xf) | (fulc == nfc))
+        shift = better | near
+        self.fulc = np.where(shift, nfc, np.where(far, x, fulc))
+        self.ffulc = np.where(shift, fnfc, np.where(far, fu, self.ffulc))
+        self.nfc = np.where(better, xf, np.where(near, x, nfc))
+        self.fnfc = np.where(better, fx, np.where(near, fu, fnfc))
+        self.xf = np.where(better, x, xf)
+        self.fx = np.where(better, fu, fx)
 
+    def _next(self, xm, tol1, tol2):
+        """The next trial point of each live lane: a parabolic step where
+        scipy accepts the parabola, else a golden-section step."""
+        a, b, xf, fx, nfc, fulc, e = self.a, self.b, self.xf, self.fx, self.nfc, self.fulc, self.e
+        parabolic = np.abs(e) > tol1
+        r = (xf - nfc) * (fx - self.ffulc)
+        q = (xf - fulc) * (fx - self.fnfc)
+        p = (xf - fulc) * q - (xf - nfc) * r
+        q = 2.0 * (q - r)
+        p = np.where(q > 0.0, -p, p)
+        q = np.abs(q)
+        accept = (
+            parabolic
+            & (np.abs(p) < np.abs(0.5 * q * e))
+            & (p > q * (a - xf))
+            & (p < q * (b - xf))
+        )
+        rat = (p + 0.0) / q
+        x = xf + rat
+        # scipy: rat = tol1 * (np.sign(xm - xf) + ((xm - xf) == 0))
+        edge = ((x - a) < tol2) | ((b - x) < tol2)
+        rat = np.where(edge, np.where(xm - xf < 0, -tol1, tol1), rat)
+        golden = np.where(xf >= xm, a - xf, b - xf)
+        self.e = np.where(accept, self.rat, golden)
+        self.rat = np.where(accept, rat, _GOLDEN_MEAN * golden)
         # scipy: si = np.sign(rat) + (rat == 0)
         #        x = xf + si * np.maximum(np.abs(rat), tol1)
-        step = max(abs(rat), tol1)
-        x = xf - step if rat < 0 else xf + step
-        fu = yield x
-        num += 1
-
-        if fu <= fx:
-            if x >= xf:
-                a = xf
-            else:
-                b = xf
-            fulc, ffulc = nfc, fnfc
-            nfc, fnfc = xf, fx
-            xf, fx = x, fu
-        else:
-            if x < xf:
-                a = x
-            else:
-                b = x
-            if (fu <= fnfc) or (nfc == xf):
-                fulc, ffulc = nfc, fnfc
-                nfc, fnfc = x, fu
-            elif (fu <= ffulc) or (fulc == xf) or (fulc == nfc):
-                fulc, ffulc = x, fu
-
-        xm = 0.5 * (a + b)
-        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
-        tol2 = 2.0 * tol1
-
-        if num >= maxfun:
-            break
-
-    return xf, fx
+        step = np.maximum(np.abs(self.rat), tol1)
+        return np.where(self.rat < 0, xf - step, xf + step)
 
 
-def _nelder_mead(x0, xatol=1e-10, fatol=1e-14, maxiter=400):
-    """Nelder-Mead minimisation from ``x0``; returns (x, f(x)), x an ndarray.
+# The Nelder-Mead coefficients at scipy's rho = 1, chi = 2, psi = sigma =
+# 0.5: reflection 2 xbar - 1 w, expansion 3 xbar - 2 w, outside
+# contraction 1.5 xbar - 0.5 w and inside contraction 0.5 xbar + 0.5 w,
+# where 0.5 xbar - (-0.5) w is that sum, bit for bit.
+_NM_XBAR = np.array([2.0, 3.0, 1.5, 0.5])[:, None]
+_NM_WORST = np.array([1.0, 2.0, 0.5, -0.5])[:, None]
 
-    ``minimize(f, x0, method="Nelder-Mead", options={"xatol": xatol,
-    "fatol": fatol, "maxiter": maxiter})``: the non-adaptive, unbounded form
-    with no cap on evaluations, one evaluation per step.  The simplex is a
-    list of rows of Python floats, and each trial point a list.
+
+class _NelderMead:
+    """Nelder-Mead minimisation from each lane's start: ``minimize(f, x0,
+    method="Nelder-Mead", options={"xatol": xatol, "fatol": fatol,
+    "maxiter": maxiter})``, the non-adaptive, unbounded form with no cap on
+    evaluations.  ``starts`` is an (L, N) array.
+
+    A step asks for the N + 1 vertices of the first simplex, then for one
+    iteration's points at once: the reflection, the expansion, both
+    contractions and the N points of a shrink, of which the iteration keeps
+    what scipy's branches would have evaluated.  Each value is that of its
+    point alone, so the iterates are scipy's.  The centroid is the row sum
+    taken left to right, then divided by N; each convergence test reads
+    ``max(d) <= tol``, which a nan d fails as scipy's does.  Simplex values
+    are ordered by ``np.argsort``, row by row, as scipy orders them: its
+    sort need not be stable, so ties and nans take numpy's order.  All lanes
+    iterate together, so the iteration count is one number.
     """
-    x0 = [float(v) for v in x0]
-    N = len(x0)
-    sim = [x0]
-    for k in range(N):
-        y = list(x0)
-        if y[k] != 0:
-            y[k] = (1 + 0.05) * y[k]
+
+    def __init__(self, starts, owner, maxiter, xatol=1e-10, fatol=1e-14):
+        x0 = np.array(starts, dtype=float)
+        lanes, n = x0.shape
+        sim = np.repeat(x0[:, None, :], n + 1, axis=1)
+        for k in range(n):
+            v = sim[:, k + 1, k]
+            sim[:, k + 1, k] = np.where(v != 0, (1 + 0.05) * v, 0.00025)
+        self.sim, self.fsim, self.points = sim, None, sim
+        self.owner = np.asarray(owner, dtype=np.intp)
+        self.lane = np.arange(lanes)
+        self.x_end, self.f_end = np.empty((lanes, n)), np.empty(lanes)
+        self.maxiter, self.xatol, self.fatol, self.iterations = maxiter, xatol, fatol, 0
+        # each choice's new simplex rows, indexing [simplex, trial points,
+        # shrunk points]: the best n kept and the worst replaced by the
+        # reflection, expansion or a contraction, or the best and the shrink
+        last = list(range(n + 1, n + 5))
+        self._rows = np.array([[*range(n), j] for j in last] + [[0, *range(n + 5, 2 * n + 5)]])
+
+    def ask(self):
+        pts = self.points if self.fsim is None else self.points[:, self.sim.shape[1] :]
+        return pts.reshape(-1, pts.shape[-1])
+
+    def tell(self, values):
+        sim = self.sim
+        lanes, n = sim.shape[0], sim.shape[2]
+        across = np.arange(lanes)[:, None]
+        if self.fsim is None:
+            fsim = values.reshape(lanes, n + 1)
+            for _ in range(2):  # scipy sorts twice before its loop
+                order = fsim.argsort(axis=1)
+                fsim, sim = fsim[across, order], sim[across, order]
         else:
-            y[k] = 0.00025
-        sim.append(y)
-
-    fsim = []
-    for point in sim:
-        fsim.append((yield point))
-    for _ in range(2):  # scipy sorts twice before its loop
-        ind = _argsort(fsim)
-        sim = [sim[i] for i in ind]
-        fsim = [fsim[i] for i in ind]
-
-    iterations = 1
-
-    while iterations < maxiter:
-        best, fbest = sim[0], fsim[0]
-        if all(abs(v - b) <= xatol for row in sim[1:] for v, b in zip(row, best)) and all(
-            abs(fbest - f) <= fatol for f in fsim[1:]
-        ):
-            break
-
-        xbar = sim[0]
-        for row in sim[1:-1]:
-            xbar = [a + b for a, b in zip(xbar, row)]
-        xbar = [a / N for a in xbar]
-        worst = sim[-1]
-        # scipy's coefficients at rho = 1, chi = 2, psi = sigma = 0.5
-        xr = [2 * a - 1 * w for a, w in zip(xbar, worst)]
-        fxr = yield xr
-        doshrink = 0
-
-        if fxr < fsim[0]:
-            xe = [3 * a - 2 * w for a, w in zip(xbar, worst)]
-            fxe = yield xe
-
-            if fxe < fxr:
-                sim[-1] = xe
-                fsim[-1] = fxe
-            else:
-                sim[-1] = xr
-                fsim[-1] = fxr
-        else:  # fsim[0] <= fxr
-            if fxr < fsim[-2]:
-                sim[-1] = xr
-                fsim[-1] = fxr
-            else:  # fxr >= fsim[-2]
-                # Perform contraction
-                if fxr < fsim[-1]:
-                    xc = [1.5 * a - 0.5 * w for a, w in zip(xbar, worst)]
-                    fxc = yield xc
-
-                    if fxc <= fxr:
-                        sim[-1] = xc
-                        fsim[-1] = fxc
-                    else:
-                        doshrink = 1
-                else:
-                    # Perform an inside contraction
-                    xcc = [0.5 * a + 0.5 * w for a, w in zip(xbar, worst)]
-                    fxcc = yield xcc
-
-                    if fxcc < fsim[-1]:
-                        sim[-1] = xcc
-                        fsim[-1] = fxcc
-                    else:
-                        doshrink = 1
-
-                if doshrink:
-                    for j in range(1, N + 1):
-                        sim[j] = [b + 0.5 * (v - b) for v, b in zip(sim[j], sim[0])]
-                        fsim[j] = yield sim[j]
-        iterations += 1
-        ind = _argsort(fsim)
-        sim = [sim[i] for i in ind]
-        fsim = [fsim[i] for i in ind]
-
-    # scipy: np.min(fsim), nan when any value is; the sort put nans last
-    return np.array(sim[0]), fsim[0] if fsim[-1] == fsim[-1] else math.nan
+            f = values.reshape(lanes, n + 4)
+            fsim = self.fsim
+            fxr, fxe, fxc, fxcc, worst = f[:, 0], f[:, 1], f[:, 2], f[:, 3], fsim[:, -1]
+            shrink = 4
+            choice = np.where(
+                fxr < fsim[:, 0],
+                np.where(fxe < fxr, 1, 0),
+                np.where(
+                    fxr < fsim[:, -2],
+                    0,
+                    np.where(
+                        fxr < worst,
+                        np.where(fxc <= fxr, 2, shrink),
+                        np.where(fxcc < worst, 3, shrink),
+                    ),
+                ),
+            )
+            rows = self._rows[choice]
+            fsim = np.concatenate([fsim, f], axis=1)[across, rows]
+            order = fsim.argsort(axis=1)
+            fsim, rows = fsim[across, order], rows[across, order]
+            sim = self.points[across, rows]
+        self.iterations += 1
+        go = ~(
+            (np.abs(sim[:, 1:] - sim[:, :1]).max(axis=(1, 2)) <= self.xatol)
+            & (np.abs(fsim[:, :1] - fsim[:, 1:]).max(axis=1) <= self.fatol)
+        )
+        if self.iterations >= self.maxiter:
+            go[:] = False
+        if not go.all():
+            stop = ~go
+            self.x_end[self.lane[stop]] = sim[stop, 0]
+            # scipy: np.min(fsim), nan when any value is; the sort put nans last
+            self.f_end[self.lane[stop]] = np.where(np.isnan(fsim[stop, -1]), np.nan, fsim[stop, 0])
+            sim, fsim = sim[go], fsim[go]
+            self.owner, self.lane = self.owner[go], self.lane[go]
+        self.sim, self.fsim = sim, fsim
+        xbar = sim[:, 0]
+        for j in range(1, n):
+            xbar = xbar + sim[:, j]
+        xbar = xbar / n
+        trial = _NM_XBAR * xbar[:, None] - _NM_WORST * sim[:, -1:]
+        shrunk = sim[:, :1] + 0.5 * (sim[:, 1:] - sim[:, :1])
+        self.points = np.concatenate([sim, trial, shrunk], axis=1)
 
 
-def _argsort(values):
-    """``np.argsort(values)`` as a list.  Distinct values that are not nan
-    have one ascending order, which Python's sort finds; for ties and nans
-    numpy's own order is taken, since its sort need not be stable."""
-    order = sorted(range(len(values)), key=values.__getitem__)
-    for i, j in zip(order, order[1:]):
-        if not values[i] < values[j]:
-            return np.argsort(values).tolist()
-    return order
+def _minimize(machine, objective):
+    """Run a lane machine (``_Brent`` or ``_NelderMead``) until every lane
+    has stopped: each step hands it ``objective(points, owner)``, the
+    values at the points it asks for, the live lanes' points in lane order,
+    each lane's points together.  Returns the machine, whose ``x_end`` and
+    ``f_end`` hold the lanes' results.  Runs under ``np.errstate(all=
+    "ignore")``: the machines compute both sides of every branch."""
+    with np.errstate(all="ignore"):
+        while machine.owner.size:
+            machine.tell(objective(machine.ask(), machine.owner))
+    return machine
 
 
-def _lockstep(lanes, objective):
-    """Run minimizer generators together; returns their results in order.
+class _PoolObjective:
+    """The profiled SSEs (capped at ``ceiling``) of lanes of many cores, as
+    ``_minimize`` asks for them: each step calls each live core's ``at``
+    once, on its lanes' points stacked, and ``_LaneObjective.rows`` once
+    per linear-wrap kind, on the stacked values of that kind's cores.
+    ``objectives`` are the cores' ``_LaneObjective``s, sorted by kind; a
+    lane's owner indexes them, and the lanes are in owner order."""
 
-    Each step sends every live lane the value at the point it yielded last,
-    computed for all of them by one call ``objective(points)``: given the
-    list of the live lanes' points, it returns an array of their values.
-    """
-    results = [None] * len(lanes)
-    live = list(range(len(lanes)))
-    points = [next(lane) for lane in lanes]
-    while live:
-        values = objective([points[i] for i in live]).tolist()
-        still = []
-        for i, fx in zip(live, values):
-            try:
-                points[i] = lanes[i].send(fx)
-            except StopIteration as stop:
-                results[i] = stop.value
-            else:
-                still.append(i)
-        live = still
-    return results
+    def __init__(self, objectives, ceiling=math.inf):
+        self.objectives = objectives
+        self.ceiling = ceiling
+        self._owner = None
+
+    def __call__(self, points, owner):
+        if owner is not self._owner:
+            self._plan(owner)
+        per = len(points) // len(owner)
+        if points.ndim == 1:
+            points = points[:, None]
+        m = self.objectives[0].target.size
+        out = np.empty(len(points))
+        for rows, start, stop, cores in self._kinds:
+            parts = []
+            for at, a, b in cores:
+                block = points[a * per : b * per]
+                part = at(tuple(block[:, j : j + 1] for j in range(block.shape[1])))
+                parts.append(_full(part, (len(block), m)))
+            u = parts[0] if len(parts) == 1 else np.concatenate(parts)
+            out[start * per : stop * per] = rows(u, self.ceiling)[0]
+        return out
+
+    def _plan(self, owner):
+        """Each kind's lanes and each core's, from the owners of the live
+        lanes."""
+        self._owner = owner
+        cuts = (np.flatnonzero(owner[1:] != owner[:-1]) + 1).tolist()
+        kinds, last = [], None
+        for a, b in zip([0, *cuts], [*cuts, len(owner)]):
+            lanes = self.objectives[owner[a]]
+            kind = (lanes.has_mul, lanes.has_add)
+            if kind != last:
+                kinds.append([lanes.rows, a, b, []])
+                last = kind
+            kinds[-1][2] = b
+            kinds[-1][3].append((lanes.at, a, b))
+        self._kinds = kinds
 
 
-def _first_best(runs):
-    """(constants, sse) of the first run with the least finite SSE, or
-    (None, inf) when no run has one."""
+def _first_best(xs, fxs):
+    """(constants, sse) of the first lane with the least finite SSE, or
+    (None, inf) when no lane has one."""
     best_v, best_sse = None, np.inf
-    for x, fx in runs:
+    for x, fx in zip(xs, fxs):
         if np.isfinite(fx) and fx < best_sse:
             best_sse, best_v = float(fx), tuple(float(v) for v in np.atleast_1d(x))
     return best_v, best_sse
+
+
+class _Plan:
+    """One shape's fit in progress, from ``_ShapeFitter._plan``: its profiled
+    objective ``lanes`` with ``k`` inner slots, its ``core``, whether the
+    strict screen checks it, its table slot ``path`` (when the screen's span
+    box was checked from the value table), its lanes' ``starts`` and, once
+    they have run, their ``runs``; a slot-free shape's ``fit`` and ``nan``
+    are known at once (see ``_ShapeFitter.fit``)."""
+
+    __slots__ = ("core", "k", "lanes", "screen", "path", "starts", "runs", "fit", "nan")
+
+    def __init__(self, core, k, lanes=None, screen=False):
+        self.core, self.k, self.lanes, self.screen, self.path = core, k, lanes, screen, None
+        self.starts, self.runs, self.fit, self.nan = [], ((), ()), None, False
 
 
 class _ShapeFitter:
@@ -599,7 +652,7 @@ class _ShapeFitter:
 
     A ``strict`` fitter serves a strict-mode search, which keeps only fits
     within ``STRICT_TOL``: it returns None for one-slot shapes that the
-    interval screen (``_cannot_qualify``) shows cannot give such a fit.
+    interval screen (``_rule_out``) shows cannot give such a fit.
     """
 
     def __init__(self, envs, target, strict=False):
@@ -608,6 +661,7 @@ class _ShapeFitter:
         self.grid = _scale_grid(self.envs, self.target)
         self.strict = strict
         self.free_nan = False
+        self._band = (self.target - 2.0 * STRICT_TOL, self.target + 2.0 * STRICT_TOL)
 
     def fit(self, shape):
         """Return (const_vector, sse, max_abs) or None when no fit with
@@ -618,39 +672,154 @@ class _ShapeFitter:
         with this residual.  After each call ``free_nan`` says whether the
         shape is slot-free with values that are nan at some sample.
 
-        The search values most slot-free shapes a block at a time instead
-        (``free_residuals``); it fits a slot-free shape here only when its
-        operands have no values in the table, as for a variable, and this
-        path is the reference that the block path is tested against."""
-        self.free_nan = False
-        with np.errstate(all="ignore"):
-            return self._fit(shape)
+        This is ``fit_all`` of the one shape without a value table: the
+        per-shape reference that the search's pooled fits are tested
+        against."""
+        (fit,), nan = self.fit_all([shape])
+        self.free_nan = bool(nan)
+        return fit
 
-    def _fit(self, shape):
-        target = self.target
+    def fit_all(self, shapes, values=None):
+        """``(fits, nan)``: the ``fit`` of each of the ``shapes``, in order,
+        and the positions of the slot-free ones whose values are nan.
+
+        The shapes are planned one at a time (``_plan``, which compiles each
+        core) and fitted together: the strict screen, the grid passes and
+        then the Brent and Nelder-Mead lanes of all of them, in chunks of at
+        most ``_POOL_CELLS`` cells of lane rows (``_minimize``).  Given
+        ``values`` (a ``_ShapeValues`` over these envs), a strict fitter
+        first screens the span box of every one-slot shape without a linear
+        wrap that has a slot path there, all at once and before any of them
+        is compiled, and later the brackets of those that survive."""
+        fits, nan = [None] * len(shapes), []
+        paths = {}
+        with np.errstate(all="ignore"):
+            todo = range(len(shapes))
+            if self.strict and values is not None:
+                todo, paths = self._table_screen(shapes, values)
+            chunk, cells = [], 0
+            m = max(self.target.size, 1)
+            for i in todo:
+                plan = self._plan(shapes[i])
+                plan.path = paths.get(i)
+                if plan.lanes is None:
+                    fits[i] = plan.fit
+                    if plan.nan:
+                        nan.append(i)
+                    continue
+                chunk.append((i, plan))
+                cells += m * _lane_rows(plan.k)
+                if cells >= _POOL_CELLS:
+                    self._fit_plans(chunk, values, fits)
+                    chunk, cells = [], 0
+            self._fit_plans(chunk, values, fits)
+        return fits, nan
+
+    def _table_screen(self, shapes, values):
+        """``(todo, paths)``: the positions of the ``shapes`` that the span
+        box screen over the value table does not rule out, and the slot
+        paths of the one-slot shapes that it checked."""
+        wrapless = [i for i, shape in enumerate(shapes) if not _has_linear_wrap(shape)]
+        found = values.slot_paths([shapes[i] for i in wrapless])
+        checked = [(i, path) for i, path in zip(wrapless, found) if path is not None]
+        span = (self.grid[0] - 1.0, self.grid[-1] + 1.0)
+        ruled = self._rule_out([[span]] * len(checked), self._table_meets(values, [p for _, p in checked]))
+        out = {i for (i, _), r in zip(checked, ruled) if r}
+        paths = {i: path for (i, path), r in zip(checked, ruled) if not r}
+        return [i for i in range(len(shapes)) if i not in out], paths
+
+    def _plan(self, shape):
+        """The per-shape entry of ``fit_all``: compile the shape's core and
+        give its ``_Plan``.  A slot-free shape without a linear wrap is
+        fitted here: its values are its fit."""
         core, has_mul, has_add = _linear_split(shape)
-        k_inner, at = compile_shape(core, self.envs)
-        if k_inner == 0 and not (has_mul or has_add):
-            vals = _full(at(()), target.shape)
+        k, at = compile_shape(core, self.envs)
+        if k == 0 and not (has_mul or has_add):
+            plan = _Plan(core, 0)
+            vals = _full(at(()), self.target.shape)
             if not np.all(np.isfinite(vals)):
-                self.free_nan = bool(np.isnan(vals).any())
-                return None
-            resid = vals - target
-            return (), float(resid @ resid), float(np.max(np.abs(resid)))
-        lanes = _LaneObjective(at, target, has_mul, has_add)
-        inner = ()
-        if k_inner:
-            if k_inner == 1:
-                screen = self.strict and not (has_mul or has_add)
-                inner, sse = self._fit_inner1(lanes, core if screen else None)
-            elif k_inner == 2:
-                inner, sse = self._fit_inner2(lanes)
+                plan.nan = bool(np.isnan(vals).any())
             else:
-                inner, sse = self._fit_inner_many(lanes, k_inner)
+                resid = vals - self.target
+                plan.fit = (), float(resid @ resid), float(np.max(np.abs(resid)))
+            return plan
+        lanes = _LaneObjective(at, self.target, has_mul, has_add)
+        return _Plan(core, k, lanes, self.strict and k == 1 and not (has_mul or has_add))
+
+    def _fit_plans(self, chunk, values, fits):
+        """Fit the planned shapes of ``chunk`` (``(position, plan)`` pairs)
+        together and store each fit at its position in ``fits``.
+
+        A one-slot shape gets its Brent brackets from a grid pass
+        (``_brackets``).  When the strict screen checks it, its span box
+        [g_0 - 1, g_last + 1] over the start grid g is screened first (here
+        for shapes without a table path), and its brackets after the grid
+        pass.  The span box contains every bracket, since a bracket's ends
+        are grid neighbours, or a grid end moved by 1, and a bracket's snap
+        padding is at most the span's; a shape ruled out over it needs no
+        grid pass.  A two-slot shape's Nelder-Mead starts come from a coarse
+        grid pass, and more slots start at fixed points."""
+        plans = [plan for _, plan in chunk]
+        one = [p for p in plans if p.k == 1]
+        unscreened = [p for p in one if p.screen and p.path is None]
+        span = (self.grid[0] - 1.0, self.grid[-1] + 1.0)
+        out = set(map(id, self._screen(unscreened, [[span]] * len(unscreened), values)))
+        one = [p for p in one if id(p) not in out]
+        for p in one:
+            p.starts = self._brackets(p.lanes)
+        screened = [p for p in one if p.screen and p.starts]
+        out = set(map(id, self._screen(screened, [p.starts for p in screened], values)))
+        for p in one:
+            if id(p) in out:
+                p.starts = []
+        for p in plans:
+            if p.k == 2:
+                p.starts = self._nelder_mead_starts(p.lanes)
+            elif p.k > 2:
+                p.starts = list(itertools.islice(itertools.product(_MANY_STARTS, repeat=p.k), 64))
+        self._run(
+            [p for p in plans if p.k == 1],
+            lambda starts, owner: _Brent(*np.array(starts, dtype=float).reshape(-1, 2).T, owner),
+            1e300,
+        )
+        for k in sorted({p.k for p in plans if p.k > 1}):
+            maxiter = 400 if k == 2 else 600
+            self._run(
+                [p for p in plans if p.k == k],
+                lambda starts, owner: _NelderMead(np.reshape(starts, (-1, k)), owner, maxiter),
+                math.inf,
+            )
+        for i, p in chunk:
+            fits[i] = self._finish(p)
+
+    def _run(self, plans, machine, ceiling):
+        """Run the lanes of ``plans`` (their ``starts``) together, the
+        plans sorted by wrap kind, and keep each plan's lane results, its
+        lanes' x and fx in start order, in ``runs``."""
+        plans = sorted(
+            (p for p in plans if p.starts), key=lambda p: (p.lanes.has_mul, p.lanes.has_add)
+        )
+        if not plans:
+            return
+        owner = np.repeat(np.arange(len(plans)), [len(p.starts) for p in plans])
+        starts = [s for p in plans for s in p.starts]
+        done = _minimize(machine(starts, owner), _PoolObjective([p.lanes for p in plans], ceiling))
+        end = 0
+        for p in plans:
+            start, end = end, end + len(p.starts)
+            p.runs = done.x_end[start:end], done.f_end[start:end]
+
+    def _finish(self, plan):
+        """The fit of a plan whose lanes have run: the best lane's inner
+        constants with the profiled ones refitted on one row."""
+        inner = ()
+        lanes = plan.lanes
+        if plan.k:
+            inner, sse = _first_best(*plan.runs)
             if inner is None or not np.isfinite(sse):
                 return None
-        sse, ca, cb = lanes.rows(_full(at(inner), (1, target.size)))
-        consts = self._assemble(inner, ca, cb, has_mul, has_add)
+        sse, ca, cb = lanes.rows(_full(lanes.at(inner), (1, self.target.size)))
+        consts = self._assemble(inner, ca, cb, lanes.has_mul, lanes.has_add)
         if not (np.isfinite(sse[0]) and all(map(math.isfinite, consts))):
             return None
         return consts, float(sse[0]), None
@@ -664,27 +833,6 @@ class _ShapeFitter:
         if has_add:
             out.append(float(cb[0, 0]))
         return tuple(out)
-
-    def _fit_inner1(self, lanes, core=None):
-        """Bounded Brent over ``_brackets``; given ``core``, the shape's
-        slot-bearing part, only when the interval screen cannot rule out
-        first the span box and then the brackets.
-
-        The span box [g_0 - 1, g_last + 1] over the start grid g contains
-        every bracket: a bracket's ends are grid neighbours, or a grid end
-        moved by 1.  A bracket's snap padding is at most the span's, which
-        is taken at the span's largest magnitude, so the padded span holds
-        every padded bracket.  A shape ruled out over it needs no grid pass.
-        """
-        if core is not None:
-            grid = self.grid
-            if self._cannot_qualify(core, [(grid[0] - 1.0, grid[-1] + 1.0)]):
-                return None, np.inf
-        brackets = self._brackets(lanes)
-        if core is not None and brackets and self._cannot_qualify(core, brackets):
-            return None, np.inf
-        runs = [_bounded_brent(lo, hi) for lo, hi in brackets]
-        return _first_best(_lockstep(runs, lanes.capped))
 
     def _brackets(self, lanes):
         """The grid neighbours around each of the three best grid points
@@ -700,48 +848,97 @@ class _ShapeFitter:
             brackets.append((float(lo), float(hi)))
         return brackets
 
+    def _screen(self, plans, boxes, values):
+        """The plans (one-slot cores) that the strict screen rules out over
+        their ``boxes``: from the value table for those with a slot path,
+        else by ``compile_interval``."""
+        tabled = [j for j, p in enumerate(plans) if p.path is not None]
+        out = []
+        if tabled:
+            meets = self._table_meets(values, [plans[j].path for j in tabled])
+            ruled = self._rule_out([boxes[j] for j in tabled], meets)
+            out.extend(plans[j] for j, r in zip(tabled, ruled) if r)
+        out.extend(p for p, b in zip(plans, boxes) if p.path is None and self._cannot_qualify(p.core, b))
+        return out
+
     def _cannot_qualify(self, core, brackets):
         """True when no constant in the brackets, moved by up to two snap
         steps, makes the one-slot ``core`` reproduce every target within
-        ``2 * STRICT_TOL``.
+        ``2 * STRICT_TOL``: ``_rule_out`` with ``compile_interval``'s
+        enclosures.
+
+        ``compile_interval`` encloses the core's values over each box, and
+        also those of its ``canonical_simplify`` form, whose residual the
+        search reads."""
+        _, at = compile_interval(core, self.envs)
+
+        def meets(owner, lo, hi):
+            return self._meets(*at(((lo[:, None], hi[:, None]),)))
+
+        return bool(self._rule_out([brackets], meets)[0])
+
+    def _table_meets(self, values, paths):
+        """``meets`` for ``_rule_out`` from the value table's enclosures of
+        the shapes with these slot ``paths`` (``_ShapeValues.enclose``)."""
+
+        def meets(owner, lo, hi):
+            return values.enclose([paths[o] for o in owner.tolist()], lo, hi, self._meets)
+
+        return meets
+
+    def _meets(self, v_lo, v_hi):
+        """Whether each box's enclosure meets the target's band at every
+        sample (an empty enclosure, nan, meets nothing)."""
+        band_lo, band_hi = self._band
+        return ((v_hi >= band_lo) & (v_lo <= band_hi)).all(axis=1)
+
+    def _rule_out(self, boxes, meets):
+        """For each shape, whether no constant in its ``boxes`` (brackets),
+        moved by up to two snap steps, makes it reproduce every target
+        within ``2 * STRICT_TOL``; ``meets(owner, lo, hi)`` tells, for
+        boxes of the shapes ``owner``, whether each box's enclosure meets
+        the band at every sample (``_meets``).
 
         Bounded Brent evaluates only inside its bracket, ``_first_best``
         returns one of its points and ``snap`` moves that by at most one
-        snap step; the boxes leave room for two.  ``_fit_inner1`` calls this
-        first with the one span box [g_0 - 1, g_last + 1] of the start grid,
-        which holds every bracket, padded, that the grid pass could pick.
-        ``compile_interval`` encloses the core's values over each box, and
-        also those of its ``canonical_simplify`` form, whose residual the
-        search reads.  A box is ruled out when, at some sample, its
-        enclosure misses the target's band or is empty (every value nan).
-        Boxes that survive are halved until a level rules none out, or up
-        to ``SCREEN_LEVELS`` levels and ``SCREEN_BOXES`` boxes.
-        """
-        _, at = compile_interval(core, self.envs)
-        lo, hi = np.array(brackets).T
+        snap step; the boxes leave room for two.  A box is ruled out when,
+        at some sample, its enclosure misses the target's band or is empty
+        (every value nan), and a shape when all its boxes are.  A shape's
+        boxes that survive are halved until a level rules none of them out,
+        or up to ``SCREEN_LEVELS`` levels and ``SCREEN_BOXES`` boxes.  The
+        shapes are screened together, level by level; each box's verdict is
+        its own."""
+        count = len(boxes)
+        out = np.zeros(count, dtype=bool)
+        owner = np.repeat(np.arange(count), [len(b) for b in boxes])
+        if not owner.size:
+            return out
+        lo, hi = np.array([box for b in boxes for box in b], dtype=float).T
         pad = 2.0 * INT_SNAP_REL * np.maximum(1.0, np.maximum(np.abs(lo), np.abs(hi)))
         lo, hi = lo - pad, hi + pad
-        band_lo = self.target - 2.0 * STRICT_TOL
-        band_hi = self.target + 2.0 * STRICT_TOL
         for level in range(SCREEN_LEVELS):
-            v_lo, v_hi = at(((lo[:, None], hi[:, None]),))
-            live = ((v_hi >= band_lo) & (v_lo <= band_hi)).all(axis=1)
-            if not live.any():
-                return True
-            if level and live.all():
-                return False  # halving ruled nothing out; deeper levels seldom do
-            lo, hi = lo[live], hi[live]
-            if 2 * lo.size > SCREEN_BOXES:
-                return False
+            with np.errstate(all="ignore"):
+                live = meets(owner, lo, hi)
+            total = np.bincount(owner, minlength=count)
+            alive = np.bincount(owner[live], minlength=count)
+            out |= (total > 0) & (alive == 0)
+            # halving ruled nothing out; deeper levels seldom do
+            go = (alive > 0) & (2 * alive <= SCREEN_BOXES) & ((alive < total) if level else True)
+            keep = live & go[owner]
+            if level + 1 == SCREEN_LEVELS or not keep.any():
+                break
+            lo, hi, owner = lo[keep], hi[keep], owner[keep]
             mid = 0.5 * (lo + hi)
-            lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
-        return False
+            lo, hi, owner = np.concatenate([lo, mid]), np.concatenate([mid, hi]), np.concatenate([owner, owner])
+        return out
 
     def _coarse(self):
         g = self.grid
         return g[:: max(1, g.size // 28)]
 
-    def _fit_inner2(self, lanes):
+    def _nelder_mead_starts(self, lanes):
+        """The three best points of the coarse grid's rows with a finite
+        SSE, each row's best."""
         coarse = self._coarse()
         grid = lanes([(c1, c2) for c1 in coarse for c2 in coarse])
         best = []
@@ -750,14 +947,7 @@ class _ShapeFitter:
             if np.isfinite(sse[idx]):
                 best.append((float(sse[idx]), float(c1), float(coarse[idx])))
         best.sort()
-        runs = [_nelder_mead((c1, c2)) for _, c1, c2 in best[:3]]
-        return _first_best(_lockstep(runs, lanes))
-
-    def _fit_inner_many(self, lanes, k):
-        starts = [0.0, 1.0, -1.0, 2.0]
-        combos = itertools.islice(itertools.product(starts, repeat=k), 64)
-        runs = [_nelder_mead(x0, maxiter=600) for x0 in combos]
-        return _first_best(_lockstep(runs, lanes))
+        return [(c1, c2) for _, c1, c2 in best[:3]]
 
     def snap(self, shape, consts, sse):
         """Round near-integer constants when the fit does not degrade."""
@@ -780,10 +970,10 @@ class _ShapeFitter:
 
     def free_residuals(self, values, shapes):
         """The max-abs residual of each of the ``shapes`` that ``values``
-        (a ``_ShapeValues``) can value, which are slot-free, as a list: nan
-        where its values are nan at some sample, inf where they are
+        (a ``_ShapeValues``) can value, which are slot-free, as an array:
+        nan where its values are nan at some sample, inf where they are
         otherwise not finite or the residual overflows, and -1.0 for each
-        other shape, which ``fit`` takes alone.  A finite entry is the
+        other shape, which ``fit_all`` takes.  A finite entry is the
         ``max_abs`` that ``fit`` gives the shape, bit for bit."""
         out = np.full(len(shapes), -1.0)
         pos, vals = values.values(shapes)
@@ -791,7 +981,7 @@ class _ShapeFitter:
             with np.errstate(all="ignore"):
                 np.subtract(vals, self.target, out=vals)
                 out[pos] = np.max(np.abs(vals, out=vals), axis=1)
-        return out.tolist()
+        return out
 
     def residual_of(self, expr):
         vals = evaluate(expr, self.envs)
@@ -799,6 +989,30 @@ class _ShapeFitter:
         if not np.all(np.isfinite(vals)):
             return np.inf
         return float(np.max(np.abs(vals - self.target)))
+
+
+# the starts of fits with three or more inner slots: their first 64 tuples
+_MANY_STARTS = (0.0, 1.0, -1.0, 2.0)
+
+
+def _lane_rows(k):
+    """Rows that the lanes of a shape with ``k`` inner slots evaluate in a
+    step at most: three Brent lanes, three Nelder-Mead lanes for two slots
+    and 64 for more, each with its 4 + k points of an iteration."""
+    if k < 2:
+        return 3 * k
+    return (3 if k == 2 else 64) * (4 + k)
+
+
+def _has_linear_wrap(shape):
+    """Whether ``_linear_split`` strips a slot from the shape: a top-level
+    add or mul chain holds its bare slot last."""
+    if shape[0] not in ("add", "mul"):
+        return False
+    last = shape
+    while last[0] == shape[0]:
+        last = last[2]
+    return is_slot(last)
 
 
 _ZERO_CONST_COST = _const_cost(0)
@@ -948,16 +1162,6 @@ def _qualifying_fits(fitter, grammar, budget, lift):
     nan_shapes = set()
     values = _ShapeValues(fitter.envs)
 
-    def process(shape, n):
-        if _nan_operand(shape, nan_shapes):
-            return None  # the fit would be None
-        fit = fitter.fit(shape)
-        if fit is None:
-            if fitter.free_nan:
-                nan_shapes.add(shape)
-            return None
-        return _fitted(fitter, enum, shape, n, fit)
-
     level = []
     for n in range(grammar.max_nodes + 1):
         if budget <= 0:
@@ -977,21 +1181,35 @@ def _qualifying_fits(fitter, grammar, budget, lift):
         else:
             level = shapes = enum.shapes(n)
             if n > grammar.max_depth:
-                shapes = [s for s in level if enum._facts_of(s).depth <= grammar.max_depth]
+                shapes = [s for s in level if enum._counts_of(s).depth <= grammar.max_depth]
         bound_skip = strict and math.isfinite(best_score) and n > ENUM_FLOOR
         batch = []
         for shape in shapes:
             if budget <= 0:
                 break
-            if bound_skip and _shape_lower_bound(enum._facts_of(shape), n) > best_score:
+            if bound_skip and _shape_lower_bound(enum._counts_of(shape), n) > best_score:
                 continue
             batch.append(shape)
             budget -= 1
+        # the table's residuals, block by block, then the fits of the rest
+        free = np.empty(len(batch))
+        pending = []
         for start in range(0, len(batch), _SHAPE_BLOCK):
             block = batch[start : start + _SHAPE_BLOCK]
-            for shape, max_abs in zip(block, fitter.free_residuals(values, block)):
+            free[start : start + len(block)] = residuals = fitter.free_residuals(values, block)
+            for i in np.flatnonzero(residuals < 0.0).tolist():
+                if not _nan_operand(block[i], nan_shapes):  # else the fit would be None
+                    pending.append(start + i)
+        fits, nan = fitter.fit_all([batch[i] for i in pending], values)
+        nan_shapes.update(batch[pending[i]] for i in nan)
+        fits = dict(zip(pending, fits))
+        for start in range(0, len(batch), _SHAPE_BLOCK):
+            block = free[start : start + _SHAPE_BLOCK].tolist()
+            for i, max_abs in enumerate(block, start):
+                shape = batch[i]
                 if max_abs < 0.0:
-                    out = process(shape, n)
+                    fit = fits.get(i)
+                    out = None if fit is None else _fitted(fitter, enum, shape, n, fit)
                 elif max_abs < math.inf:
                     # a slot-free shape is its own fit (see _fitted)
                     out = shape, max_abs, enum._key_of(shape)

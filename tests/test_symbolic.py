@@ -28,6 +28,7 @@ from hyperpolate.expressions import (
     ShapeEnumerator,
     assign_slots,
     canonical_simplify,
+    compile_interval,
     compile_shape,
     expr_depth,
     node_count,
@@ -72,13 +73,13 @@ class TestFitSlice:
 
     def test_budget_zero_empty(self, monkeypatch):
         fitted = []
-        fit = symbolic._ShapeFitter.fit
+        fit = symbolic._ShapeFitter._plan
 
         def recording_fit(self, shape):
             fitted.append(shape)
             return fit(self, shape)
 
-        monkeypatch.setattr(symbolic._ShapeFitter, "fit", recording_fit)
+        monkeypatch.setattr(symbolic._ShapeFitter, "_plan", recording_fit)
         x = np.arange(0.0, 8.0)
         data = Dataset(x[:, None], 2.0 * x)
         assert search_hyperpolation(data, grammar=small_grammar(), budget=0) == []
@@ -86,13 +87,13 @@ class TestFitSlice:
 
     def test_max_depth_is_enforced(self, monkeypatch):
         fitted = []
-        fit = symbolic._ShapeFitter.fit
+        fit = symbolic._ShapeFitter._plan
 
         def recording_fit(self, shape):
             fitted.append(shape)
             return fit(self, shape)
 
-        monkeypatch.setattr(symbolic._ShapeFitter, "fit", recording_fit)
+        monkeypatch.setattr(symbolic._ShapeFitter, "_plan", recording_fit)
         # no exact fit exists, so no certified stop cuts the search short
         rng = np.random.default_rng(0)
         x = np.arange(0.0, 12.0)
@@ -398,9 +399,45 @@ class TestPrediction:
         assert predict_candidate(cand, [[3.0]]) == predict_candidate(cand, [[3.0, 0.0]])
 
 
-def _pointwise(f):
-    """A lockstep objective that evaluates ``f`` at each point on its own."""
-    return lambda points: np.array([f(p) for p in points], dtype=float)
+def _pointwise(*fs):
+    """A ``_minimize`` objective that evaluates, at each point on its own,
+    the function ``fs[owner]`` of the lane that asked for it."""
+
+    def objective(points, owner):
+        per = len(points) // len(owner)
+        return np.array([fs[o](p) for p, o in zip(points, np.repeat(owner, per))], dtype=float)
+
+    return objective
+
+
+def _brent_runs(fs, brackets):
+    """``(x, fx)`` of bounded Brent over each bracket, as lanes of one
+    pool; lane i minimizes ``fs[i]``."""
+    lo, hi = np.array(brackets, dtype=float).T
+    done = symbolic._minimize(symbolic._Brent(lo, hi, np.arange(len(fs))), _pointwise(*fs))
+    return list(zip(done.x_end, done.f_end))
+
+
+def _nelder_mead_runs(fs, starts, maxiter):
+    """``(x, fx)`` of Nelder-Mead from each start, as lanes of one pool."""
+    machine = symbolic._NelderMead(np.array(starts, dtype=float), np.arange(len(fs)), maxiter)
+    done = symbolic._minimize(machine, _pointwise(*fs))
+    return list(zip(done.x_end, done.f_end))
+
+
+def _scipy_brent(f, lo, hi):
+    with np.errstate(all="ignore"):
+        return minimize_scalar(f, bounds=(lo, hi), method="bounded", options={"xatol": 1e-12})
+
+
+def _scipy_nelder_mead(f, x0, maxiter):
+    with np.errstate(all="ignore"):
+        return minimize(
+            f,
+            x0=list(x0),
+            method="Nelder-Mead",
+            options={"xatol": 1e-10, "fatol": 1e-14, "maxiter": maxiter},
+        )
 
 
 def _rosenbrock(scale):
@@ -495,37 +532,56 @@ def _scipy_fit(fitter, shape):
 
 
 class TestLockstepFitting:
-    """The generator minimizers, run as lanes, give scipy's results bit for
+    """The array minimizers, run as lanes, give scipy's results bit for
     bit, and so does every constant fit."""
 
     @pytest.mark.parametrize("case", sorted(BRENT_CASES))
     def test_bounded_brent_matches_scipy(self, case):
         f, brackets = BRENT_CASES[case]
-        lanes = [symbolic._bounded_brent(lo, hi) for lo, hi in brackets]
-        runs = symbolic._lockstep(lanes, _pointwise(f))
+        runs = _brent_runs([f] * len(brackets), brackets)
         for (lo, hi), (x, fx) in zip(brackets, runs):
-            with np.errstate(all="ignore"):
-                res = minimize_scalar(f, bounds=(lo, hi), method="bounded", options={"xatol": 1e-12})
-            assert (repr(x), repr(fx)) == (repr(float(res.x)), repr(float(res.fun)))
+            res = _scipy_brent(f, lo, hi)
+            assert (repr(float(x)), repr(float(fx))) == (repr(float(res.x)), repr(float(res.fun)))
             assert res.nfev == 500 if case == "cap" else res.nfev < 500
 
     @pytest.mark.parametrize("case", sorted(NELDER_MEAD_CASES))
     def test_nelder_mead_matches_scipy(self, case):
         f, starts = NELDER_MEAD_CASES[case]
         maxiter = 400 if len(starts[0]) == 2 else 600
-        lanes = [symbolic._nelder_mead(x0, maxiter=maxiter) for x0 in starts]
-        runs = symbolic._lockstep(lanes, _pointwise(f))
+        runs = _nelder_mead_runs([f] * len(starts), starts, maxiter)
         for x0, (x, fx) in zip(starts, runs):
-            with np.errstate(all="ignore"):
-                res = minimize(
-                    f,
-                    x0=list(x0),
-                    method="Nelder-Mead",
-                    options={"xatol": 1e-10, "fatol": 1e-14, "maxiter": maxiter},
-                )
+            res = _scipy_nelder_mead(f, x0, maxiter)
             assert x.tobytes() == res.x.tobytes()
             assert repr(float(fx)) == repr(float(res.fun))
             assert res.nit == maxiter if case in NELDER_MEAD_CAPPED else res.nit < maxiter
+
+    def test_one_brent_pool_matches_scipy(self):
+        # every bracket of every case as a lane of one pool: the lanes stop
+        # after different numbers of steps, one at the 500-call cap
+        lanes = [(f, bracket) for f, brackets in BRENT_CASES.values() for bracket in brackets]
+        runs = _brent_runs([f for f, _ in lanes], [bracket for _, bracket in lanes])
+        assert len(runs) == sum(len(b) for _, b in BRENT_CASES.values())
+        for (f, (lo, hi)), (x, fx) in zip(lanes, runs):
+            res = _scipy_brent(f, lo, hi)
+            assert (repr(float(x)), repr(float(fx))) == (repr(float(res.x)), repr(float(res.fun)))
+
+    @pytest.mark.parametrize("slots, maxiter", [(2, 400), (3, 600)])
+    def test_one_nelder_mead_pool_matches_scipy(self, slots, maxiter):
+        # every start of the cases with this many slots as a lane of one
+        # pool, as the fitter runs them: converged, capped, tied and
+        # infinite lanes stop at different steps
+        lanes = [
+            (f, x0)
+            for f, starts in NELDER_MEAD_CASES.values()
+            for x0 in starts
+            if len(x0) == slots
+        ]
+        assert len({id(f) for f, _ in lanes}) > (5 if slots == 2 else 1)
+        runs = _nelder_mead_runs([f for f, _ in lanes], [x0 for _, x0 in lanes], maxiter)
+        for (f, x0), (x, fx) in zip(lanes, runs):
+            res = _scipy_nelder_mead(f, x0, maxiter)
+            assert x.tobytes() == res.x.tobytes()
+            assert repr(float(fx)) == repr(float(res.fun))
 
     @pytest.mark.parametrize("data", [_ripple1d, _noisy_cone1], ids=["ripple1d", "noisy_cone1"])
     def test_fits_match_scipy_reference(self, data):
@@ -613,8 +669,9 @@ class TestStrictScreen:
         shape = ("add", ("var", "t"), ("slot",))
         fitter = symbolic._ShapeFitter({"t": t}, t + 5.0, strict=True)
         # Brent ends within 4e-6 of 5 on this bracket, and snap rounds to 5
-        sse = _pointwise(lambda c: float(np.sum((t + c - fitter.target) ** 2)))
-        ((x, fx),) = symbolic._lockstep([symbolic._bounded_brent(3.0, 5.0 - 4e-6)], sse)
+        ((x, fx),) = _brent_runs(
+            [lambda c: float(np.sum((t + c - fitter.target) ** 2))], [(3.0, 5.0 - 4e-6)]
+        )
         assert 5.0 - 5e-6 < x < 5.0
         assert _qualifies(fitter, shape, ((x,), fx))
         assert not fitter._cannot_qualify(shape, [(3.0, 5.0 - 4e-6)])
@@ -675,6 +732,91 @@ class TestStrictScreen:
             assert strict.fit(shape) is None
             assert not _qualifies(loose, shape, loose.fit(shape)), serialize(shape)
         assert 2 * ruled_out > len(shapes), (ruled_out, len(shapes))
+
+
+def _screen_target(samples, env):
+    """Targets for the strict screen: ripple1d's, or x + 2 on the samples
+    where sqrt, div and exp give nan and inf."""
+    if samples == "ripple1d":
+        return _ripple1d()[1]
+    return next(iter(env.values())) + 2.0
+
+
+class TestPooledScreen:
+    """The search screens one-slot shapes from the value table, many boxes
+    of many shapes at once (``_ShapeValues.slot_paths`` and ``enclose``);
+    its enclosures are ``compile_interval``'s and its verdicts those of
+    ``_cannot_qualify``, which screens one shape at a time."""
+
+    @pytest.mark.parametrize("samples", ["ripple1d", "nan_inf"])
+    @pytest.mark.parametrize("variables, max_nodes", [(("t",), 7), (("x", "y"), 6)])
+    def test_verdicts_equal_cannot_qualify(self, samples, variables, max_nodes):
+        env = _value_env(samples, variables)
+        fitter = symbolic._ShapeFitter(env, _screen_target(samples, env), strict=True)
+        enum = ShapeEnumerator(Grammar(), variables)
+        values = expressions._ShapeValues(fitter.envs)
+        span = (fitter.grid[0] - 1.0, fitter.grid[-1] + 1.0)
+        # the span box, and brackets that the halving levels split
+        boxes = ([span], [(-1.5, 0.5), (1.0, 3.0), (399.0, 401.0)])
+        verdicts = {False: 0, True: 0}
+        for n in range(max_nodes + 1):
+            if n > 2:
+                values.add_level(enum.shapes(n - 1))
+            level = [("slot",)] if n == 0 else enum.shapes(n)
+            shapes = [s for s in level if slot_count(s) == 1]
+            paths = values.slot_paths(shapes)
+            assert None not in paths
+            for box in boxes:
+                pooled = fitter._rule_out([box] * len(shapes), fitter._table_meets(values, paths))
+                alone = [fitter._cannot_qualify(s, box) for s in shapes]
+                assert pooled.tolist() == alone, n
+                for verdict in alone:
+                    verdicts[verdict] += 1
+        assert verdicts[True] > 10000 and verdicts[False] > 300, verdicts
+
+    @pytest.mark.parametrize("samples", ["ripple1d", "nan_inf"])
+    def test_enclosures_equal_compile_interval(self, samples):
+        env = _value_env(samples, ("x", "y"))
+        m = len(env["x"])
+        enum = ShapeEnumerator(Grammar(), ("x", "y"))
+        values = expressions._ShapeValues(env)
+        lo, hi = -3.5, 1e3
+        checked = 0
+        for n in range(1, 7):
+            if n > 2:
+                values.add_level(enum.shapes(n - 1))
+            shapes = [s for s in enum.shapes(n) if slot_count(s) == 1]
+            paths = values.slot_paths(shapes)
+            pair = values.enclose(paths, np.full(len(shapes), lo), np.full(len(shapes), hi),
+                                  lambda v_lo, v_hi: np.stack([v_lo, v_hi], axis=1))
+            for shape, got in zip(shapes, pair):
+                with np.errstate(all="ignore"):
+                    want = compile_interval(shape, env)[1](((np.array([[lo]]), np.array([[hi]])),))
+                want = np.broadcast_to(np.array(want, dtype=float)[:, 0], (2, m))
+                # bit for bit, but for the sign of a nan, which numpy's
+                # strided and contiguous loops may set apart
+                nan = np.isnan(want)
+                assert np.array_equal(np.isnan(got), nan), serialize(shape)
+                assert got[~nan].tobytes() == want[~nan].tobytes(), serialize(shape)
+                checked += 1
+        assert checked > 5000, checked
+
+    def test_slot_paths_need_one_slot_and_stored_operands(self):
+        t = np.arange(-3.0, 4.0)
+        values = expressions._ShapeValues({"t": t})
+        slot, var_t = ("slot",), ("var", "t")
+        shapes = [
+            ("sin", ("add", var_t, slot)),  # one slot, under add's known t
+            ("add", ("mul", var_t, slot), slot),  # two slots
+            ("sin", var_t),  # no slot
+            ("sub", slot, ("pow2", var_t)),  # pow2(t) has no stored row yet
+        ]
+        paths = values.slot_paths(shapes)
+        assert paths[0] is not None and paths[0][0] == 2
+        assert paths[1:] == [None, None, None]
+        values.add_level([("pow2", var_t)])
+        values.add_level([])
+        assert values.slot_paths(shapes[3:])[0] is not None
 
 
 def _walked_lower_bound(shape):
@@ -966,13 +1108,13 @@ class TestShapeValues:
         data, budget = _fallback_case(case)
         want = _tabled_candidates(case)
         fits = []
-        fit = symbolic._ShapeFitter.fit
+        fit = symbolic._ShapeFitter._plan
 
         def counted(self, shape):
             fits.append(slot_count(shape) == 0)
             return fit(self, shape)
 
-        monkeypatch.setattr(symbolic._ShapeFitter, "fit", counted)
+        monkeypatch.setattr(symbolic._ShapeFitter, "_plan", counted)
         monkeypatch.setattr(expressions, "_TABLE_CELLS", cells)
         assert _candidate_bits(search_hyperpolation(data, budget=budget)) == want
         # slot-free shapes other than the variable were fitted alone
