@@ -23,16 +23,20 @@ Three dataset geometries are supported:
 
 In strict (noise-free) mode only fits within ``STRICT_TOL`` of every sample
 are kept, and most shapes cannot get there.  A shape with one constant and no
-profiled linear wrap is ruled out when interval evaluation
-(``expressions.compile_interval``) shows that no constant can bring it within
-the tolerance: first over one box spanning the whole start grid, before the
-grid pass that picks the Brent brackets, then over those brackets, before
-Brent runs; see ``_qualifying_fits``.  In every mode a shape with an operand
-that is nan at some sample is not fitted at all: it could not fit.
+profiled linear wrap is ruled out when interval evaluation shows that no
+constant can bring it within the tolerance: first over one box spanning the
+whole start grid, before the grid pass that picks the Brent brackets, then
+over those brackets, before Brent runs; see ``_qualifying_fits``.  The
+enclosures come from the value rows of the shape's known operands, for all
+shapes of a level at once (``expressions._ShapeValues.enclose``), or, for a
+shape whose operands have no rows, from ``expressions.compile_interval``.  In
+every mode a shape with an operand that is nan at some sample is not fitted at
+all: it could not fit.
 
 Constants are fitted by bounded Brent (one slot) and Nelder-Mead (more),
-scipy's loops written as generators and run in lockstep; Nelder-Mead works
-on Python floats.
+scipy's loops written as state machines over arrays of lanes.  The lanes of
+many shapes step together: each step evaluates each live shape's core once
+and profiles the linear wrap once per kind of wrap (``_minimize``).
 """
 
 import itertools
@@ -364,9 +368,10 @@ class _Brent:
     step.
 
     scipy's ``np.sign`` and ``np.maximum`` of scalars become a sign test
-    and ``np.maximum`` of arrays, which give the same floats: no value is
-    nan, since the fitter caps the SSE at 1e300.  All lanes evaluate once a
-    step, so the evaluation count ``num`` is one number.
+    and ``np.maximum`` of arrays, and its test ``x < xf`` becomes ``not x
+    >= xf``, which give the same results on the finite points of finite
+    brackets.  All lanes evaluate once a step, so the evaluation count
+    ``num`` is one number.
     """
 
     _FIELDS = ("a", "b", "fulc", "nfc", "xf", "ffulc", "fnfc", "fx", "rat", "e", "owner", "lane")
@@ -589,7 +594,7 @@ class _PoolObjective:
 
     def __call__(self, points, owner):
         if owner is not self._owner:
-            self._plan(owner)
+            self._segments(owner)
         per = len(points) // len(owner)
         if points.ndim == 1:
             points = points[:, None]
@@ -605,7 +610,7 @@ class _PoolObjective:
             out[start * per : stop * per] = rows(u, self.ceiling)[0]
         return out
 
-    def _plan(self, owner):
+    def _segments(self, owner):
         """Each kind's lanes and each core's, from the owners of the live
         lanes."""
         self._owner = owner
@@ -672,16 +677,18 @@ class _ShapeFitter:
         with this residual.  After each call ``free_nan`` says whether the
         shape is slot-free with values that are nan at some sample.
 
-        This is ``fit_all`` of the one shape without a value table: the
-        per-shape reference that the search's pooled fits are tested
-        against."""
-        (fit,), nan = self.fit_all([shape])
-        self.free_nan = bool(nan)
-        return fit
+        The search fits a slot-free shape here when its operands have no
+        values in its table, as for a variable; ``fit_all`` fits the shapes
+        with slots together.  This path plans the one shape (``_plan``) and
+        runs its lanes alone, without a table: it is the per-shape reference
+        that the pooled fits are tested against."""
+        with np.errstate(all="ignore"):
+            plan = self._plan(shape)
+            self.free_nan = plan.nan
+            return self._fit_plans([plan], None)[0]
 
     def fit_all(self, shapes, values=None):
-        """``(fits, nan)``: the ``fit`` of each of the ``shapes``, in order,
-        and the positions of the slot-free ones whose values are nan.
+        """The ``fit`` of each of the ``shapes``, in order.
 
         The shapes are planned one at a time (``_plan``, which compiles each
         core) and fitted together: the strict screen, the grid passes and
@@ -691,35 +698,29 @@ class _ShapeFitter:
         first screens the span box of every one-slot shape without a linear
         wrap that has a slot path there, all at once and before any of them
         is compiled, and later the brackets of those that survive."""
-        fits, nan = [None] * len(shapes), []
+        fits = [None] * len(shapes)
         paths = {}
         with np.errstate(all="ignore"):
             todo = range(len(shapes))
             if self.strict and values is not None:
                 todo, paths = self._table_screen(shapes, values)
             chunk, cells = [], 0
-            m = max(self.target.size, 1)
             for i in todo:
                 plan = self._plan(shapes[i])
                 plan.path = paths.get(i)
-                if plan.lanes is None:
-                    fits[i] = plan.fit
-                    if plan.nan:
-                        nan.append(i)
-                    continue
                 chunk.append((i, plan))
-                cells += m * _lane_rows(plan.k)
-                if cells >= _POOL_CELLS:
-                    self._fit_plans(chunk, values, fits)
+                cells += self.target.size * _lane_rows(plan.k)
+                if cells >= _POOL_CELLS or i == todo[-1]:
+                    for (j, _), fit in zip(chunk, self._fit_plans([p for _, p in chunk], values)):
+                        fits[j] = fit
                     chunk, cells = [], 0
-            self._fit_plans(chunk, values, fits)
-        return fits, nan
+        return fits
 
     def _table_screen(self, shapes, values):
         """``(todo, paths)``: the positions of the ``shapes`` that the span
         box screen over the value table does not rule out, and the slot
         paths of the one-slot shapes that it checked."""
-        wrapless = [i for i, shape in enumerate(shapes) if not _has_linear_wrap(shape)]
+        wrapless = [i for i, shape in enumerate(shapes) if _linear_split(shape)[0] is shape]
         found = values.slot_paths([shapes[i] for i in wrapless])
         checked = [(i, path) for i, path in zip(wrapless, found) if path is not None]
         span = (self.grid[0] - 1.0, self.grid[-1] + 1.0)
@@ -746,9 +747,8 @@ class _ShapeFitter:
         lanes = _LaneObjective(at, self.target, has_mul, has_add)
         return _Plan(core, k, lanes, self.strict and k == 1 and not (has_mul or has_add))
 
-    def _fit_plans(self, chunk, values, fits):
-        """Fit the planned shapes of ``chunk`` (``(position, plan)`` pairs)
-        together and store each fit at its position in ``fits``.
+    def _fit_plans(self, plans, values):
+        """The fits of the planned shapes, fitted together, as a list.
 
         A one-slot shape gets its Brent brackets from a grid pass
         (``_brackets``).  When the strict screen checks it, its span box
@@ -759,7 +759,6 @@ class _ShapeFitter:
         padding is at most the span's; a shape ruled out over it needs no
         grid pass.  A two-slot shape's Nelder-Mead starts come from a coarse
         grid pass, and more slots start at fixed points."""
-        plans = [plan for _, plan in chunk]
         one = [p for p in plans if p.k == 1]
         unscreened = [p for p in one if p.screen and p.path is None]
         span = (self.grid[0] - 1.0, self.grid[-1] + 1.0)
@@ -789,8 +788,7 @@ class _ShapeFitter:
                 lambda starts, owner: _NelderMead(np.reshape(starts, (-1, k)), owner, maxiter),
                 math.inf,
             )
-        for i, p in chunk:
-            fits[i] = self._finish(p)
+        return [self._finish(p) for p in plans]
 
     def _run(self, plans, machine, ceiling):
         """Run the lanes of ``plans`` (their ``starts``) together, the
@@ -811,7 +809,10 @@ class _ShapeFitter:
 
     def _finish(self, plan):
         """The fit of a plan whose lanes have run: the best lane's inner
-        constants with the profiled ones refitted on one row."""
+        constants with the profiled ones refitted on one row (a slot-free
+        shape's fit is known from its plan)."""
+        if plan.lanes is None:
+            return plan.fit
         inner = ()
         lanes = plan.lanes
         if plan.k:
@@ -1004,17 +1005,6 @@ def _lane_rows(k):
     return (3 if k == 2 else 64) * (4 + k)
 
 
-def _has_linear_wrap(shape):
-    """Whether ``_linear_split`` strips a slot from the shape: a top-level
-    add or mul chain holds its bare slot last."""
-    if shape[0] not in ("add", "mul"):
-        return False
-    last = shape
-    while last[0] == shape[0]:
-        last = last[2]
-    return is_slot(last)
-
-
 _ZERO_CONST_COST = _const_cost(0)
 _MIN_CONST_COST = _const_cost(1)
 _POW2_VAR_COST = OP_COST + VAR_COST
@@ -1022,8 +1012,9 @@ _POW2_VAR_COST = OP_COST + VAR_COST
 
 def _shape_lower_bound(facts, n):
     """Intended lower bound on any lifted-candidate score from a shape of
-    ``n`` nodes, from its enumerator facts (``expressions._Facts``), which
-    the strict search's bound skip compares with the best score.
+    ``n`` nodes, from its enumerator counts (``expressions._Counts``, or
+    its ``_Facts``), which the strict search's bound skip compares with the
+    best score.
 
     The costs are the expression cost table's, by which the search ranks.
     A shape holds operators, variables and slots.  A surviving constant
@@ -1108,39 +1099,45 @@ def _qualifying_fits(fitter, grammar, budget, lift):
     ``MAX_SLICE_FITS`` of the fits, in every frame and mode.
 
     The search walks no shape's tree: the bound skip and the depth filter
-    read the facts that the enumerator builds from the operands' facts
-    (``ShapeEnumerator._facts_of``), and a shape's node count is its level.
+    read the counts that the enumerator builds from the operands' facts
+    without composing a key (``ShapeEnumerator._counts_of``), and a shape's
+    node count is its level.
     A shape with an operand in ``nan_shapes`` (``_nan_operand``) is charged
     to the budget like any other but not fitted, since its fit would be
     None.  A slot-free shape joins ``nan_shapes`` when its values are nan
     at some sample; any shape joins it when its level becomes an operand
     level and one of its operands is in it.
 
-    Nor does it compile a slot-free shape alone.  A level's shapes are taken
-    ``_SHAPE_BLOCK`` at a time, and the slot-free shapes of a block whose
-    operands have values in a table (``expressions._ShapeValues``) are
-    valued together, one gather, operation and scatter per operator and
-    operand levels; ``_ShapeFitter.free_residuals`` gives each its max-abs
-    residual, or marks it nan or not finite.  The other shapes, and those
-    whose operands have no values there, are fitted one at a time
-    (``_ShapeFitter.fit``), whose ``free_nan`` says whether a slot-free
-    shape's values are nan.  A level is handed to the table when it becomes
-    an operand level, never while it is fitted, and without its shapes in
-    ``nan_shapes``: a shape built on one is nan too, and is not fitted.
-    The table keeps the newest operand level as recipes and stores the
-    rows of the levels below it (see ``_ShapeValues``).  The block is then
-    read in batch order, so ``seen``, the order
-    of the results and the budget count are those of fitting each shape
-    alone.  A slot-free shape is its own fitted expression (``_fitted``),
-    which is not walked either; only fits of shapes with slots are
-    simplified, counted and serialized.  The ``seen`` dedupe and the
-    caller's sort read the returned key.
+    Nor does it fit a shape alone.  A level is fitted in three steps, after
+    its batch is fixed: the bound skip and the budget read only earlier
+    levels, and no shape of a level is an operand of another, so
+    ``nan_shapes`` is fixed for the level too.  First the slot-free shapes
+    whose operands have values in a table (``expressions._ShapeValues``)
+    are valued ``_SHAPE_BLOCK`` at a time, one gather, operation and
+    scatter per operator and operand levels; ``_ShapeFitter.free_residuals``
+    gives each its max-abs residual, or marks it nan or not finite.  Then
+    ``_ShapeFitter.fit_all`` fits every other shape of the level together:
+    the strict screen over the table, the grid passes, and the Brent and
+    Nelder-Mead lanes of many shapes as arrays.  Its fits equal
+    ``_ShapeFitter.fit``'s of each shape alone, and it names the slot-free
+    shapes it fitted whose values are nan.  A level is handed to the table
+    when it becomes an operand level, never while it is fitted, and
+    without its shapes in ``nan_shapes``: a shape built on one is nan too,
+    and is not fitted.  The table keeps the newest operand level as
+    recipes and stores the rows of the levels below it (see
+    ``_ShapeValues``).  Last the level is read in batch order, so ``seen``,
+    the order of the results and the budget count are those of fitting each
+    shape alone.  A slot-free shape is its own fitted expression
+    (``_fitted``), which is not walked either; only fits of shapes with
+    slots are simplified, counted and serialized.  The ``seen`` dedupe and
+    the caller's sort read the returned key.
 
     A strict fitter returns no fit for a one-slot shape without a linear
     wrap when its interval screen rules out the span box over the whole
-    start grid, or else every Brent bracket
-    (``_ShapeFitter._cannot_qualify``).  The output is the same as without
-    the screen.  Brent evaluates only inside its brackets, the fit is one
+    start grid, or else every Brent bracket (``_ShapeFitter._rule_out``).
+    ``fit_all`` screens the span boxes of a level's one-slot shapes from
+    the table before it compiles any of them, so a shape ruled out there
+    is never compiled.  The output is the same as without the screen.  Brent evaluates only inside its brackets, the fit is one
     of its points, and ``snap`` moves it by at most one snap step, which
     the screened boxes include; every bracket, with that padding, lies
     inside the padded span box, since a bracket's ends are grid points or
@@ -1200,9 +1197,16 @@ def _qualifying_fits(fitter, grammar, budget, lift):
             for i in np.flatnonzero(residuals < 0.0).tolist():
                 if not _nan_operand(block[i], nan_shapes):  # else the fit would be None
                     pending.append(start + i)
-        fits, nan = fitter.fit_all([batch[i] for i in pending], values)
-        nan_shapes.update(batch[pending[i]] for i in nan)
-        fits = dict(zip(pending, fits))
+        fits, pooled = {}, []
+        for i in pending:
+            # level 0's bare slot has no counts; every other shape has
+            if n and not enum._counts_of(batch[i]).slots:
+                fits[i] = fit = fitter.fit(batch[i])
+                if fit is None and fitter.free_nan:
+                    nan_shapes.add(batch[i])
+            else:
+                pooled.append(i)
+        fits.update(zip(pooled, fitter.fit_all([batch[i] for i in pooled], values)))
         for start in range(0, len(batch), _SHAPE_BLOCK):
             block = free[start : start + _SHAPE_BLOCK].tolist()
             for i, max_abs in enumerate(block, start):
