@@ -781,11 +781,19 @@ class TestPooledScreen:
         enum = ShapeEnumerator(Grammar(), ("x", "y"))
         values = expressions._ShapeValues(env)
         lo, hi = -3.5, 1e3
+        x, y, slot = ("var", "x"), ("var", "y"), ("slot",)
+        # chains of three whose slot sits in a first or middle element: the
+        # table must enclose the known elements first, as compile_interval
+        chains = [
+            ("add", ("sin", ("add", x, slot)), ("add", x, y)),
+            ("mul", ("cos", ("mul", x, slot)), ("mul", x, y)),
+            ("add", ("exp", ("sub", slot, x)), ("add", ("pow2", y), x)),
+        ]
         checked = 0
-        for n in range(1, 7):
+        for n in range(1, 8):
             if n > 2:
                 values.add_level(enum.shapes(n - 1))
-            shapes = [s for s in enum.shapes(n) if slot_count(s) == 1]
+            shapes = [s for s in enum.shapes(n) if slot_count(s) == 1] if n < 7 else chains
             paths = values.slot_paths(shapes)
             pair = values.enclose(paths, np.full(len(shapes), lo), np.full(len(shapes), hi),
                                   lambda v_lo, v_hi: np.stack([v_lo, v_hi], axis=1))
