@@ -508,7 +508,8 @@ class _ShapeValues:
         by their ``slot_paths``, each over the box ``[lo[i], hi[i]]``, as
         one array: ``v_lo`` and ``v_hi`` hold a row per box, bit for bit the
         rows that ``compile_interval``'s ``at`` gives each shape over that
-        box.  The boxes are taken in runs of at most ``_POOL_CELLS`` cells of
+        box, but for the sign of a nan, which numpy's loops over strided and
+        over stacked rows may set apart.  The boxes are taken in runs of at most ``_POOL_CELLS`` cells of
         registers, one per distinct box and one per path node and box, so
         that boxes equal between shapes share the nodes below them; each
         run is one gather, operation and scatter per height, operator and

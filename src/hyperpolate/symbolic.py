@@ -667,6 +667,8 @@ class _ShapeFitter:
         self.strict = strict
         self.free_nan = False
         self._band = (self.target - 2.0 * STRICT_TOL, self.target + 2.0 * STRICT_TOL)
+        # the span box, which holds every Brent bracket (see _fit_plans)
+        self._span = (float(self.grid[0] - 1.0), float(self.grid[-1] + 1.0))
 
     def fit(self, shape):
         """Return (const_vector, sse, max_abs) or None when no fit with
@@ -711,6 +713,7 @@ class _ShapeFitter:
                 chunk.append((i, plan))
                 cells += self.target.size * _lane_rows(plan.k)
                 if cells >= _POOL_CELLS or i == todo[-1]:
+                    # the last shape, or the lanes' bound: fit the chunk
                     for (j, _), fit in zip(chunk, self._fit_plans([p for _, p in chunk], values)):
                         fits[j] = fit
                     chunk, cells = [], 0
@@ -723,8 +726,8 @@ class _ShapeFitter:
         wrapless = [i for i, shape in enumerate(shapes) if _linear_split(shape)[0] is shape]
         found = values.slot_paths([shapes[i] for i in wrapless])
         checked = [(i, path) for i, path in zip(wrapless, found) if path is not None]
-        span = (self.grid[0] - 1.0, self.grid[-1] + 1.0)
-        ruled = self._rule_out([[span]] * len(checked), self._table_meets(values, [p for _, p in checked]))
+        meets = self._table_meets(values, [path for _, path in checked])
+        ruled = self._rule_out([[self._span]] * len(checked), meets)
         out = {i for (i, _), r in zip(checked, ruled) if r}
         paths = {i: path for (i, path), r in zip(checked, ruled) if not r}
         return [i for i in range(len(shapes)) if i not in out], paths
@@ -760,32 +763,25 @@ class _ShapeFitter:
         grid pass.  A two-slot shape's Nelder-Mead starts come from a coarse
         grid pass, and more slots start at fixed points."""
         one = [p for p in plans if p.k == 1]
-        unscreened = [p for p in one if p.screen and p.path is None]
-        span = (self.grid[0] - 1.0, self.grid[-1] + 1.0)
-        out = set(map(id, self._screen(unscreened, [[span]] * len(unscreened), values)))
-        one = [p for p in one if id(p) not in out]
+        spans = [[self._span] if p.screen and p.path is None else [] for p in one]
+        one = [p for p, out in zip(one, self._screen(one, spans, values)) if not out]
         for p in one:
             p.starts = self._brackets(p.lanes)
-        screened = [p for p in one if p.screen and p.starts]
-        out = set(map(id, self._screen(screened, [p.starts for p in screened], values)))
-        for p in one:
-            if id(p) in out:
+        brackets = [p.starts if p.screen else [] for p in one]
+        for p, out in zip(one, self._screen(one, brackets, values)):
+            if out:
                 p.starts = []
         for p in plans:
             if p.k == 2:
                 p.starts = self._nelder_mead_starts(p.lanes)
             elif p.k > 2:
                 p.starts = list(itertools.islice(itertools.product(_MANY_STARTS, repeat=p.k), 64))
-        self._run(
-            [p for p in plans if p.k == 1],
-            lambda starts, owner: _Brent(*np.array(starts, dtype=float).reshape(-1, 2).T, owner),
-            1e300,
-        )
+        self._run(one, lambda starts, owner: _Brent(*zip(*starts), owner), 1e300)
         for k in sorted({p.k for p in plans if p.k > 1}):
             maxiter = 400 if k == 2 else 600
             self._run(
                 [p for p in plans if p.k == k],
-                lambda starts, owner: _NelderMead(np.reshape(starts, (-1, k)), owner, maxiter),
+                lambda starts, owner: _NelderMead(starts, owner, maxiter),
                 math.inf,
             )
         return [self._finish(p) for p in plans]
@@ -850,16 +846,15 @@ class _ShapeFitter:
         return brackets
 
     def _screen(self, plans, boxes, values):
-        """The plans (one-slot cores) that the strict screen rules out over
-        their ``boxes``: from the value table for those with a slot path,
-        else by ``compile_interval``."""
-        tabled = [j for j, p in enumerate(plans) if p.path is not None]
-        out = []
+        """Whether the strict screen rules out each plan (a one-slot core)
+        over its ``boxes``, none for no boxes: from the value table for
+        plans with a slot path, else by ``compile_interval``."""
+        out = [bool(b) and p.path is None and self._cannot_qualify(p.core, b) for p, b in zip(plans, boxes)]
+        tabled = [j for j, p in enumerate(plans) if p.path is not None and boxes[j]]
         if tabled:
             meets = self._table_meets(values, [plans[j].path for j in tabled])
-            ruled = self._rule_out([boxes[j] for j in tabled], meets)
-            out.extend(plans[j] for j, r in zip(tabled, ruled) if r)
-        out.extend(p for p, b in zip(plans, boxes) if p.path is None and self._cannot_qualify(p.core, b))
+            for j, ruled in zip(tabled, self._rule_out([boxes[j] for j in tabled], meets)):
+                out[j] = bool(ruled)
         return out
 
     def _cannot_qualify(self, core, brackets):
