@@ -466,8 +466,8 @@ def _exp_fit3(x):
     )
 
 
-# objective, starts; two variables run 400 iterations, three run 600, as in
-# _fit_inner2 and _fit_inner_many
+# objective, starts; two variables run 400 iterations, three run 600, as the
+# fitter runs them (_ShapeFitter._fit_plans)
 NELDER_MEAD_CASES = {
     # expansions and both contractions; (0, 0) and (0, 1) start on zdelt
     "rosenbrock": (_rosenbrock(100.0), [(-1.2, 1.0), (0.0, 0.0), (0.0, 1.0)]),
