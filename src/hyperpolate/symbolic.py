@@ -22,16 +22,21 @@ Three dataset geometries are supported:
   samples.
 
 In strict (noise-free) mode only fits within ``STRICT_TOL`` of every sample
-are kept, and most shapes cannot get there.  A shape with one constant and no
+are kept, and most shapes cannot get there.  In flexible (noisy) mode only
+the best ``MAX_SLICE_FITS`` fits are lifted, so once that many are known a
+fit whose residual ranks after all of them cannot be lifted.  Both modes
+screen with one rule against a band around the targets: the tolerance in
+strict mode, and in flexible mode the reach of the ``MAX_SLICE_FITS``-th best
+residual known before a level's fits run.  A shape with one constant and no
 profiled linear wrap is ruled out when interval evaluation shows that no
-constant can bring it within the tolerance: first over one box spanning the
-whole start grid, before the grid pass that picks the Brent brackets, then
-over those brackets, before Brent runs; see ``_qualifying_fits``.  The
-enclosures come from the value rows of the shape's known operands, for all
-shapes of a level at once (``expressions._ShapeValues.enclose``), or, for a
-shape whose operands have no rows, from ``expressions.compile_interval``.  In
-every mode a shape with an operand that is nan at some sample is not fitted at
-all: it could not fit.
+constant can bring it within the band: first over one box spanning the whole
+start grid, before the grid pass that picks the Brent brackets, then over
+those brackets, before Brent runs; see ``_qualifying_fits``.  The enclosures
+come from the value rows of the shape's known operands, for all shapes of a
+level at once (``expressions._ShapeValues.enclose``), or, for a shape whose
+operands have no rows, from ``expressions.compile_interval``.  In every mode
+a shape with an operand that is nan at some sample is not fitted at all: it
+could not fit.
 
 Constants are fitted by bounded Brent (one slot) and Nelder-Mead (more),
 scipy's loops written as state machines over arrays of lanes.  The lanes of
@@ -357,6 +362,7 @@ class _LaneObjective:
 # every lane and the taken side selected.
 
 
+_EPS = float(np.finfo(float).eps)
 _SQRT_EPS = math.sqrt(2.2e-16)
 _GOLDEN_MEAN = 0.5 * (3.0 - math.sqrt(5.0))
 
@@ -640,7 +646,7 @@ def _first_best(xs, fxs):
 class _Plan:
     """One shape's fit in progress, from ``_ShapeFitter._plan``: its profiled
     objective ``lanes`` with ``k`` inner slots, its ``core``, whether the
-    strict screen checks it, its table slot ``path`` (when the screen's span
+    screen checks it, its table slot ``path`` (when the screen's span
     box was checked from the value table), its lanes' ``starts`` and, once
     they have run, their ``runs``; a slot-free shape's ``fit`` and ``nan``
     are known at once (see ``_ShapeFitter.fit``)."""
@@ -655,9 +661,13 @@ class _Plan:
 class _ShapeFitter:
     """Fits constant slots of shapes against targets over fixed sample envs.
 
-    A ``strict`` fitter serves a strict-mode search, which keeps only fits
-    within ``STRICT_TOL``: it returns None for one-slot shapes that the
-    interval screen (``_rule_out``) shows cannot give such a fit.
+    It returns None for one-slot shapes without a linear wrap that the
+    interval screen (``_rule_out``) shows cannot come within the screen's
+    band of every target.  A ``strict`` fitter serves a strict-mode search,
+    which keeps only fits within ``STRICT_TOL``: its band is the targets
+    +- ``2 * STRICT_TOL``, always.  A flexible fitter screens only in
+    ``fit_all`` given a ``reach``, the radius from the slice-fit cap that
+    the search sets (see ``_qualifying_fits``).
     """
 
     def __init__(self, envs, target, strict=False):
@@ -666,7 +676,7 @@ class _ShapeFitter:
         self.grid = _scale_grid(self.envs, self.target)
         self.strict = strict
         self.free_nan = False
-        self._band = (self.target - 2.0 * STRICT_TOL, self.target + 2.0 * STRICT_TOL)
+        self._band = (self.target - 2.0 * STRICT_TOL, self.target + 2.0 * STRICT_TOL) if strict else None
         # the span box, which holds every Brent bracket (see _fit_plans)
         self._span = (float(self.grid[0] - 1.0), float(self.grid[-1] + 1.0))
 
@@ -689,22 +699,39 @@ class _ShapeFitter:
             self.free_nan = plan.nan
             return self._fit_plans([plan], None)[0]
 
-    def fit_all(self, shapes, values=None):
-        """The ``fit`` of each of the ``shapes``, in order.
+    def fit_all(self, shapes, values=None, reach=None):
+        """The ``fit`` of each of the ``shapes``, in order, but None for a
+        one-slot shape that the screen rules out.
 
         The shapes are planned one at a time (``_plan``, which compiles each
-        core) and fitted together: the strict screen, the grid passes and
-        then the Brent and Nelder-Mead lanes of all of them, in chunks of at
-        most ``_POOL_CELLS`` cells of lane rows (``_minimize``).  Given
-        ``values`` (a ``_ShapeValues`` over these envs), a strict fitter
-        first screens the span box of every one-slot shape without a linear
-        wrap that has a slot path there, all at once and before any of them
-        is compiled, and later the brackets of those that survive."""
+        core) and fitted together: the screen, the grid passes and then the
+        Brent and Nelder-Mead lanes of all of them, in chunks of at most
+        ``_POOL_CELLS`` cells of lane rows (``_minimize``).  Given ``values``
+        (a ``_ShapeValues`` over these envs), the screen first checks the
+        span box of every one-slot shape without a linear wrap that has a
+        slot path there, all at once and before any of them is compiled,
+        and later the brackets of those that survive.
+
+        A strict fitter screens against its fixed band.  A flexible fitter
+        screens only given a ``reach`` R, against the targets +- R, each
+        end moved out by ``4 * eps * |target|`` so that a value outside the
+        band is more than R (1 - eps) from its target after rounding too;
+        without one it screens nothing.  The band holds for this call."""
+        band = self._band
+        if not self.strict and reach is not None:
+            pad = reach + 4.0 * _EPS * np.abs(self.target)
+            self._band = (self.target - pad, self.target + pad)
+        try:
+            return self._fit_all(shapes, values)
+        finally:
+            self._band = band
+
+    def _fit_all(self, shapes, values):
         fits = [None] * len(shapes)
         paths = {}
         with np.errstate(all="ignore"):
             todo = range(len(shapes))
-            if self.strict and values is not None:
+            if self._band is not None and values is not None:
                 todo, paths = self._table_screen(shapes, values)
             chunk, cells = [], 0
             for i in todo:
@@ -748,13 +775,13 @@ class _ShapeFitter:
                 plan.fit = (), float(resid @ resid), float(np.max(np.abs(resid)))
             return plan
         lanes = _LaneObjective(at, self.target, has_mul, has_add)
-        return _Plan(core, k, lanes, self.strict and k == 1 and not (has_mul or has_add))
+        return _Plan(core, k, lanes, self._band is not None and k == 1 and not (has_mul or has_add))
 
     def _fit_plans(self, plans, values):
         """The fits of the planned shapes, fitted together, as a list.
 
         A one-slot shape gets its Brent brackets from a grid pass
-        (``_brackets``).  When the strict screen checks it, its span box
+        (``_brackets``).  When the screen checks it, its span box
         [g_0 - 1, g_last + 1] over the start grid g is screened first (here
         for shapes without a table path), and its brackets after the grid
         pass.  The span box contains every bracket, since a bracket's ends
@@ -846,7 +873,7 @@ class _ShapeFitter:
         return brackets
 
     def _screen(self, plans, boxes, values):
-        """Whether the strict screen rules out each plan (a one-slot core)
+        """Whether the screen rules out each plan (a one-slot core)
         over its ``boxes``, none for no boxes: from the value table for
         plans with a slot path, else by ``compile_interval``."""
         out = [bool(b) and p.path is None and self._cannot_qualify(p.core, b) for p, b in zip(plans, boxes)]
@@ -859,9 +886,8 @@ class _ShapeFitter:
 
     def _cannot_qualify(self, core, brackets):
         """True when no constant in the brackets, moved by up to two snap
-        steps, makes the one-slot ``core`` reproduce every target within
-        ``2 * STRICT_TOL``: ``_rule_out`` with ``compile_interval``'s
-        enclosures.
+        steps, brings the one-slot ``core`` within the band at every sample:
+        ``_rule_out`` with ``compile_interval``'s enclosures.
 
         ``compile_interval`` encloses the core's values over each box, and
         also those of its ``canonical_simplify`` form, whose residual the
@@ -883,17 +909,19 @@ class _ShapeFitter:
         return meets
 
     def _meets(self, v_lo, v_hi):
-        """Whether each box's enclosure meets the target's band at every
-        sample (an empty enclosure, nan, meets nothing)."""
+        """Whether each box's enclosure meets the targets' band at every
+        sample (an empty enclosure, nan, meets nothing): target +-
+        ``2 * STRICT_TOL`` in strict mode, or the reach that ``fit_all``
+        was given in flexible mode."""
         band_lo, band_hi = self._band
         return ((v_hi >= band_lo) & (v_lo <= band_hi)).all(axis=1)
 
     def _rule_out(self, boxes, meets):
         """For each shape, whether no constant in its ``boxes`` (brackets),
-        moved by up to two snap steps, makes it reproduce every target
-        within ``2 * STRICT_TOL``; ``meets(owner, lo, hi)`` tells, for
-        boxes of the shapes ``owner``, whether each box's enclosure meets
-        the band at every sample (``_meets``).
+        moved by up to two snap steps, brings it within the band at every
+        sample; ``meets(owner, lo, hi)`` tells, for boxes of the shapes
+        ``owner``, whether each box's enclosure meets the band at every
+        sample (``_meets``).
 
         Bounded Brent evaluates only inside its bracket, ``_first_best``
         returns one of its points and ``snap`` moves that by at most one
@@ -1077,6 +1105,28 @@ def _fitted(fitter, enum, shape, n, fit):
     return expr, residual, key
 
 
+def _cap_reach(results, free, batch, enum, seen):
+    """The flexible screen's radius R before a level's fits run, or None
+    while fewer than ``MAX_SLICE_FITS`` distinct fits are known.
+
+    The known fits are the ``results`` so far and the level's slot-free
+    shapes with a finite residual in ``free`` whose keys are not ``seen``.
+    Let q be the ``MAX_SLICE_FITS``-th least ``quantize_residual`` among
+    them, which is that of the ``MAX_SLICE_FITS``-th least residual, since
+    ``quantize_residual`` is monotone.  Every residual above R =
+    max(q, ``STRICT_TOL``) (1 + 1e-6) quantizes above q: the widening is
+    far above rounding to ``RANK_DIGITS`` digits (see ``_qualifying_fits``).
+    """
+    known = [residual for _, residual, _ in results]
+    for i in np.flatnonzero(np.isfinite(free) & (free >= 0.0)).tolist():
+        if enum._key_of(batch[i]) not in seen:
+            known.append(free[i])
+    if len(known) < MAX_SLICE_FITS:
+        return None
+    q = quantize_residual(float(np.partition(known, MAX_SLICE_FITS - 1)[MAX_SLICE_FITS - 1]))
+    return max(q, STRICT_TOL) * (1.0 + 1e-6)
+
+
 def _qualifying_fits(fitter, grammar, budget, lift):
     """Enumerate shapes over the fitter's variables, which the frame sets,
     in ascending size, fit constants, and return the qualifying
@@ -1112,10 +1162,11 @@ def _qualifying_fits(fitter, grammar, budget, lift):
     scatter per operator and operand levels; ``_ShapeFitter.free_residuals``
     gives each its max-abs residual, or marks it nan or not finite.  Then
     ``_ShapeFitter.fit_all`` fits every other shape of the level together:
-    the strict screen over the table, the grid passes, and the Brent and
+    the screen over the table, the grid passes, and the Brent and
     Nelder-Mead lanes of many shapes as arrays.  Its fits equal
-    ``_ShapeFitter.fit``'s of each shape alone, and it names the slot-free
-    shapes it fitted whose values are nan.  A level is handed to the table
+    ``_ShapeFitter.fit``'s of each shape alone, but for the fits that a
+    flexible fitter screens out (below), and it names the slot-free shapes
+    it fitted whose values are nan.  A level is handed to the table
     when it becomes an operand level, never while it is fitted, and
     without its shapes in ``nan_shapes``: a shape built on one is nan too,
     and is not fitted.  The table keeps the newest operand level as
@@ -1127,21 +1178,40 @@ def _qualifying_fits(fitter, grammar, budget, lift):
     slots are simplified, counted and serialized.  The ``seen`` dedupe and
     the caller's sort read the returned key.
 
-    A strict fitter returns no fit for a one-slot shape without a linear
-    wrap when its interval screen rules out the span box over the whole
-    start grid, or else every Brent bracket (``_ShapeFitter._rule_out``).
-    ``fit_all`` screens the span boxes of a level's one-slot shapes from
-    the table before it compiles any of them, so a shape ruled out there
-    is never compiled.  The output is the same as without the screen.  Brent evaluates only inside its brackets, the fit is one
-    of its points, and ``snap`` moves it by at most one snap step, which
-    the screened boxes include; every bracket, with that padding, lies
-    inside the padded span box, since a bracket's ends are grid points or
-    a grid end moved by 1.  The screen encloses the values of the
-    simplified expression whose residual is read here, chains re-sorted
-    included, so a ruled-out fit would not have qualified.  Such a fit
-    would only have been marked ``seen`` and dropped, and a qualifying fit
-    of the same expression has the same residual, so dropping it earlier
-    hides no qualifying fit.
+    The fitter returns no fit for a one-slot shape without a linear wrap
+    when its interval screen rules out the span box over the whole start
+    grid, or else every Brent bracket (``_ShapeFitter._rule_out``): when no
+    constant in them brings the shape within a band around the targets at
+    every sample.  ``fit_all`` screens the span boxes of a level's one-slot
+    shapes from the table before it compiles any of them, so a shape ruled
+    out there is never compiled.  Brent evaluates only inside its
+    brackets, the fit is one of its points, and ``snap`` moves it by at
+    most one snap step, which the screened boxes include; every bracket,
+    with that padding, lies inside the padded span box, since a bracket's
+    ends are grid points or a grid end moved by 1.  The screen encloses the
+    values of the simplified expression whose residual is read here, chains
+    re-sorted included.  So a ruled-out fit's residual is above the band's
+    radius.  The modes differ only in that radius:
+
+    * strict mode: ``2 * STRICT_TOL``, so a ruled-out fit would not have
+      qualified;
+    * flexible mode: the reach R of ``_cap_reach``, set before the level's
+      fits run from the distinct fits known then (the results so far and
+      the level's table residuals whose keys are not ``seen``), once at
+      least ``MAX_SLICE_FITS`` are known.  A ruled-out fit quantizes above
+      the ``MAX_SLICE_FITS``-th least quantized residual q of those, and
+      more fits can only lower q, since ``quantize_residual`` is monotone.
+      So at least ``MAX_SLICE_FITS`` fits of other keys rank before it in
+      the caller's sort, and the cap would have dropped it.  Until that
+      many are known, nothing is screened.
+
+    The output is the same as without the screen.  A ruled-out fit would
+    have been marked ``seen`` and kept only past the cap (strict mode: not
+    kept), and a later fit of the same key has the same residual, so it is
+    dropped the same way.  That needs fits with equal keys to have equal
+    residuals.  ``serialize`` merges the sign of a zero constant, so two
+    such fits can differ in it; the residuals could then differ only where
+    a sample sends the sign through a division to a value that differs.
     """
     grammar = grammar or Grammar()
     enum = ShapeEnumerator(grammar, tuple(fitter.envs))
@@ -1201,7 +1271,8 @@ def _qualifying_fits(fitter, grammar, budget, lift):
                     nan_shapes.add(batch[i])
             else:
                 pooled.append(i)
-        fits.update(zip(pooled, fitter.fit_all([batch[i] for i in pooled], values)))
+        reach = None if strict else _cap_reach(results, free, batch, enum, seen)
+        fits.update(zip(pooled, fitter.fit_all([batch[i] for i in pooled], values, reach)))
         for start in range(0, len(batch), _SHAPE_BLOCK):
             block = free[start : start + _SHAPE_BLOCK].tolist()
             for i, max_abs in enumerate(block, start):
